@@ -7,6 +7,13 @@ sides, duplicate and dangling keys, heavy skew, empty and single-row
 tables, constant columns — and random multi-join queries with random
 range/equality/IN filters over them.
 
+Join keys are drawn dense (ids ``0..n``, a handful of values around
+them) and then, for a share of cases, moved onto a strided and offset
+domain — up to the int64 limits — so that both branches of the hash
+join's probe kernel (:class:`repro.engine.join_build.JoinBuild`:
+direct-address directory on dense domains, binary search on sparse
+ones) meet the oracle.
+
 Every case is fully determined by ``(seed, index, FuzzConfig)``: the
 same triple always regenerates the same schema, rows and queries, which
 is what makes a failing case replayable from nothing but its seed.
@@ -48,6 +55,9 @@ class FuzzConfig:
     #: Chance a child row's foreign key references a value absent from
     #: the parent side (a dangling key that must join to nothing).
     dangling_key_probability: float = 0.25
+    #: Chance the case's join keys are moved from the dense domain onto
+    #: a strided / offset one (see :func:`_key_domain`).
+    sparse_key_probability: float = 0.4
 
 
 @dataclass
@@ -66,6 +76,30 @@ class CheckCase:
 
 def _case_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+
+def _key_domain(seed: int, index: int, config: FuzzConfig) -> tuple[int, int]:
+    """``(offset, stride)`` mapping every join key ``k`` of a case to
+    ``offset + stride * k``.
+
+    The map is injective and applied to both sides of every edge, so
+    it changes no join result — only which build/probe branch computes
+    it.  Drawn from its own stream, so the rest of a case is what it
+    was before key domains existed.  A third of the moved cases sit
+    against an int64 limit (stride 1 there keeps the domain dense:
+    the direct-address branch must not wrap either).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index, 1]))
+    if rng.random() >= config.sparse_key_probability:
+        return 0, 1
+    stride = int(rng.choice([1, 7, 1_000, 10**9, 10**15]))
+    # Dense keys are row ids and a few dangling values past them.
+    top = stride * (config.max_rows + 8)
+    limits = np.iinfo(np.int64)
+    offset = int(
+        rng.choice([limits.max - top, limits.min, int(rng.integers(-(10**6), 10**6))])
+    )
+    return offset, stride
 
 
 def _table_size(rng: np.random.Generator, config: FuzzConfig) -> int:
@@ -223,6 +257,12 @@ def build_case(
             mask = _null_mask(rng, child_n, config)
             if mask is not None:
                 nulls[plan.child][fk_name] = mask
+
+    offset, stride = _key_domain(seed, index, config)
+    for i in range(num_tables):
+        for meta in columns[i]:
+            if meta.is_key:
+                arrays[i][meta.name] = offset + stride * arrays[i][meta.name]
 
     graph = JoinGraph()
     for plan in edge_plans:

@@ -5,7 +5,7 @@ query space of every workload query — thousands of plan-inject-execute
 cycles over the same eight base tables.  Most of that work repeats:
 the same ``(table, predicates)`` selection is re-filtered for every
 sub-plan that touches the table, and the same hash-join build side is
-re-sorted for every plan that probes it.  This module provides the
+rebuilt for every plan that probes it.  This module provides the
 reuse layer:
 
 - :class:`LRUByteCache` — a byte-budgeted least-recently-used cache
@@ -15,8 +15,9 @@ reuse layer:
   <repro.engine.executor.Executor>` consults: a **selection-vector
   cache** (canonical ``(table, predicates)`` key → row-id array) and a
   **join build-side cache** (``(table, column, selection)`` key →
-  sorted hash-build structure), both automatically invalidated when
-  the database's ``data_version`` moves (i.e. after inserts).
+  :class:`repro.engine.join_build.JoinBuild`), both automatically
+  invalidated when the database's ``data_version`` moves (i.e. after
+  inserts).
 
 **Measurement-fidelity policy.**  Caching is for *correctness-only*
 work: exact-cardinality labelling, Q-/P-Error computation and plan
@@ -34,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.engine.join_build import JoinBuild
 from repro.engine.predicates import Predicate, conjunction_mask
 from repro.obs import metrics as obs_metrics
 
@@ -228,23 +230,22 @@ class ExecutionContext:
         predicates: tuple[Predicate, ...],
         keys: np.ndarray,
         valid: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted hash-join build structure for a base-table build side.
+        probe_rows: int,
+    ) -> JoinBuild:
+        """Hash-join build structure for a base-table build side.
 
         ``keys``/``valid`` are the build side's join-key array and
         not-NULL mask as produced for the scan output of
-        ``(table_name, predicates)``; the cached value is the pair
-        ``(sorted_keys, sorted_positions)`` where positions index into
-        that scan's row array.  Deterministic given the key, so cache
-        hits are bit-identical to recomputation.
+        ``(table_name, predicates)``; the cached value is the
+        :class:`JoinBuild` over them, whose positions index into that
+        scan's row array.  ``probe_rows`` sizes the build made on a
+        miss.  Match ranges do not depend on it, so cache hits are
+        bit-identical to recomputation.
         """
         self._check_version()
         key = (table_name, column, predicates_key(predicates))
         build = self.join_build.get(key)
         if build is None:
-            build_ids = np.nonzero(valid)[0]
-            build_keys = keys[build_ids]
-            order = np.argsort(build_keys, kind="stable")
-            build = (build_keys[order], build_ids[order])
-            self.join_build.put(key, build, build[0].nbytes + build[1].nbytes)
+            build = JoinBuild(keys, valid, probe_rows)
+            self.join_build.put(key, build, build.nbytes)
         return build

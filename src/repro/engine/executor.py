@@ -9,8 +9,11 @@ signal for plan quality.
 
 The three join operators do physically different work:
 
-- **hash join**: sorts the build side's *keys only* and probes with
-  binary search (our stand-in for an in-memory hash table);
+- **hash join**: builds a :class:`repro.engine.join_build.JoinBuild`
+  over the build side's *keys only* and probes it once per outer key —
+  a direct-address directory look-up on dense INT key domains, so the
+  operator does the linear build + probe + output work the cost model
+  charges it; FLOAT keys and sparse domains probe by binary search;
 - **merge join**: fully reorders *both* inputs (all row-id columns) by
   the join key before matching — the expensive sort PostgreSQL charges
   for;
@@ -41,6 +44,7 @@ import numpy as np
 
 from repro.engine.cache import ExecutionContext
 from repro.engine.database import Database
+from repro.engine.join_build import JoinBuild
 from repro.engine.plans import (
     JOIN_HASH,
     JOIN_INDEX_NL,
@@ -154,29 +158,20 @@ class Executor:
         deadline = None if timeout is None else started + timeout
         node_rows: dict[frozenset[str], int] = {}
         node_stats: dict[frozenset[str], NodeRuntimeStats] = {}
-        if collect_stats or obs_trace.is_active():
-            try:
+        try:
+            if collect_stats or obs_trace.is_active():
                 rows = self._run_instrumented(plan, node_rows, node_stats, deadline)
-            except ExecutionAborted as exc:
-                obs_metrics.registry().counter("executor.aborts").inc()
-                obs_events.emit(
-                    "executor.aborted",
-                    level="warning",
-                    tables=sorted(plan.tables),
-                    reason=str(exc),
-                )
-                raise
-        else:
-            try:
+            else:
                 rows = self._run(plan, node_rows, deadline)
-            except ExecutionAborted as exc:
-                obs_events.emit(
-                    "executor.aborted",
-                    level="warning",
-                    tables=sorted(plan.tables),
-                    reason=str(exc),
-                )
-                raise
+        except ExecutionAborted as exc:
+            obs_metrics.registry().counter("executor.aborts").inc()
+            obs_events.emit(
+                "executor.aborted",
+                level="warning",
+                tables=sorted(plan.tables),
+                reason=str(exc),
+            )
+            raise
         cardinality = self._cardinality(rows)
         return ExecutionResult(
             cardinality=cardinality,
@@ -218,34 +213,16 @@ class Executor:
         """Output cardinality of a hash join without materializing it.
 
         Per-probe match counts are summed directly — no range expansion,
-        no column combine — so counting costs O(|probe| log |build|)
-        regardless of the output size.  The budget check matches
+        no column combine — so counting costs what building and probing
+        cost, regardless of the output size.  The budget check matches
         :meth:`join_rows`: a count beyond the row budget aborts.
         """
         edge = node.edge
         left_keys, left_valid = self._key_values(left, edge.left, edge.left_column)
         right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
-        sorted_keys = None
-        context = self._context
-        if context is not None and context.enabled and isinstance(node.right, ScanNode):
-            sorted_keys = context.hash_build(
-                node.right.table,
-                edge.right_column,
-                node.right.predicates,
-                right_keys,
-                right_valid,
-            )[0]
-        if sorted_keys is None:
-            sorted_keys = np.sort(right_keys[right_valid], kind="stable")
-        probe_keys = left_keys[left_valid]
-        starts = np.searchsorted(sorted_keys, probe_keys, side="left")
-        ends = np.searchsorted(sorted_keys, probe_keys, side="right")
-        total = int((ends - starts).sum())
-        if total > self._max_rows:
-            raise ExecutionAborted(
-                f"join would produce {total} rows, exceeding budget {self._max_rows}"
-            )
-        return total
+        build = self._join_build(node, right_keys, right_valid, len(left_keys))
+        _, counts = build.match(left_keys[left_valid])
+        return self._check_budget(counts)
 
     # -- plan walking ------------------------------------------------------
 
@@ -316,14 +293,16 @@ class Executor:
     def _cardinality(rows: dict[str, np.ndarray]) -> int:
         return len(next(iter(rows.values())))
 
-    def _check_budget(self, counts: np.ndarray) -> None:
+    def _check_budget(self, counts: np.ndarray) -> int:
         """Abort *before* materializing a join whose output would blow
-        past the row budget (essential on machines with bounded RAM)."""
+        past the row budget (essential on machines with bounded RAM);
+        otherwise the join's output row count."""
         total = int(counts.sum())
         if total > self._max_rows:
             raise ExecutionAborted(
                 f"join would produce {total} rows, exceeding budget {self._max_rows}"
             )
+        return total
 
     # -- operators -----------------------------------------------------------
 
@@ -348,25 +327,8 @@ class Executor:
             return self._index_nl_join(node, left, left_keys, left_valid, deadline)
         right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
         if node.method == JOIN_HASH:
-            build = None
-            context = self._context
-            if (
-                context is not None
-                and context.enabled
-                and isinstance(node.right, ScanNode)
-            ):
-                # Base-table build sides are pure functions of
-                # (table, column, selection): reuse the sorted build.
-                build = context.hash_build(
-                    node.right.table,
-                    edge.right_column,
-                    node.right.predicates,
-                    right_keys,
-                    right_valid,
-                )
-            return self._hash_join(
-                left, left_keys, left_valid, right, right_keys, right_valid, build
-            )
+            build = self._join_build(node, right_keys, right_valid, len(left_keys))
+            return self._hash_join(left, left_keys, left_valid, right, build)
         assert node.method == JOIN_MERGE
         return self._merge_join(
             left, left_keys, left_valid, right, right_keys, right_valid
@@ -383,30 +345,35 @@ class Executor:
         ids = rows[table]
         return stored.values[ids], ~stored.null_mask[ids]
 
-    def _hash_join(
-        self, left, left_keys, left_valid, right, right_keys, right_valid, build=None
-    ):
-        # Build: sort only the build-side keys (hash-table stand-in).
-        # ``build`` carries a cached (sorted_keys, sorted_positions)
-        # pair when the context recognises the build side.
-        if build is None:
-            build_ids = np.nonzero(right_valid)[0]
-            build_keys = right_keys[build_ids]
-            order = np.argsort(build_keys, kind="stable")
-            sorted_keys = build_keys[order]
-            sorted_build = build_ids[order]
-        else:
-            sorted_keys, sorted_build = build
+    def _join_build(
+        self,
+        node: JoinNode,
+        right_keys: np.ndarray,
+        right_valid: np.ndarray,
+        probe_rows: int,
+    ) -> JoinBuild:
+        """The hash join's build side, from the context when it has one."""
+        context = self._context
+        if context is not None and context.enabled and isinstance(node.right, ScanNode):
+            # Base-table build sides are pure functions of
+            # (table, column, selection): reuse the build.
+            return context.hash_build(
+                node.right.table,
+                node.edge.right_column,
+                node.right.predicates,
+                right_keys,
+                right_valid,
+                probe_rows,
+            )
+        return JoinBuild(right_keys, right_valid, probe_rows)
 
+    def _hash_join(self, left, left_keys, left_valid, right, build: JoinBuild):
         probe_ids = np.nonzero(left_valid)[0]
-        probe_keys = left_keys[probe_ids]
-        starts = np.searchsorted(sorted_keys, probe_keys, side="left")
-        ends = np.searchsorted(sorted_keys, probe_keys, side="right")
-        counts = ends - starts
+        starts, counts = build.match(left_keys[probe_ids])
         self._check_budget(counts)
 
         probe_take = np.repeat(probe_ids, counts)
-        build_take = sorted_build[_expand_ranges(starts, counts)]
+        build_take = build.positions[_expand_ranges(starts, counts)]
         return _combine(left, probe_take, right, build_take)
 
     def _merge_join(self, left, left_keys, left_valid, right, right_keys, right_valid):
@@ -498,7 +465,7 @@ class Executor:
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], starts[i] + counts[i])`` for all i.
 
-    Vectorised building block for expanding searchsorted match ranges.
+    Vectorised building block for expanding per-probe match ranges.
     """
     total = int(counts.sum())
     if total == 0:

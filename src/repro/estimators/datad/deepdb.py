@@ -193,10 +193,9 @@ class SumProductNetwork(TableDensityModel):
     def _evaluate(self, node, coverages: dict[str, np.ndarray]) -> float:
         if isinstance(node, LeafNode):
             coverage = coverages.get(node.column)
-            probabilities = node.prob_vector()
             if coverage is None:
                 return 1.0
-            return float((probabilities * coverage).sum())
+            return float((node.prob_vector() * coverage).sum())
         if isinstance(node, ProductNode):
             result = 1.0
             for child in node.children:
@@ -213,13 +212,13 @@ class SumProductNetwork(TableDensityModel):
     def _evaluate_vector(self, node, coverages: dict[str, np.ndarray], target: str):
         """Like ``_evaluate`` but keeps ``target``'s bins as a vector."""
         if isinstance(node, LeafNode):
-            probabilities = node.prob_vector()
             coverage = coverages.get(node.column)
             if node.column == target:
+                probabilities = node.prob_vector()
                 return probabilities * coverage if coverage is not None else probabilities
             if coverage is None:
                 return 1.0
-            return float((probabilities * coverage).sum())
+            return float((node.prob_vector() * coverage).sum())
         if isinstance(node, ProductNode):
             scalar = 1.0
             vector = None

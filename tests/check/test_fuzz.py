@@ -3,6 +3,8 @@
 import numpy as np
 
 from repro.check import FuzzConfig, build_case
+from repro.core.truecards import TrueCardinalityService
+from repro.engine.join_build import JoinBuild
 from repro.engine.query import Query
 
 
@@ -91,3 +93,47 @@ class TestCoverage:
         assert saw_fk_fk, "no FK-FK edge in 60 cases"
         assert saw_duplicate_key, "no duplicate join keys in 60 cases"
         assert saw_multi_join, "no 3+-way join query in 60 cases"
+
+
+class TestKeyDomains:
+    """A share of cases moves its join keys onto a strided / offset
+    domain so the oracle sees both branches of the hash-join kernel."""
+
+    @staticmethod
+    def _edge_builds(database):
+        for edge in database.join_graph.edges:
+            build = database.tables[edge.right].column(edge.right_column)
+            probe = database.tables[edge.left].column(edge.left_column)
+            if (~build.null_mask).any():
+                yield build, probe
+
+    def test_sweep_reaches_both_branches_and_the_int64_limits(self):
+        saw_direct = saw_binary = saw_limit = False
+        limits = np.iinfo(np.int64)
+        for index in range(60):
+            database = build_case(1, index).database
+            for build, probe in self._edge_builds(database):
+                direct = JoinBuild(
+                    build.values, ~build.null_mask, probe_rows=len(probe.values)
+                ).direct
+                saw_direct = saw_direct or direct
+                saw_binary = saw_binary or not direct
+                saw_limit = saw_limit or bool(
+                    (build.values > limits.max - 10**6).any()
+                    or (build.values < limits.min + 10**6).any()
+                )
+        assert saw_direct, "no dense key domain in 60 cases"
+        assert saw_binary, "no sparse key domain in 60 cases"
+        assert saw_limit, "no key domain at an int64 limit in 60 cases"
+
+    def test_moving_the_key_domain_changes_no_count(self):
+        dense = FuzzConfig(sparse_key_probability=0.0)
+        moved = FuzzConfig(sparse_key_probability=1.0)
+        for index in range(25):
+            before, after = build_case(2, index, dense), build_case(2, index, moved)
+            counts_before = TrueCardinalityService(before.database)
+            counts_after = TrueCardinalityService(after.database)
+            for q_before, q_after in zip(before.queries, after.queries):
+                assert counts_before.sub_plan_cards(
+                    q_before
+                ) == counts_after.sub_plan_cards(q_after)

@@ -156,13 +156,15 @@ class TestExecutionContext:
         keys = db.tables["posts"].column("OwnerUserId").values
         valid = np.ones(len(keys), dtype=bool)
         valid[::7] = False
-        sorted_keys, positions = context.hash_build(
-            "posts", "OwnerUserId", (), keys, valid
+        build = context.hash_build(
+            "posts", "OwnerUserId", (), keys, valid, probe_rows=len(keys)
         )
         build_ids = np.nonzero(valid)[0]
         order = np.argsort(keys[build_ids], kind="stable")
-        np.testing.assert_array_equal(sorted_keys, keys[build_ids][order])
-        np.testing.assert_array_equal(positions, build_ids[order])
+        np.testing.assert_array_equal(build.sorted_keys, keys[build_ids][order])
+        np.testing.assert_array_equal(build.positions, build_ids[order])
         # Second call hits the cache and returns the same structure.
-        again = context.hash_build("posts", "OwnerUserId", (), keys, valid)
-        assert again[0] is sorted_keys and again[1] is positions
+        again = context.hash_build(
+            "posts", "OwnerUserId", (), keys, valid, probe_rows=len(keys)
+        )
+        assert again is build

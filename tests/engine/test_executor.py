@@ -21,6 +21,7 @@ from repro.engine.plans import (
     ScanNode,
 )
 from repro.engine.predicates import Predicate
+from repro.obs import metrics as obs_metrics
 
 
 def scan(table, predicates=()):
@@ -217,6 +218,20 @@ class TestBudgets:
         plan = join(scan("users"), scan("posts"), users_posts, JOIN_HASH)
         with pytest.raises(ExecutionAborted):
             Executor(tiny_db, timeout_seconds=-1.0).execute(plan)
+
+    @pytest.mark.parametrize("collect_stats", [False, True])
+    def test_abort_is_counted_on_both_walks(self, tiny_db, edges, collect_stats):
+        """Timed campaign runs take the plain walk; their aborts must
+        reach ``executor.aborts`` like the instrumented walk's do."""
+        users_posts, _ = edges
+        plan = join(scan("users"), scan("posts"), users_posts, JOIN_HASH)
+        aborts = obs_metrics.registry().counter("executor.aborts")
+        before = aborts.value
+        with pytest.raises(ExecutionAborted):
+            Executor(tiny_db, max_intermediate_rows=10).execute(
+                plan, collect_stats=collect_stats
+            )
+        assert obs_metrics.registry().counter("executor.aborts").value == before + 1
 
 
 class TestScan:
