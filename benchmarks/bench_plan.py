@@ -1,20 +1,21 @@
-"""Benchmark: vectorised DP planning throughput on STATS-CEB.
+"""Benchmark: DP planning throughput on STATS-CEB.
 
 One measurement, written to ``benchmarks/BENCH_plan.json``: every
 quick-mode STATS-CEB query planned under its stored true cardinalities,
-once through the scalar differential-oracle path and once through the
-vectorised (batched cost kernel) path.  Reported as sub-plans costed
-per second.
+once by the scalar reference DP
+(:class:`repro.check.reference_planner.ReferencePlanner`) and once by
+the production planner (vectorised level scoring).  Reported as
+sub-plans costed per second.
 
 Two gates:
 
-1. **Bit-identity** — both paths must return the *exact* same
+1. **Bit-identity** — both must return the *exact* same
    ``(plan, estimated_cost)`` pair for every query (no tolerance; the
-   vectorised planner re-evaluates the scalar expression trees
-   elementwise and breaks ties with the same codified
+   planner re-evaluates the scalar expression trees elementwise and
+   breaks ties with the same codified
    ``(cost, method_rank, left_mask)`` order).
-2. **Throughput** — the vectorised path must clear **2x** the scalar
-   path on this STATS-CEB-shaped workload.
+2. **Throughput** — the planner must clear **2x** the reference on
+   this STATS-CEB-shaped workload.
 
 Throughput numbers (``*_per_second`` — higher is better under the
 baseline comparator's naming convention) are merged into
@@ -30,15 +31,16 @@ import math
 import time
 from pathlib import Path
 
+from repro.check.reference_planner import ReferencePlanner
 from repro.engine.planner import Planner
 from repro.obs.prof.baseline import load_baselines, save_baselines
 
 REPORT_PATH = Path(__file__).parent / "BENCH_plan.json"
 BASELINES_PATH = Path(__file__).parent / "BASELINES.json"
 
-#: Timing passes per path; the best (lowest) time is kept.
+#: Timing passes per planner; the best (lowest) time is kept.
 REPEATS = 3
-#: The vectorised path must beat the scalar oracle by this factor.
+#: The planner must beat the scalar reference by this factor.
 REQUIRED_SPEEDUP = 2.0
 
 
@@ -65,14 +67,14 @@ def test_emit_plan_report(context):
     num_sub_plans = sum(len(cards) for _, cards in with_cards)
     assert num_sub_plans > 0
 
-    scalar_planner = Planner(database, vectorised=False)
-    vector_planner = Planner(database, vectorised=True)
+    scalar_planner = ReferencePlanner(database)
+    vector_planner = Planner(database)
 
     def sweep(planner):
         return [planner.plan(query, cards) for query, cards in with_cards]
 
-    # Warm-up: primes the per-shape space memo (and, for the vectorised
-    # path, the numpy level templates) both paths share.
+    # Warm-up: primes the per-shape space memo both share (and the
+    # planner's numpy level templates).
     sweep(scalar_planner)
     sweep(vector_planner)
 
@@ -110,9 +112,6 @@ def test_emit_plan_report(context):
     # may clobber the other's metrics.
     baselines.setdefault("plan/stats_ceb", {}).update({
         "scalar_subplans_per_second": report["scalar_subplans_per_second"],
-        "vectorised_subplans_per_second": report[
-            "vectorised_subplans_per_second"
-        ],
         "subplans_costed_per_second": report["vectorised_subplans_per_second"],
     })
     save_baselines(

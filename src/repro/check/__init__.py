@@ -14,8 +14,12 @@ correctly.  This package independently validates that assumption:
   dangling keys, empty and single-row tables);
 - :mod:`repro.check.invariants` runs metamorphic invariants per case:
   exec-cache ON vs OFF, serial vs parallel workers, checkpoint-resume
-  vs fresh run, and plan-choice independence (every plan the planner
-  could pick must return the same count);
+  vs fresh run, plan-choice independence (every plan the planner
+  could pick must return the same count), and the planner against its
+  scalar reference;
+- :mod:`repro.check.reference_planner` is that reference: the
+  one-candidate-at-a-time DP the production planner must match bit for
+  bit;
 - :mod:`repro.check.shrink` minimizes a failing case to a small repro;
 - :mod:`repro.check.artifacts` serializes it as a JSON bundle (schema
   + rows + SQL) that replays via ``repro check --replay`` or pytest;

@@ -19,13 +19,14 @@ checks are:
     have picked (all join orders × all legal join methods × both scan
     methods) must produce the same count as the chosen one.
 ``planner-vectorised``
-    Scalar-vs-batched DP scoring: under fuzzed cardinality maps —
+    Reference-vs-production DP scoring: under fuzzed cardinality maps —
     the true counts plus adversarial variants (all-equal values that
     force cost ties, zeros, sub-row fractions, seeded perturbations) —
-    the scalar differential oracle and the vectorised planner must
+    the scalar :class:`~repro.check.reference_planner.ReferencePlanner`
+    and the production :class:`~repro.engine.planner.Planner` must
     produce identical ``(estimated_cost, plan)``, exact float equality
     included, proving the codified ``(cost, method_rank, left_mask)``
-    tie-break order is applied identically in both paths.
+    tie-break order is applied identically by both.
 ``parallel``
     A fork-based multi-worker benchmark run must report the same
     result cardinalities as a serial run of the same workload.
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro.check.fuzz import CheckCase
 from repro.check.oracle import SQLiteOracle
+from repro.check.reference_planner import ReferencePlanner
 from repro.core.benchmark import EndToEndBenchmark
 from repro.core.injection import sub_plan_queries
 from repro.core.parallel import fork_available
@@ -79,17 +81,6 @@ from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.workloads.generator import Workload
-
-#: The metamorphic invariants, in the order the runner applies them.
-#: The SQLite oracle comparison is controlled separately (``--oracle``).
-ALL_INVARIANTS = (
-    "batch",
-    "cache",
-    "plans",
-    "planner-vectorised",
-    "parallel",
-    "resume",
-)
 
 #: Relative tolerance for batch-vs-loop equivalence.  Vectorised
 #: implementations may reorder float reductions (stacked matmuls vs
@@ -412,10 +403,10 @@ def _card_map_variants(
 
 
 def check_planner_vectorised(case: CheckCase) -> list[Discrepancy]:
-    """Scalar and batched DP scoring must agree bit for bit."""
+    """The scalar reference DP and the planner must agree bit for bit."""
     discrepancies: list[Discrepancy] = []
-    scalar = Planner(case.database, vectorised=False)
-    vector = Planner(case.database, vectorised=True)
+    scalar = ReferencePlanner(case.database)
+    vector = Planner(case.database)
     service = TrueCardinalityService(case.database)
     rng = np.random.default_rng(np.random.SeedSequence([case.seed, case.index]))
     for query in case.queries:
@@ -545,7 +536,10 @@ def check_resume(case: CheckCase) -> list[Discrepancy]:
     return []
 
 
-_CHECKERS = {
+#: The metamorphic invariants by name, in the order the runner applies
+#: them.  The SQLite oracle comparison is controlled separately
+#: (``--no-oracle``).
+CHECKERS = {
     "batch": check_batch,
     "cache": check_cache,
     "plans": check_plans,
@@ -553,6 +547,7 @@ _CHECKERS = {
     "parallel": check_parallel,
     "resume": check_resume,
 }
+ALL_INVARIANTS = tuple(CHECKERS)
 
 
 def run_invariants(
@@ -561,5 +556,5 @@ def run_invariants(
     """Run the selected metamorphic invariants over one case."""
     discrepancies: list[Discrepancy] = []
     for name in invariants:
-        discrepancies.extend(_CHECKERS[name](case))
+        discrepancies.extend(CHECKERS[name](case))
     return discrepancies

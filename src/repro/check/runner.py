@@ -26,14 +26,9 @@ from repro.check.artifacts import load_artifact, write_artifact
 from repro.check.fuzz import CheckCase, FuzzConfig, build_case
 from repro.check.invariants import (
     ALL_INVARIANTS,
+    CHECKERS,
     Discrepancy,
-    check_batch,
-    check_cache,
     check_oracle,
-    check_parallel,
-    check_planner_vectorised,
-    check_plans,
-    check_resume,
     parallel_applicable,
 )
 from repro.check.oracle import SQLiteOracle
@@ -123,15 +118,6 @@ def replay_command(artifact: str | Path) -> str:
     return f"PYTHONPATH=src python -m repro.cli check --replay {artifact}"
 
 
-_ORACLE_CHECKER = {"oracle": check_oracle}
-_INVARIANT_CHECKERS = {
-    "batch": check_batch,
-    "cache": check_cache,
-    "plans": check_plans,
-    "planner-vectorised": check_planner_vectorised,
-    "parallel": check_parallel,
-    "resume": check_resume,
-}
 #: Invariants that spin up the full benchmark harness (sampled).
 _HARNESS_INVARIANTS = ("parallel", "resume")
 
@@ -145,7 +131,7 @@ def _checks_for(
     for name in options.invariants:
         if name in _HARNESS_INVARIANTS and index % options.harness_every:
             continue
-        checks.append((name, _INVARIANT_CHECKERS[name]))
+        checks.append((name, CHECKERS[name]))
     return checks
 
 
@@ -187,8 +173,7 @@ def _record_failure(
     artifact: Path | None = None
     final_case, final_discrepancy = case, discrepancy
     if options.shrink_failures:
-        failing = _ORACLE_CHECKER | _INVARIANT_CHECKERS
-        checker = failing[discrepancy.invariant]
+        checker = ({"oracle": check_oracle} | CHECKERS)[discrepancy.invariant]
 
         def fails(candidate: CheckCase) -> Discrepancy | None:
             found = checker(candidate)
@@ -261,7 +246,7 @@ def replay_artifact(
     if options.oracle:
         checks.append(("oracle", check_oracle))
     checks.extend(
-        (name, _INVARIANT_CHECKERS[name]) for name in options.invariants
+        (name, CHECKERS[name]) for name in options.invariants
     )
     for name, checker in checks:
         if name == "parallel" and not parallel_applicable(case):

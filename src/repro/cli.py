@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 from pathlib import Path
 
+from repro.check.invariants import ALL_INVARIANTS
 from repro.core.injection import estimate_sub_plans
 from repro.core.parallel import default_workers
 from repro.core.truecards import TrueCardinalityService
@@ -151,8 +152,8 @@ def _planning_throughput(database, queries) -> dict:
     """Planner DP throughput under the workload's stored true cards.
 
     Baseline currency for the ``plan/<workload>`` observatory key:
-    best-of-3 sweep of ``Planner.plan`` (vectorised default) over every
-    labelled query, reported as sub-plans costed per second.
+    best-of-3 sweep of ``Planner.plan`` over every labelled query,
+    reported as sub-plans costed per second.
     """
     import math
     import time
@@ -293,11 +294,6 @@ def cmd_bench(args) -> int:
     from repro.obs import events as obs_events
     from repro.obs import manifest as obs_manifest
     from repro.obs import progress as obs_progress
-
-    if args.scalar_planner:
-        from repro.engine.planner import set_default_vectorised
-
-        set_default_vectorised(False)
 
     checkpoint_path = args.resume or args.checkpoint
     config = dataclasses.replace(
@@ -592,7 +588,6 @@ def cmd_export_csv(args) -> int:
 
 def cmd_check(args) -> int:
     from repro.check import CheckOptions, check_workload, replay_artifact, run_check
-    from repro.check.invariants import ALL_INVARIANTS
 
     invariants = (
         tuple(name for name in args.invariants.split(",") if name)
@@ -716,13 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="extra attempts per failed estimator/planner/executor call",
-    )
-    bench.add_argument(
-        "--scalar-planner",
-        action="store_true",
-        help="plan with the scalar differential-oracle scoring path "
-        "instead of the vectorised DP (same plans and costs, bit for "
-        "bit; useful for isolating planner regressions)",
     )
     bench.add_argument(
         "--query-timeout",
@@ -1075,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="LIST",
         help="comma-separated metamorphic invariants to run (default: "
-        "batch,cache,plans,planner-vectorised,parallel,resume)",
+        f"{','.join(ALL_INVARIANTS)})",
     )
     check.add_argument(
         "--artifact-dir",

@@ -33,6 +33,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
+from repro.core.injection import price_sub_plans
 from repro.core.metrics import p_error, q_error
 from repro.core.parallel import fork_available, run_parallel
 from repro.engine.cache import ExecutionContext
@@ -427,11 +428,6 @@ class EndToEndBenchmark:
         escape — those legitimately end the campaign, and the
         checkpoint/parallel layers handle them.
         """
-        # Imported lazily: the inference module imports estimator
-        # machinery whose package initialization reaches back into this
-        # module, so a top-level import would close a cycle.
-        from repro.resilience.inference import resilient_sub_plan_estimates
-
         query = labeled.query
         true_cards = {
             subset: float(count)
@@ -453,13 +449,11 @@ class EndToEndBenchmark:
             trace_id = getattr(query_span, "span_id", None)
             obs_events.emit("query.start", num_tables=query.num_tables)
 
-            # The ``inference`` child span is opened inside the
-            # resilient estimation pass, next to the per-sub-plan
-            # latency histogram; on the no-fault path the estimates are
-            # identical to the historical estimate_sub_plans loop.
+            # The ``inference`` child span is opened inside the pricing
+            # pass, next to the per-sub-plan latency histogram.
             started = time.perf_counter()
             with prof_phases.phase("inference", estimator=estimator.name):
-                inference = resilient_sub_plan_estimates(
+                inference = price_sub_plans(
                     estimator,
                     query,
                     fallback=self._fallback,

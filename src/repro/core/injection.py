@@ -8,26 +8,42 @@ for each of them; the benchmark captures the space, asks a CardEst
 method for every estimate, and injects the results back — here, as the
 ``cards`` mapping consumed by :class:`repro.engine.planner.Planner`.
 
-Estimation is **batched**: the whole sub-plan space is priced with one
+Estimation is **batched**: :func:`price_sub_plans`, the one function
+behind the benchmark driver, the serving ``/subplans`` route and
+:func:`estimate_sub_plans`, prices the whole sub-plan space with one
 :meth:`~repro.estimators.base.CardinalityEstimator.estimate_batch`
 call, so vectorised estimators (LW-NN, MSCN, LW-XGB, ...) pay one
-forward pass per query instead of one per sub-plan.  Clamping and
-tracing semantics are unchanged from the historical per-sub-plan loop:
-estimates are clamped to at least one row (PostgreSQL's behaviour),
-the batch latency is recorded once on the ``inference`` span, and the
-``inference.latency_seconds.<estimator>`` histogram still receives one
+forward pass per query instead of one per sub-plan.  Estimates are
+clamped to at least one row (PostgreSQL's behaviour), the batch latency
+is recorded once on the ``inference`` span, and the
+``inference.latency_seconds.<estimator>`` histogram receives one
 *amortised* observation per sub-plan so its count keeps meaning
 "sub-plans priced" and its total "seconds spent in inference".
+
+Given a ``fallback`` the pass is **failure-isolated**: a failed batch
+call (any exception, or a malformed result) and a *bounded* per-query
+deadline (a batch call is indivisible, so only a loop can check the
+budget between sub-plans) price one sub-plan at a time instead.  Each
+``estimator.estimate`` call then runs under the campaign's
+:class:`~repro.resilience.policy.RetryPolicy`; a sub-plan whose
+estimate ultimately fails (or whose deadline has expired) is served by
+the fallback instead of aborting the query — the query is *marked
+failed* by the caller, but the campaign keeps moving.  The batch path
+only ever serves complete, successful passes.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 from repro.engine.query import Query
 from repro.engine.subsets import connected_subsets
+from repro.estimators.base import EstimationError
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
 
 
 def sub_plan_sets(query: Query) -> list[frozenset[str]]:
@@ -74,20 +90,78 @@ def record_batch_inference(
     registry.counter("injection.sub_plans_estimated").inc(batch_size)
 
 
-def estimate_sub_plans(estimator, query: Query) -> dict[frozenset[str], float]:
-    """Ask ``estimator`` for the cardinality of every sub-plan query.
+@dataclass
+class InferenceOutcome:
+    """Result of pricing one query's sub-plan space."""
 
-    This is the benchmark's injection step: the returned mapping is
+    #: per-sub-plan cardinalities (clamped to >= 1), fallbacks included.
+    cards: dict[frozenset[str], float] = field(default_factory=dict)
+    #: sub-plans whose estimator call failed, with the final error text.
+    failures: dict[frozenset[str], str] = field(default_factory=dict)
+    #: total estimate attempts across all sub-plans (== number of
+    #: sub-plans on a retry-free, fault-free pass).
+    attempts: int = 0
+    #: highest attempt count any single sub-plan estimate needed.
+    max_attempts: int = 1
+    #: sub-plans skipped because the per-query deadline expired.
+    deadline_skipped: int = 0
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failures) or self.deadline_skipped > 0
+
+    @property
+    def fallback_count(self) -> int:
+        """Sub-plans served by the fallback (failed + deadline-skipped)."""
+        return len(self.failures) + self.deadline_skipped
+
+    def error_summary(self) -> str | None:
+        """Human-readable first error (plus a count when there are more)."""
+        parts = []
+        if self.failures:
+            subset, error = next(iter(self.failures.items()))
+            label = "+".join(sorted(subset))
+            parts.append(f"inference failed on {label}: {error}")
+            if len(self.failures) > 1:
+                parts.append(f"(+{len(self.failures) - 1} more sub-plans)")
+        if self.deadline_skipped:
+            parts.append(
+                f"{self.deadline_skipped} sub-plan estimates skipped: "
+                "per-query deadline exceeded"
+            )
+        return " ".join(parts) if parts else None
+
+
+def price_sub_plans(
+    estimator,
+    query: Query,
+    *,
+    fallback=None,
+    retry: RetryPolicy | None = None,
+    deadline: Deadline | None = None,
+) -> InferenceOutcome:
+    """Ask ``estimator`` for the cardinality of every sub-plan of ``query``.
+
+    This is the benchmark's injection step: ``.cards`` of the result is
     handed directly to the planner.  The whole sub-plan space is priced
     with a single ``estimate_batch`` call (duck-typed estimators that
     only define ``estimate`` are priced one sub-plan at a time);
-    estimates are clamped to at least one row, matching PostgreSQL's
-    behaviour.
+    estimates are clamped to at least one row.
+
+    Without a ``fallback`` any failure propagates to the caller.  With
+    one (any object with ``estimate(query) -> float``; see
+    :class:`~repro.resilience.fallback.PostgresDefaultFallback`) a
+    failed batch call, or a ``deadline`` with a bounded budget, prices
+    each sub-plan on its own under ``retry`` and serves failed or
+    skipped sub-plans from the fallback; ``retry`` and ``deadline`` have
+    no effect without it.
+    :class:`~repro.estimators.base.EstimationError` is treated as
+    deterministic and never retried.
 
     When a tracer is active the pass is wrapped in an ``inference``
     span carrying the batch latency, and the per-sub-plan metrics keep
     their historical meaning (see :func:`record_batch_inference`); with
-    tracing off only the batched call runs.
+    tracing off only the estimator calls run.
     """
     sub_queries = sub_plan_queries(query)
     estimator_name = getattr(estimator, "name", type(estimator).__name__)
@@ -95,22 +169,109 @@ def estimate_sub_plans(estimator, query: Query) -> dict[frozenset[str], float]:
         "inference", estimator=estimator_name, sub_plans=len(sub_queries)
     ) as span:
         batch = getattr(estimator, "estimate_batch", None)
-        started = time.perf_counter()
-        if batch is not None:
-            estimates = batch(list(sub_queries.values()))
-        else:
-            estimates = [estimator.estimate(q) for q in sub_queries.values()]
-        elapsed = time.perf_counter() - started
-        if len(estimates) != len(sub_queries):
-            raise ValueError(
-                f"{estimator_name}.estimate_batch returned {len(estimates)} "
-                f"estimates for {len(sub_queries)} sub-plans"
+        if batch is None and fallback is None:
+            batch = lambda queries: [estimator.estimate(q) for q in queries]
+        # A batch call is indivisible, so only the per-sub-plan loop —
+        # which checks the deadline between sub-plans — can honour a
+        # bounded budget.
+        bounded_deadline = (
+            fallback is not None
+            and deadline is not None
+            and deadline.remaining() is not None
+        )
+        if batch is not None and not bounded_deadline:
+            started = time.perf_counter()
+            try:
+                estimates = batch(list(sub_queries.values()))
+                if len(estimates) != len(sub_queries):
+                    raise EstimationError(
+                        f"{estimator_name}.estimate_batch returned "
+                        f"{len(estimates)} estimates for {len(sub_queries)} sub-plans"
+                    )
+                cards = {
+                    subset: max(1.0, float(estimate))
+                    for subset, estimate in zip(sub_queries, estimates)
+                }
+            except Exception as exc:
+                if fallback is None:
+                    raise
+                obs_metrics.registry().counter(
+                    "resilience.batch_inference_degraded"
+                ).inc()
+                obs_events.emit(
+                    "inference.batch_degraded",
+                    level="warning",
+                    reason=f"{type(exc).__name__}: {exc}",
+                    sub_plans=len(sub_queries),
+                )
+            else:
+                elapsed = time.perf_counter() - started
+                if obs_trace.is_active():
+                    span.set(batch_seconds=elapsed)
+                    record_batch_inference(estimator_name, len(sub_queries), elapsed)
+                return InferenceOutcome(cards=cards, attempts=len(sub_queries))
+        return _price_one_by_one(
+            estimator, estimator_name, sub_queries, fallback, retry, deadline
+        )
+
+
+def _price_one_by_one(
+    estimator,
+    estimator_name: str,
+    sub_queries: dict[frozenset[str], Query],
+    fallback,
+    retry: RetryPolicy | None,
+    deadline: Deadline | None,
+) -> InferenceOutcome:
+    """The degraded pass: per-sub-plan retry, deadline check and fallback."""
+    outcome = InferenceOutcome()
+    registry = obs_metrics.registry()
+
+    def serve_fallback(subset, subquery, reason: str) -> float:
+        value = float(fallback.estimate(subquery))
+        registry.counter("resilience.fallback_estimates").inc()
+        obs_events.emit(
+            "inference.fallback", level="warning", tables=sorted(subset), reason=reason
+        )
+        return value
+
+    histogram = (
+        registry.histogram(f"inference.latency_seconds.{estimator_name}")
+        if obs_trace.is_active()
+        else None
+    )
+    for subset, subquery in sub_queries.items():
+        if deadline is not None and deadline.expired:
+            outcome.deadline_skipped += 1
+            outcome.cards[subset] = max(
+                1.0, serve_fallback(subset, subquery, "per-query deadline exceeded")
             )
-        cards = {
-            subset: max(1.0, float(estimate))
-            for subset, estimate in zip(sub_queries, estimates)
-        }
-        if obs_trace.is_active():
-            span.set(batch_seconds=elapsed)
-            record_batch_inference(estimator_name, len(sub_queries), elapsed)
-    return cards
+            continue
+        started = time.perf_counter()
+        try:
+            value, attempts = call_with_retry(
+                lambda sq=subquery: float(estimator.estimate(sq)),
+                retry,
+                non_retryable=(EstimationError,),
+                deadline=deadline,
+                on_retry=lambda *_: registry.counter(
+                    "resilience.inference_retries"
+                ).inc(),
+            )
+        except Exception as exc:
+            attempts = getattr(exc, "attempts", 1)
+            outcome.failures[subset] = f"{type(exc).__name__}: {exc}"
+            value = serve_fallback(subset, subquery, outcome.failures[subset])
+        outcome.attempts += attempts
+        outcome.max_attempts = max(outcome.max_attempts, attempts)
+        if histogram is not None:
+            histogram.observe(time.perf_counter() - started)
+        outcome.cards[subset] = max(1.0, value)
+    if obs_trace.is_active():
+        registry.counter("injection.sub_plans_estimated").inc(len(sub_queries))
+    return outcome
+
+
+def estimate_sub_plans(estimator, query: Query) -> dict[frozenset[str], float]:
+    """``price_sub_plans(estimator, query).cards``: failures propagate."""
+    return price_sub_plans(estimator, query).cards

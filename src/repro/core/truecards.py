@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.injection import sub_plan_sets
 from repro.engine.cache import ExecutionContext, LRUByteCache
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted, Executor
@@ -31,7 +30,7 @@ from repro.engine.planner import Planner
 from repro.engine.plans import JOIN_HASH, JoinNode, PlanNode, ScanNode
 from repro.engine.predicates import conjunction_mask
 from repro.engine.query import Query
-from repro.engine.subsets import leaf_split
+from repro.engine.subsets import connected_subsets, leaf_split
 
 #: Budget for the per-(sub-)query exact-count cache.  Counts are tiny;
 #: this bounds the formerly unbounded dict at a fixed byte footprint.
@@ -111,7 +110,7 @@ class TrueCardinalityService:
         materialized: dict[frozenset[str], dict[str, np.ndarray]] = {}
         materialized_bytes = [0]
         previous_size = 1
-        for subset in sub_plan_sets(query):
+        for subset in connected_subsets(query):
             if self._share and len(subset) > previous_size:
                 # Level transition: counting size s+1 lazily
                 # materializes size-s bases, whose own size-(s-1) bases

@@ -188,115 +188,19 @@ class CostModel:
         return run
 
     def _sort_cost(self, rows: float) -> float:
-        # np.log2 (not math.log2) so the scalar oracle and the batch
-        # kernel below share one log2 implementation bit for bit.
+        # np.log2 (not math.log2) so this and the level kernel below
+        # share one log2 implementation bit for bit.
         rows = max(rows, 2.0)
         return float(2.0 * self._params.cpu_operator_cost * rows * np.log2(rows))
 
-    # -- batched kernels -------------------------------------------------------
+    # -- level kernel ----------------------------------------------------------
     #
-    # The vectorised planner scores whole DP levels at once.  Each batch
-    # kernel evaluates *exactly* the scalar expression tree above,
+    # The planner scores a whole DP level at once.  The kernel evaluates
+    # *exactly* the scalar expression trees of :meth:`join_cost`,
     # elementwise over float64 arrays (same literals, same association
-    # order, ``np.maximum`` for ``max``), so a batched cost is
-    # bit-identical to the scalar cost of the same candidate — the
-    # scalar path stays usable as a differential oracle.
-
-    def scan_cost_batch(
-        self,
-        nodes: list[ScanNode],
-        cards: dict[frozenset[str], float],
-    ) -> np.ndarray:
-        """Costs of many scan nodes at once (bit-identical to ``scan_cost``)."""
-        p = self._params
-        infos = self._infos
-        out_rows = np.array(
-            [lookup_card(cards, node.tables) for node in nodes], dtype=np.float64
-        )
-        out_rows = np.maximum(0.0, out_rows)
-        pages = np.array([infos[node.table].pages for node in nodes], dtype=np.float64)
-        raw_rows = np.array(
-            [infos[node.table].raw_rows for node in nodes], dtype=np.float64
-        )
-        num_predicates = np.array(
-            [len(node.predicates) for node in nodes], dtype=np.float64
-        )
-        is_seq = np.array([node.method == SCAN_SEQ for node in nodes], dtype=bool)
-
-        costs = np.empty(len(nodes), dtype=np.float64)
-        costs[is_seq] = (
-            pages[is_seq] * p.seq_page_cost
-            + raw_rows[is_seq] * p.cpu_tuple_cost
-            + raw_rows[is_seq] * p.cpu_operator_cost * num_predicates[is_seq]
-        )
-        is_index = ~is_seq
-        selectivity = out_rows[is_index] / np.maximum(1.0, raw_rows[is_index])
-        fetched_pages = np.maximum(1.0, selectivity * pages[is_index])
-        costs[is_index] = (
-            fetched_pages * p.random_page_cost
-            + out_rows[is_index] * p.cpu_index_tuple_cost
-            + out_rows[is_index] * p.cpu_tuple_cost
-            + out_rows[is_index]
-            * p.cpu_operator_cost
-            * np.maximum(0.0, num_predicates[is_index] - 1.0)
-        )
-        return costs
-
-    def join_cost_batch(
-        self,
-        method: str,
-        out_rows: np.ndarray,
-        left_rows: np.ndarray,
-        right_rows: np.ndarray,
-        left_costs: np.ndarray,
-        right_costs: np.ndarray,
-        *,
-        inner_raw_rows: np.ndarray | None = None,
-        inner_num_predicates: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Costs of many same-method join candidates at once.
-
-        Row-count arrays are raw ``cards`` gathers; the kernel applies
-        the same ``max(0, ·)`` clamps as :meth:`join_cost`.  For
-        ``JOIN_INDEX_NL``, ``inner_raw_rows`` / ``inner_num_predicates``
-        describe each candidate's inner base table and ``right_costs``
-        is ignored, mirroring the scalar formula.
-        """
-        p = self._params
-        out_rows = np.maximum(0.0, out_rows)
-        left_rows = np.maximum(0.0, left_rows)
-        right_rows = np.maximum(0.0, right_rows)
-
-        if method == JOIN_HASH:
-            return (
-                left_costs
-                + right_costs
-                + 2.0 * p.cpu_operator_cost * right_rows
-                + p.cpu_operator_cost * left_rows
-                + p.cpu_tuple_cost * out_rows
-            )
-
-        if method == JOIN_MERGE:
-            return (
-                left_costs
-                + right_costs
-                + (self._sort_cost_batch(left_rows) + self._sort_cost_batch(right_rows))
-                + p.cpu_operator_cost * (left_rows + right_rows)
-                + p.cpu_tuple_cost * out_rows
-            )
-
-        assert method == JOIN_INDEX_NL
-        assert inner_raw_rows is not None and inner_num_predicates is not None
-        inner_selectivity = right_rows / np.maximum(1.0, inner_raw_rows)
-        fetched = out_rows / np.maximum(inner_selectivity, 1e-9)
-        per_probe = 0.5 * p.random_page_cost + 4.0 * p.cpu_operator_cost
-        return (
-            left_costs
-            + left_rows * per_probe
-            + fetched * p.cpu_index_tuple_cost
-            + fetched * p.cpu_operator_cost * inner_num_predicates
-            + out_rows * p.cpu_tuple_cost
-        )
+    # order, ``np.maximum`` for ``max``), so each slot is bit-identical
+    # to the scalar cost of the same candidate — which is what lets
+    # ``repro.check`` hold the planner to a scalar reference DP.
 
     def join_cost_level(
         self,
@@ -314,10 +218,12 @@ class CostModel:
         Input arrays describe one row per bipartition; ``inl_rows``
         indexes the index-NL-eligible subset (single-table right half),
         with ``inner_raw_rows`` / ``inner_num_predicates`` aligned to
-        it.  Returns costs laid out ``[hash | merge | index-NL]`` —
-        bit-identical to three :meth:`join_cost_batch` calls, but with
-        the clamps and the shared ``left + right`` / emit terms computed
-        once (the planner's hot path).
+        it.  Row-count arrays are raw ``cards`` gathers; the kernel
+        applies the same ``max(0, ·)`` clamps as :meth:`join_cost`, and
+        like it ignores ``right_costs`` for index-NL.  Returns costs
+        laid out ``[hash | merge | index-NL]``, with the clamps and the
+        shared ``left + right`` / emit terms computed once (the
+        planner's hot path).
         """
         p = self._params
         out_rows = np.maximum(0.0, out_rows)

@@ -9,25 +9,19 @@ Every cardinality the DP needs is looked up from an injected mapping
 ``cards: frozenset[str] -> float`` — the evaluation platform's analog
 of the paper's overwrite of ``calc_joinrel_size_estimate``.
 
-Two scoring paths share one search space and one total order:
-
-- the **vectorised** default materialises ``cards`` into a dense float
-  array indexed by subset bitmask and scores each DP level's whole
-  (left-mask, right-mask, join-method) candidate matrix through the
-  batched cost kernels (:meth:`CostModel.join_cost_batch`);
-- the **scalar** path costs one candidate at a time and is kept as the
-  differential oracle (``repro check --invariants planner-vectorised``
-  proves both produce bit-identical ``(plan, estimated_cost)``).
-
-Because the paths agree bit for bit, dispatch is free to pick by shape:
-planners that inherit the process default route queries below
-:data:`VECTORISE_MIN_TABLES` tables through the scalar path, where
-numpy's fixed per-call overhead would outweigh the batching win.
+There is one DP.  Level 1 (at most two scan candidates per table) is
+costed with the scalar :meth:`CostModel.scan_cost`; every join level
+materialises ``cards`` into a dense float array indexed by subset
+bitmask and scores its whole (left-mask, right-mask, join-method)
+candidate matrix in one :meth:`CostModel.join_cost_level` call.
 
 Champions are selected under the codified deterministic total order
 ``(cost, method_rank, left_mask)`` (see
-:data:`repro.engine.plans.JOIN_METHOD_RANK`) in both paths, so plan
-choice never depends on candidate enumeration order.
+:data:`repro.engine.plans.JOIN_METHOD_RANK`), so plan choice never
+depends on candidate enumeration order.  The one-candidate-at-a-time
+reference DP this planner must match bit for bit lives in
+:mod:`repro.check.reference_planner`; ``repro check --invariants
+planner-vectorised`` runs the comparison.
 """
 
 from __future__ import annotations
@@ -39,11 +33,7 @@ import numpy as np
 from repro.engine.cost import CostModel, lookup_card, table_infos
 from repro.engine.database import Database
 from repro.engine.plans import (
-    JOIN_HASH,
-    JOIN_INDEX_NL,
-    JOIN_MERGE,
     JOIN_METHOD_BY_RANK,
-    JOIN_METHOD_RANK,
     SCAN_INDEX,
     SCAN_METHOD_RANK,
     SCAN_SEQ,
@@ -52,35 +42,13 @@ from repro.engine.plans import (
     ScanNode,
 )
 from repro.engine.query import Query
-from repro.engine.subsets import JoinSpace, space_of
+from repro.engine.subsets import space_of
 from repro.obs import metrics as obs_metrics
 
-#: Above this many tables the dense mask-indexed arrays (size ``2**n``)
-#: stop paying for themselves; the planner falls back to the scalar
-#: path.  Far beyond any STATS-CEB / JOB-light query.
+#: The DP state is a pair of dense arrays of size ``2**n`` indexed by
+#: subset bitmask; ``plan`` rejects queries joining more tables than
+#: this.  Far beyond any STATS-CEB / JOB-light query (at most 8).
 MAX_DENSE_TABLES = 16
-
-#: Below this many tables a planner that *inherited* the process
-#: default also uses the scalar path: a 2-table query has one DP level
-#: with a handful of candidates, and numpy's fixed per-call overhead
-#: costs more than batching saves (and every temporary is a tracked
-#: allocation under ``tracemalloc``-based phase profiling).  Both paths
-#: are bit-identical, so the dispatch is invisible in results.  An
-#: explicit ``vectorised=True`` bypasses the floor — the differential
-#: harness and the kernel tests want the batch path exercised on every
-#: shape.
-VECTORISE_MIN_TABLES = 3
-
-#: Process-wide default for ``Planner(vectorised=None)`` — an escape
-#: hatch (``repro bench --scalar-planner``) for running entire campaigns
-#: against the scalar differential oracle.
-DEFAULT_VECTORISED = True
-
-
-def set_default_vectorised(enabled: bool) -> None:
-    """Set the process-wide default scoring path for new planners."""
-    global DEFAULT_VECTORISED
-    DEFAULT_VECTORISED = enabled
 
 
 @dataclass
@@ -96,24 +64,13 @@ class PlannedQuery:
 class Planner:
     """Cost-based DP planner over injected cardinalities."""
 
-    def __init__(
-        self,
-        database: Database,
-        cost_model: CostModel | None = None,
-        vectorised: bool | None = None,
-    ):
+    def __init__(self, database: Database, cost_model: CostModel | None = None):
         self._database = database
         self._cost_model = cost_model or CostModel(table_infos(database))
-        self._vectorised = DEFAULT_VECTORISED if vectorised is None else vectorised
-        self._adaptive = vectorised is None
 
     @property
     def cost_model(self) -> CostModel:
         return self._cost_model
-
-    @property
-    def vectorised(self) -> bool:
-        return self._vectorised
 
     def plan(self, query: Query, cards: dict[frozenset[str], float]) -> PlannedQuery:
         """Find the cheapest plan for ``query`` under ``cards``.
@@ -121,7 +78,9 @@ class Planner:
         ``cards`` must contain an entry for every connected subset of
         the query's join graph (i.e. the full sub-plan query space);
         a missing subset raises
-        :class:`repro.engine.cost.MissingCardinalityError`.
+        :class:`repro.engine.cost.MissingCardinalityError`.  A query
+        joining more than :data:`MAX_DENSE_TABLES` tables raises
+        ``ValueError``.
 
         The connected-subset space and the valid tree bipartitions come
         precomputed from :func:`repro.engine.subsets.space_of`, which
@@ -130,124 +89,35 @@ class Planner:
         query triggers: planning plus both P-Error plans) share one
         enumeration instead of redoing the bitmask search every time.
         """
+        if len(query.tables) > MAX_DENSE_TABLES:
+            raise ValueError(
+                f"query {query.name!r} joins {len(query.tables)} tables; the "
+                f"planner supports at most {MAX_DENSE_TABLES}"
+            )
         space = space_of(query)
-        num_tables = len(space.tables)
-        if (
-            self._vectorised
-            and num_tables <= MAX_DENSE_TABLES
-            and not (self._adaptive and num_tables < VECTORISE_MIN_TABLES)
-        ):
-            return self._plan_vectorised(query, space, cards)
-        return self._plan_scalar(query, space, cards)
-
-    # -- scalar path (differential oracle) ------------------------------------
-
-    def _plan_scalar(
-        self,
-        query: Query,
-        space: JoinSpace,
-        cards: dict[frozenset[str], float],
-    ) -> PlannedQuery:
-        # DP search-effort tally, flushed to the metrics registry once
-        # per plan() call so the inner loop stays registry-free.
-        sub_plans_enumerated = 0
-        join_candidates = 0
-
-        # Level 1: scans.
-        best: dict[int, tuple[float, PlanNode]] = {}
-        for name in space.tables:
-            node = self._best_scan(query, name, cards)
-            cost = self._cost_model.scan_cost(node, cards)
-            best[space.bit_of(name)] = (cost, node)
-            sub_plans_enumerated += 1
-
-        # Connected masks come ordered by size, so every split's halves
-        # are already solved when their union is reached.
-        for mask, subset in zip(space.connected_masks, space.subsets):
-            if mask.bit_count() < 2:
-                continue
-            sub_plans_enumerated += 1
-            champion: tuple[float, int, int, PlanNode] | None = None
-            for sub, rest, edge in space.splits[mask]:
-                left_entry = best.get(sub)
-                right_entry = best.get(rest)
-                if left_entry is None or right_entry is None:
-                    continue
-                join_candidates += 1
-                cost, rank, node = self._best_join(
-                    subset,
-                    left_entry,
-                    right_entry,
-                    edge,
-                    cards,
-                )
-                if champion is None or (cost, rank, sub) < champion[:3]:
-                    champion = (cost, rank, sub, node)
-            if champion is not None:
-                best[mask] = (champion[0], champion[3])
-
-        self._flush_metrics(space, sub_plans_enumerated, join_candidates)
-
-        if space.full_mask not in best:
-            raise ValueError(f"no plan found for query {query.name!r} (disconnected join graph?)")
-        cost, plan = best[space.full_mask]
-        return PlannedQuery(query=query, plan=plan, estimated_cost=cost, cards=cards)
-
-    # -- vectorised path -------------------------------------------------------
-
-    def _plan_vectorised(
-        self,
-        query: Query,
-        space: JoinSpace,
-        cards: dict[frozenset[str], float],
-    ) -> PlannedQuery:
         cost_model = self._cost_model
         n = len(space.tables)
 
         # Dense mask-indexed views of the injected cards and the DP
         # state; only connected-mask slots are ever read.
         cards_arr = np.zeros(1 << n, dtype=np.float64)
-        try:
-            values = [cards[subset] for subset in space.subsets]
-        except KeyError:
-            for subset in space.subsets:
-                lookup_card(cards, subset)
-            raise  # pragma: no cover — the loop above re-raises typed
-        cards_arr[space.mask_array()] = values
+        cards_arr[space.mask_array()] = [
+            lookup_card(cards, subset) for subset in space.subsets
+        ]
         # Unsolved masks hold NaN: any candidate summing in an unsolved
-        # half scores NaN, which lexsort places after every real cost —
-        # the vector analog of the scalar path skipping splits whose
-        # halves never made it into ``best``.
+        # half scores NaN, which lexsort places after every real cost,
+        # so a split whose halves were never solved cannot win.
         best_cost = np.full(1 << n, np.nan, dtype=np.float64)
         best_node: list[PlanNode | None] = [None] * (1 << n)
 
         sub_plans_enumerated = 0
         join_candidates = 0
 
-        # Level 1: scans — same candidates as the scalar path, costed
-        # through the batch kernel, chosen under (cost, method_rank).
-        scan_nodes: list[ScanNode] = []
-        scan_bits: list[int] = []
-        scan_ranks: list[int] = []
+        # Level 1: scans, chosen under (cost, method_rank).
         for name in space.tables:
             bit = space.bit_of(name)
-            for node in self._scan_candidates(query, name):
-                scan_nodes.append(node)
-                scan_bits.append(bit)
-                scan_ranks.append(SCAN_METHOD_RANK[node.method])
+            best_cost[bit], best_node[bit] = self._best_scan(query, name, cards)
             sub_plans_enumerated += 1
-        scan_costs = cost_model.scan_cost_batch(scan_nodes, cards)
-        scan_rank_of: dict[int, int] = {}
-        for i, node in enumerate(scan_nodes):
-            bit = scan_bits[i]
-            cost = float(scan_costs[i])
-            if best_node[bit] is None or (cost, scan_ranks[i]) < (
-                best_cost[bit],
-                scan_rank_of[bit],
-            ):
-                best_cost[bit] = cost
-                best_node[bit] = node
-                scan_rank_of[bit] = scan_ranks[i]
 
         # Per-table physicals for the index-NL inner side.
         infos = cost_model.infos
@@ -316,7 +186,11 @@ class Planner:
                     method=JOIN_METHOD_BY_RANK[level.cand_rank[winner]],
                 )
 
-        self._flush_metrics(space, sub_plans_enumerated, join_candidates)
+        registry = obs_metrics.registry()
+        registry.counter("planner.plans").inc()
+        registry.counter("planner.sub_plans_enumerated").inc(sub_plans_enumerated)
+        registry.counter("planner.bipartitions_pruned").inc(space.pruned_bipartitions)
+        registry.counter("planner.join_candidates").inc(join_candidates)
 
         plan = best_node[space.full_mask]
         if plan is None:
@@ -329,15 +203,6 @@ class Planner:
         )
 
     # -- internals ------------------------------------------------------------
-
-    def _flush_metrics(
-        self, space: JoinSpace, sub_plans_enumerated: int, join_candidates: int
-    ) -> None:
-        registry = obs_metrics.registry()
-        registry.counter("planner.plans").inc()
-        registry.counter("planner.sub_plans_enumerated").inc(sub_plans_enumerated)
-        registry.counter("planner.bipartitions_pruned").inc(space.pruned_bipartitions)
-        registry.counter("planner.join_candidates").inc(join_candidates)
 
     def _scan_candidates(self, query: Query, table: str) -> list[ScanNode]:
         """Legal scan nodes for one base table (seq, plus index if keyed)."""
@@ -366,52 +231,11 @@ class Planner:
         query: Query,
         table: str,
         cards: dict[frozenset[str], float],
-    ) -> ScanNode:
-        candidates = self._scan_candidates(query, table)
-        champion = candidates[0]
-        champion_key = (
-            self._cost_model.scan_cost(champion, cards),
-            SCAN_METHOD_RANK[champion.method],
-        )
-        for node in candidates[1:]:
-            key = (self._cost_model.scan_cost(node, cards), SCAN_METHOD_RANK[node.method])
-            if key < champion_key:
-                champion, champion_key = node, key
-        return champion
-
-    def _best_join(
-        self,
-        subset: frozenset[str],
-        left_entry: tuple[float, PlanNode],
-        right_entry: tuple[float, PlanNode],
-        edge,
-        cards: dict[frozenset[str], float],
-    ) -> tuple[float, int, PlanNode]:
-        """Cheapest join method for one bipartition.
-
-        Returns ``(cost, method_rank, node)`` so the caller can apply
-        the full ``(cost, method_rank, left_mask)`` order across splits.
-        """
-        left_cost, left_plan = left_entry
-        right_cost, right_plan = right_entry
-        champion: tuple[float, int, PlanNode] | None = None
-
-        oriented = edge if edge.left in left_plan.tables else edge.reversed()
-        methods = [JOIN_HASH, JOIN_MERGE]
-        if isinstance(right_plan, ScanNode):
-            methods.append(JOIN_INDEX_NL)
-
-        for method in methods:
-            node = JoinNode(
-                tables=subset,
-                left=left_plan,
-                right=right_plan,
-                edge=oriented,
-                method=method,
-            )
-            cost = self._cost_model.join_cost(node, cards, left_cost, right_cost)
-            rank = JOIN_METHOD_RANK[method]
-            if champion is None or (cost, rank) < champion[:2]:
-                champion = (cost, rank, node)
-        assert champion is not None
-        return champion
+    ) -> tuple[float, ScanNode]:
+        """Cheapest scan of ``table`` under ``(cost, method_rank)``."""
+        costed = [
+            (self._cost_model.scan_cost(node, cards), SCAN_METHOD_RANK[node.method], node)
+            for node in self._scan_candidates(query, table)
+        ]
+        cost, _, node = min(costed, key=lambda entry: entry[:2])
+        return cost, node

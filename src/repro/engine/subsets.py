@@ -40,7 +40,7 @@ class LevelTemplate:
     A *level* is all connected masks of one subset size (two or more
     tables).  The template captures, shape-only (no cardinalities), the
     full (left-mask, right-mask, join-method) candidate matrix the
-    vectorised planner scores in one batched kernel call:
+    planner scores in one kernel call:
 
     - per-bipartition geometry: ``split_*`` arrays, one row per
       ``(sub, rest, edge)`` split of any parent at this level, with the
@@ -52,8 +52,8 @@ class LevelTemplate:
       selection under the ``(cost, method_rank, left_mask)`` order.
 
     ``parent_masks`` lists *every* connected mask of this size in
-    canonical order (even split-less ones), keeping the planner's
-    search-effort metrics identical to the scalar path.
+    canonical order (even split-less ones), so the planner's
+    search-effort metrics count every enumerated sub-plan.
     """
 
     parent_masks: tuple[int, ...]
@@ -136,7 +136,7 @@ class JoinSpace:
         return cached
 
     def level_templates(self) -> tuple[LevelTemplate, ...]:
-        """Per-level candidate matrices for the vectorised planner DP.
+        """Per-level candidate matrices for the planner DP.
 
         Built lazily on first use and cached on the (memoized) space,
         so every query sharing this join-graph shape reuses one set of

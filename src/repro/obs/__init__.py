@@ -5,6 +5,8 @@ Dependency-free instrumentation for the benchmark platform:
 - :mod:`repro.obs.trace` — hierarchical spans with a JSONL exporter,
 - :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms,
 - :mod:`repro.obs.events` — leveled, run-scoped JSONL structured events,
+- :mod:`repro.obs.jsonl` — the append/recover contract every JSONL log
+  shares (terminate a torn tail before appending, skip it on read),
 - :mod:`repro.obs.progress` — live campaign progress, Prometheus-text
   export and an optional stdlib HTTP ``/metrics`` + ``/progress`` +
   ``/healthz`` endpoint,

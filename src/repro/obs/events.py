@@ -30,6 +30,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.obs.jsonl import open_append, read_jsonl
+
 #: Severity ranks; events below the log's threshold are dropped.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
@@ -51,8 +53,7 @@ class EventLog:
         self._clock = clock
         self._context: dict = {}
         self._count = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = open_append(self.path)
 
     @property
     def count(self) -> int:
@@ -190,22 +191,11 @@ def load_events(path: str | Path, min_level: str = "debug") -> list[dict]:
     events are flushed whole.  ``min_level`` filters on read.
     """
     threshold = LEVELS[min_level]
-    events: list[dict] = []
-    event_path = Path(path)
-    if not event_path.exists():
-        return events
-    with event_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed process
-            if LEVELS.get(record.get("level", "info"), 20) >= threshold:
-                events.append(record)
-    return events
+    return [
+        record
+        for record in read_jsonl(path)
+        if LEVELS.get(record.get("level", "info"), 20) >= threshold
+    ]
 
 
 def render_events(events: list[dict], limit: int | None = None) -> str:

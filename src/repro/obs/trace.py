@@ -36,6 +36,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.obs.jsonl import read_jsonl
+
 
 @dataclass
 class Span:
@@ -217,18 +219,10 @@ def load_trace(path: str | Path) -> list[dict]:
 
     Tolerates a torn final line — the signature of a killed writer on
     an append-only trace file (the serving path's exporter) — the same
-    way :func:`repro.obs.events.load_events` does.
+    way :func:`repro.obs.events.load_events` does.  Unlike it, a
+    missing file raises ``FileNotFoundError``: the caller named a trace.
     """
-    spans = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            spans.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn tail from a killed process
-    return spans
+    return read_jsonl(path, missing_ok=False)
 
 
 def render_trace(spans: list[dict]) -> str:

@@ -7,8 +7,6 @@ kills:
 
 - :mod:`~repro.resilience.policy` — declarative retry/backoff and
   per-execution / per-query / per-campaign timeout policies,
-- :mod:`~repro.resilience.inference` — failure-isolated sub-plan
-  estimation with graceful degradation,
 - :mod:`~repro.resilience.fallback` — PostgreSQL-default estimates
   injected for failed sub-plans,
 - :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints
@@ -16,10 +14,13 @@ kills:
 - :mod:`~repro.resilience.faults` — deterministic fault injection used
   by the tests to prove all of the above.
 
-The checkpoint and inference symbols are loaded lazily (PEP 562):
-those modules import :mod:`repro.core.benchmark`, which itself uses
-this package's policies, so eager imports here would close an import
-cycle.
+Failure-isolated sub-plan estimation itself — the consumer of the
+retry policy and the fallback — is
+:func:`repro.core.injection.price_sub_plans`.
+
+The checkpoint symbols are loaded lazily (PEP 562): that module imports
+:mod:`repro.core.benchmark`, which itself uses this package's policies,
+so an eager import here would close an import cycle.
 """
 
 from repro.resilience.fallback import PostgresDefaultFallback
@@ -34,24 +35,17 @@ _LAZY = {
     "CampaignCheckpoint": ("repro.resilience.checkpoint", "CampaignCheckpoint"),
     "query_run_from_dict": ("repro.resilience.checkpoint", "query_run_from_dict"),
     "query_run_to_dict": ("repro.resilience.checkpoint", "query_run_to_dict"),
-    "InferenceOutcome": ("repro.resilience.inference", "InferenceOutcome"),
-    "resilient_sub_plan_estimates": (
-        "repro.resilience.inference",
-        "resilient_sub_plan_estimates",
-    ),
 }
 
 __all__ = [
     "CampaignCheckpoint",
     "Deadline",
-    "InferenceOutcome",
     "PostgresDefaultFallback",
     "RetryPolicy",
     "TimeoutPolicy",
     "call_with_retry",
     "query_run_from_dict",
     "query_run_to_dict",
-    "resilient_sub_plan_estimates",
 ]
 
 

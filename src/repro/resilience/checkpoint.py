@@ -23,6 +23,7 @@ import math
 from pathlib import Path
 
 from repro.core.benchmark import QueryRun
+from repro.obs.jsonl import open_append, read_jsonl
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -81,35 +82,24 @@ class CampaignCheckpoint:
         lines (the usual signature of a killed process) are skipped.
         """
         checkpoint = cls(path)
-        if checkpoint.path.exists():
-            checkpoint._load()
+        checkpoint._load()
         return checkpoint
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn final line from a killed writer; everything
-                    # before it is intact (records are flushed whole).
-                    continue
-                kind = record.get("kind")
-                if kind == "header":
-                    version = record.get("schema_version")
-                    if version != CHECKPOINT_SCHEMA_VERSION:
-                        raise ValueError(
-                            f"{self.path}: checkpoint schema {version!r} "
-                            f"is not supported (expected "
-                            f"{CHECKPOINT_SCHEMA_VERSION})"
-                        )
-                elif kind == "query_run":
-                    run = query_run_from_dict(record["run"])
-                    self._completed[(record["estimator"], run.query_name)] = run
-                # Unknown kinds are ignored for forward compatibility.
+        for record in read_jsonl(self.path):
+            kind = record.get("kind")
+            if kind == "header":
+                version = record.get("schema_version")
+                if version != CHECKPOINT_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"{self.path}: checkpoint schema {version!r} "
+                        f"is not supported (expected "
+                        f"{CHECKPOINT_SCHEMA_VERSION})"
+                    )
+            elif kind == "query_run":
+                run = query_run_from_dict(record["run"])
+                self._completed[(record["estimator"], run.query_name)] = run
+            # Unknown kinds are ignored for forward compatibility.
 
     def get(self, estimator_name: str, query_name: str) -> QueryRun | None:
         """The recorded run for one pair, or None if not yet completed."""
@@ -127,21 +117,8 @@ class CampaignCheckpoint:
 
     def _ensure_open(self) -> None:
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            size = self.path.stat().st_size if self.path.exists() else 0
-            torn_tail = False
-            if size:
-                with self.path.open("rb") as probe:
-                    probe.seek(-1, 2)
-                    torn_tail = probe.read(1) != b"\n"
-            self._handle = self.path.open("a", encoding="utf-8")
-            if torn_tail:
-                # A killed writer can leave a torn final line with no
-                # newline.  Terminate it before appending, otherwise
-                # the next record would concatenate onto the fragment
-                # and both would be lost to a later resume.
-                self._handle.write("\n")
-            if size == 0:
+            self._handle = open_append(self.path)
+            if self._handle.tell() == 0:
                 self._write(
                     {"kind": "header", "schema_version": CHECKPOINT_SCHEMA_VERSION}
                 )

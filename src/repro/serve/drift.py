@@ -35,6 +35,7 @@ from pathlib import Path
 from repro.core.metrics import q_error
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs.jsonl import open_append, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,7 @@ class DriftMonitor:
         self.pairs_path: Path | None = None
         if pairs_path is not None:
             self.pairs_path = Path(pairs_path)
-            self.pairs_path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.pairs_path.open("a", encoding="utf-8")
+            self._handle = open_append(self.pairs_path)
 
     # -- recording ---------------------------------------------------------
 
@@ -235,17 +235,4 @@ class DriftMonitor:
 
 def load_drift_pairs(path: str | Path) -> list[dict]:
     """Read persisted est-vs-actual pairs, skipping a torn tail."""
-    pairs: list[dict] = []
-    pairs_path = Path(path)
-    if not pairs_path.exists():
-        return pairs
-    with pairs_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pairs.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed process
-    return pairs
+    return read_jsonl(path)

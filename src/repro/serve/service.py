@@ -17,9 +17,9 @@ One :class:`EstimationService` owns everything a request needs:
   semaphore provides the same 429 semantics for direct execution.
 
 Sub-plan-space requests go through
-:func:`repro.resilience.inference.resilient_sub_plan_estimates`, i.e.
-the same batched injection path the benchmark uses, so a serving
-deployment prices a planner's whole sub-plan space in one call.
+:func:`repro.core.injection.price_sub_plans`, i.e. the same batched
+injection path the benchmark uses, so a serving deployment prices a
+planner's whole sub-plan space in one call.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.core.injection import price_sub_plans
 from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.sql import parse_query
 from repro.estimators.base import EstimationError
 from repro.obs import metrics as obs_metrics
 from repro.resilience.fallback import PostgresDefaultFallback
-from repro.resilience.inference import resilient_sub_plan_estimates
 from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
 from repro.serve import tracing as request_tracing
 from repro.serve.batching import AdmissionError, MicroBatcher
@@ -394,7 +394,7 @@ class EstimationService:
             version=active.version,
             mode="sub_plans",
         ):
-            outcome = resilient_sub_plan_estimates(
+            outcome = price_sub_plans(
                 active.estimator,
                 query,
                 fallback=self._fallback,

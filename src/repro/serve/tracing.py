@@ -37,6 +37,7 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
+from repro.obs.jsonl import open_append, read_jsonl
 from repro.obs.trace import Span, Tracer
 
 _LOCAL = threading.local()
@@ -116,8 +117,7 @@ class _JsonlWriter:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self._handle = open_append(self.path)
         self._pending: deque = deque()
         self._io_lock = threading.Lock()
         self._stop = threading.Event()
@@ -273,17 +273,4 @@ class AccessLog:
 
 def load_access_log(path: str | Path) -> list[dict]:
     """Read an access log back, skipping blank and torn-tail lines."""
-    records: list[dict] = []
-    log_path = Path(path)
-    if not log_path.exists():
-        return records
-    with log_path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed process
-    return records
+    return read_jsonl(path)

@@ -94,8 +94,8 @@ class TestDetection:
         assert discrepancies[0].invariant == "cache"
 
     def test_planner_vectorised_detects_kernel_drift(self, monkeypatch):
-        # A batch kernel whose costs drift by even one part in 10^9
-        # breaks bit-identity with the scalar oracle; the invariant
+        # A level kernel whose costs drift by even one part in 10^9
+        # breaks bit-identity with the scalar reference; the invariant
         # demands *exact* float equality, so it must fire.
         case = self._multi_table_case()
         original = CostModel.join_cost_level
@@ -109,8 +109,8 @@ class TestDetection:
         assert discrepancies[0].invariant == "planner-vectorised"
 
     def test_planner_vectorised_detects_tie_break_drift(self, monkeypatch):
-        # Same costs, different champion: corrupt only the vectorised
-        # path's method choice on tied candidates by inverting the rank
+        # Same costs, different champion: corrupt only the production
+        # planner's method choice on tied candidates by inverting the rank
         # key, and the structural plan comparison must catch it.
         case = self._multi_table_case()
         from repro.engine import planner as planner_module

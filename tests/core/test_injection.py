@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.injection import estimate_sub_plans, sub_plan_queries, sub_plan_sets
+from repro.core.injection import (
+    estimate_sub_plans,
+    price_sub_plans,
+    sub_plan_queries,
+    sub_plan_sets,
+)
 from repro.engine.catalog import JoinEdge
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
@@ -79,3 +84,61 @@ class TestEstimateSubPlans:
     def test_negative_estimates_clamped(self):
         cards = estimate_sub_plans(_FixedEstimator(-5.0), star_query())
         assert all(value == 1.0 for value in cards.values())
+
+
+class _BatchEstimator(_FixedEstimator):
+    """Prices by sub-plan size; ``drop`` makes the batch result too short."""
+
+    def __init__(self, drop=0):
+        super().__init__(None)
+        self.drop = drop
+
+    def estimate(self, query):
+        self.calls += 1
+        return 10.0 * len(query.tables)
+
+    def estimate_batch(self, queries):
+        return [10.0 * len(q.tables) for q in queries][self.drop :]
+
+
+class _FailingEstimator:
+    def estimate(self, query):
+        raise KeyError("unseen column")
+
+
+class TestPriceSubPlans:
+    """One pricing function: fallback decides propagate vs degrade."""
+
+    @pytest.mark.parametrize(
+        "estimator", [_FixedEstimator(42.0), _BatchEstimator()], ids=["loop", "batch"]
+    )
+    def test_fault_free_pass_is_the_same_with_or_without_fallback(self, estimator):
+        outcome = price_sub_plans(
+            estimator, star_query(), fallback=_FixedEstimator(7.0)
+        )
+        assert not outcome.failed
+        assert outcome.attempts == 11
+        assert outcome.cards == estimate_sub_plans(estimator, star_query())
+
+    def test_failure_propagates_without_a_fallback(self):
+        with pytest.raises(KeyError, match="unseen column"):
+            price_sub_plans(_FailingEstimator(), star_query())
+
+    def test_failure_is_served_by_the_fallback(self):
+        outcome = price_sub_plans(
+            _FailingEstimator(), star_query(), fallback=_FixedEstimator(7.0)
+        )
+        assert outcome.failed and outcome.fallback_count == 11
+        assert set(outcome.cards.values()) == {7.0}
+
+    def test_wrong_length_batch_result(self):
+        estimator = _BatchEstimator(drop=1)
+        with pytest.raises(RuntimeError, match="returned 10 estimates for 11"):
+            price_sub_plans(estimator, star_query())
+        outcome = price_sub_plans(
+            estimator, star_query(), fallback=_FixedEstimator(7.0)
+        )
+        # Degraded to the per-sub-plan loop, which itself succeeds.
+        assert not outcome.failed
+        assert estimator.calls == 11
+        assert outcome.cards == estimate_sub_plans(_BatchEstimator(), star_query())

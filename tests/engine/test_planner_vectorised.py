@@ -1,23 +1,22 @@
-"""Tests for the vectorised DP scoring path and its scalar oracle.
+"""Tests for the planner's vectorised DP against its scalar reference.
 
 The contract under test: for any query and any injected cards map, the
-vectorised planner and the scalar planner produce the *bit-identical*
-``(plan, estimated_cost)`` pair — including under cost ties, zero
-cardinalities and sub-row fractional cardinalities — because both paths
-share the cost kernels and the codified deterministic total order
-``(cost, method_rank, left_mask)``.
+planner and :class:`repro.check.reference_planner.ReferencePlanner`
+produce the *bit-identical* ``(plan, estimated_cost)`` pair — including
+under cost ties, zero cardinalities and sub-row fractional
+cardinalities — because the level kernel re-evaluates the scalar cost
+formulas elementwise and both apply the codified deterministic total
+order ``(cost, method_rank, left_mask)``.
 """
 
 import numpy as np
 import pytest
 
+from repro.check.reference_planner import ReferencePlanner
 from repro.core.truecards import TrueCardinalityService
+from repro.engine.catalog import JoinEdge
 from repro.engine.cost import CostModel, MissingCardinalityError, table_infos
-from repro.engine.planner import (
-    DEFAULT_VECTORISED,
-    Planner,
-    set_default_vectorised,
-)
+from repro.engine.planner import MAX_DENSE_TABLES, Planner
 from repro.engine.plans import (
     JOIN_HASH,
     JOIN_INDEX_NL,
@@ -53,14 +52,14 @@ def true_cards(tiny_db, three_way_query):
     }
 
 
-def both_paths(tiny_db, query, cards):
-    scalar = Planner(tiny_db, vectorised=False).plan(query, cards)
-    vector = Planner(tiny_db, vectorised=True).plan(query, cards)
+def both_paths(database, query, cards):
+    scalar = ReferencePlanner(database).plan(query, cards)
+    vector = Planner(database).plan(query, cards)
     return scalar, vector
 
 
 class TestBitIdentity:
-    """Vectorised output must equal the scalar oracle bit for bit."""
+    """Planner output must equal the scalar reference bit for bit."""
 
     def test_true_cards(self, tiny_db, three_way_query, true_cards):
         scalar, vector = both_paths(tiny_db, three_way_query, true_cards)
@@ -106,6 +105,23 @@ class TestBitIdentity:
         assert scalar.plan == vector.plan
         assert float(scalar.estimated_cost) == float(vector.estimated_cost)
 
+    def test_stats_ceb_pool_two_to_eight_tables(self, stats_db, stats_workload):
+        # Every query of the STATS-CEB pool, from its 2-table queries
+        # (one join level, where numpy has the least to batch) to the
+        # 8-table query spanning the whole schema.
+        sizes = {len(labeled.query.tables) for labeled in stats_workload.queries}
+        assert {2, len(stats_db.tables)} <= sizes
+        for labeled in stats_workload.queries:
+            cards = {
+                subset: float(count)
+                for subset, count in labeled.sub_plan_true_cards.items()
+            }
+            scalar, vector = both_paths(stats_db, labeled.query, cards)
+            assert scalar.plan == vector.plan, labeled.query.name
+            assert float(scalar.estimated_cost) == float(
+                vector.estimated_cost
+            ), labeled.query.name
+
 
 class TestDeterministicTieBreaking:
     """Satellite: cost ties resolve by (cost, method_rank, left_mask)."""
@@ -122,8 +138,8 @@ class TestDeterministicTieBreaking:
     ):
         cards = {subset: 1.0 for subset in true_cards}
         plans = [
-            Planner(tiny_db, vectorised=vec).plan(three_way_query, cards).plan
-            for vec in (False, True, False, True)
+            planner(tiny_db).plan(three_way_query, cards).plan
+            for planner in (ReferencePlanner, Planner, ReferencePlanner, Planner)
         ]
         assert all(plan == plans[0] for plan in plans)
 
@@ -137,7 +153,7 @@ class TestDeterministicTieBreaking:
             join_edges=tuple(tiny_db.join_graph.edges),
             name="tie-rank",
         )
-        planned = Planner(tiny_db, vectorised=True).plan(query, cards)
+        planned = Planner(tiny_db).plan(query, cards)
         cost_model = Planner(tiny_db).cost_model
         for node in planned.plan.walk():
             if not isinstance(node, JoinNode):
@@ -163,100 +179,19 @@ class TestDeterministicTieBreaking:
                 assert cost_model.plan_cost(alternative, cards) > chosen_cost
 
 
-class TestDefaultToggle:
-    def test_default_is_vectorised(self, tiny_db):
-        assert DEFAULT_VECTORISED
-        assert Planner(tiny_db).vectorised
-
-    def test_set_default_vectorised(self, tiny_db):
-        try:
-            set_default_vectorised(False)
-            assert not Planner(tiny_db).vectorised
-            # An explicit argument always wins over the default.
-            assert Planner(tiny_db, vectorised=True).vectorised
-        finally:
-            set_default_vectorised(True)
-
-    def _paths_taken(self, monkeypatch, planner, queries_and_cards):
-        taken = []
-        scalar, vectorised = Planner._plan_scalar, Planner._plan_vectorised
-        monkeypatch.setattr(
-            Planner,
-            "_plan_scalar",
-            lambda self, *a: taken.append("scalar") or scalar(self, *a),
-        )
-        monkeypatch.setattr(
-            Planner,
-            "_plan_vectorised",
-            lambda self, *a: taken.append("vectorised") or vectorised(self, *a),
-        )
-        for query, cards in queries_and_cards:
-            planner.plan(query, cards)
-        return taken
-
-    def test_small_queries_take_the_scalar_path_by_default(
-        self, monkeypatch, tiny_db, three_way_query, true_cards
-    ):
-        # A default (adaptive) planner sends queries below
-        # VECTORISE_MIN_TABLES through the scalar path — batching a
-        # single DP level costs more in numpy overhead than it saves —
-        # and larger ones through the batch kernels.
-        pair = frozenset({"users", "posts"})
-        graph = tiny_db.join_graph
-        two_way = Query(
-            tables=pair,
-            join_edges=tuple(graph.edges_between("users", "posts")),
-            predicates=(),
-            name="adaptive-two-way",
-        )
-        two_cards = {
-            subset: cards
-            for subset, cards in true_cards.items()
-            if subset <= pair
-        }
-        taken = self._paths_taken(
-            monkeypatch,
-            Planner(tiny_db),
-            [(two_way, two_cards), (three_way_query, true_cards)],
-        )
-        assert taken == ["scalar", "vectorised"]
-
-    def test_explicit_vectorised_bypasses_the_size_floor(
-        self, monkeypatch, tiny_db, true_cards
-    ):
-        pair = frozenset({"users", "posts"})
-        graph = tiny_db.join_graph
-        two_way = Query(
-            tables=pair,
-            join_edges=tuple(graph.edges_between("users", "posts")),
-            predicates=(),
-            name="forced-two-way",
-        )
-        two_cards = {
-            subset: cards
-            for subset, cards in true_cards.items()
-            if subset <= pair
-        }
-        taken = self._paths_taken(
-            monkeypatch,
-            Planner(tiny_db, vectorised=True),
-            [(two_way, two_cards)],
-        )
-        assert taken == ["vectorised"]
-
-
 class TestMissingCardinality:
     """Satellite: missing sub-plans raise a typed, non-retryable error."""
 
-    @pytest.mark.parametrize("vectorised", [False, True])
+    @pytest.mark.parametrize("production", [False, True])
     def test_planner_raises_typed_error(
-        self, tiny_db, three_way_query, true_cards, vectorised
+        self, tiny_db, three_way_query, true_cards, production
     ):
         cards = dict(true_cards)
         dropped = frozenset({"users", "posts"})
         del cards[dropped]
+        planner = (Planner if production else ReferencePlanner)(tiny_db)
         with pytest.raises(MissingCardinalityError) as excinfo:
-            Planner(tiny_db, vectorised=vectorised).plan(three_way_query, cards)
+            planner.plan(three_way_query, cards)
         assert excinfo.value.tables == dropped
 
     def test_error_names_the_subset(self):
@@ -284,94 +219,42 @@ class TestMissingCardinality:
         assert len(calls) == 1  # deterministic failure: never retried
 
 
+class TestInputCheck:
+    def test_more_than_max_dense_tables_is_rejected(self, tiny_db):
+        names = [f"t{i}" for i in range(MAX_DENSE_TABLES + 1)]
+        query = Query(
+            tables=frozenset(names),
+            join_edges=tuple(
+                JoinEdge(left, "id", right, "fk")
+                for left, right in zip(names, names[1:])
+            ),
+            name="too-wide",
+        )
+        with pytest.raises(ValueError, match=f"at most {MAX_DENSE_TABLES}"):
+            Planner(tiny_db).plan(query, {})
+
+
 class TestBatchKernelParity:
-    """The batch kernels must reproduce the scalar formulas bit for bit."""
+    """The level kernel must reproduce the scalar formulas bit for bit."""
 
-    @pytest.fixture(scope="class")
-    def cost_model(self, tiny_db):
-        return CostModel(table_infos(tiny_db))
-
-    @pytest.fixture(scope="class")
-    def scan_nodes(self, tiny_db, three_way_query):
-        planner = Planner(tiny_db)
-        nodes = []
-        for table in sorted(three_way_query.tables):
-            nodes.extend(planner._scan_candidates(three_way_query, table))
-        return nodes
-
-    def test_scan_cost_batch_matches_scalar(
-        self, cost_model, scan_nodes, true_cards
-    ):
-        batched = cost_model.scan_cost_batch(scan_nodes, true_cards)
-        for node, cost in zip(scan_nodes, batched):
-            assert float(cost) == cost_model.scan_cost(node, true_cards)
-
-    @pytest.mark.parametrize("method", [JOIN_HASH, JOIN_MERGE, JOIN_INDEX_NL])
-    def test_join_cost_batch_matches_scalar(
-        self, tiny_db, cost_model, three_way_query, true_cards, method
-    ):
-        planner = Planner(tiny_db, vectorised=False)
-        planned = planner.plan(three_way_query, true_cards)
-        joins = [
-            n for n in planned.plan.walk() if isinstance(n, JoinNode)
-        ]
-        if method == JOIN_INDEX_NL:
-            joins = [n for n in joins if isinstance(n.right, ScanNode)]
-        if not joins:
-            pytest.skip("plan has no join eligible for this method")
-        nodes = [
-            JoinNode(
-                tables=n.tables,
-                left=n.left,
-                right=n.right,
-                edge=n.edge,
-                method=method,
-            )
-            for n in joins
-        ]
-        left_costs = np.array(
-            [cost_model.plan_cost(n.left, true_cards) for n in nodes]
-        )
-        right_costs = np.array(
-            [cost_model.plan_cost(n.right, true_cards) for n in nodes]
-        )
-        kwargs = {}
-        if method == JOIN_INDEX_NL:
-            infos = cost_model.infos
-            kwargs = dict(
-                inner_raw_rows=np.array(
-                    [infos[n.right.table].raw_rows for n in nodes], dtype=float
-                ),
-                inner_num_predicates=np.array(
-                    [len(n.right.predicates) for n in nodes], dtype=float
-                ),
-            )
-        batched = cost_model.join_cost_batch(
-            method,
-            np.array([true_cards[n.tables] for n in nodes]),
-            np.array([true_cards[n.left.tables] for n in nodes]),
-            np.array([true_cards[n.right.tables] for n in nodes]),
-            left_costs,
-            right_costs,
-            **kwargs,
-        )
-        for node, cost, lc, rc in zip(nodes, batched, left_costs, right_costs):
-            scalar = cost_model.join_cost(
-                node, true_cards, left_cost=float(lc), right_cost=float(rc)
-            )
-            assert float(cost) == scalar
-
-    def test_join_cost_level_matches_per_method_batches(self, cost_model):
+    def test_join_cost_level_matches_per_method_scalar_join_cost(self, tiny_db):
+        cost_model = CostModel(table_infos(tiny_db))
         rng = np.random.default_rng(7)
         num = 40
-        out_rows = rng.uniform(-1.0, 1e6, num)  # negatives exercise clamps
+        # Negatives exercise the clamps; the pinned rows cover zero and
+        # sub-row cardinalities on every side.
+        out_rows = rng.uniform(-1.0, 1e6, num)
         left_rows = rng.uniform(-1.0, 1e6, num)
         right_rows = rng.uniform(-1.0, 1e6, num)
+        out_rows[:4] = [0.0, 0.25, 0.0, 0.5]
+        left_rows[:4] = [0.0, 0.25, 3.0, 0.0]
+        right_rows[:4] = [0.0, 0.25, 0.0, 0.75]
         left_costs = rng.uniform(0.0, 1e5, num)
         right_costs = rng.uniform(0.0, 1e5, num)
-        inl_rows = np.flatnonzero(rng.random(num) < 0.4).astype(np.intp)
-        inner_raw = rng.uniform(1.0, 1e5, len(inl_rows))
-        inner_npred = rng.integers(0, 3, len(inl_rows)).astype(float)
+        inl_rows = np.union1d(
+            np.arange(4), np.flatnonzero(rng.random(num) < 0.4)
+        ).astype(np.intp)
+        num_predicates = rng.integers(0, 3, len(inl_rows))
 
         fused = cost_model.join_cost_level(
             out_rows,
@@ -380,24 +263,38 @@ class TestBatchKernelParity:
             left_costs,
             right_costs,
             inl_rows,
-            inner_raw,
-            inner_npred,
+            np.full(len(inl_rows), float(cost_model.infos["posts"].raw_rows)),
+            num_predicates.astype(float),
         )
-        hash_costs = cost_model.join_cost_batch(
-            JOIN_HASH, out_rows, left_rows, right_rows, left_costs, right_costs
+
+        users, posts = frozenset({"users"}), frozenset({"posts"})
+        edge = tiny_db.join_graph.edges_between("users", "posts")[0]
+        left = ScanNode(tables=users, table="users")
+
+        def scalar(row, method, predicates=0):
+            right = ScanNode(
+                tables=posts,
+                table="posts",
+                predicates=(Predicate("posts", "Score", ">", 0),) * predicates,
+            )
+            node = JoinNode(
+                tables=users | posts, left=left, right=right, edge=edge, method=method
+            )
+            cards = {
+                users: left_rows[row],
+                posts: right_rows[row],
+                users | posts: out_rows[row],
+            }
+            return cost_model.join_cost(
+                node, cards, float(left_costs[row]), float(right_costs[row])
+            )
+
+        expected = (
+            [scalar(row, JOIN_HASH) for row in range(num)]
+            + [scalar(row, JOIN_MERGE) for row in range(num)]
+            + [
+                scalar(row, JOIN_INDEX_NL, predicates)
+                for row, predicates in zip(inl_rows, num_predicates)
+            ]
         )
-        merge_costs = cost_model.join_cost_batch(
-            JOIN_MERGE, out_rows, left_rows, right_rows, left_costs, right_costs
-        )
-        inl_costs = cost_model.join_cost_batch(
-            JOIN_INDEX_NL,
-            out_rows[inl_rows],
-            left_rows[inl_rows],
-            right_rows[inl_rows],
-            left_costs[inl_rows],
-            right_costs[inl_rows],
-            inner_raw_rows=inner_raw,
-            inner_num_predicates=inner_npred,
-        )
-        expected = np.concatenate([hash_costs, merge_costs, inl_costs])
-        np.testing.assert_array_equal(fused, expected)  # bitwise
+        np.testing.assert_array_equal(fused, np.array(expected))  # bitwise

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.injection import (
     estimate_sub_plans,
+    price_sub_plans,
     record_batch_inference,
     sub_plan_sets,
 )
@@ -23,7 +24,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.blame import blame_workload
 from repro.resilience.fallback import PostgresDefaultFallback
-from repro.resilience.inference import resilient_sub_plan_estimates
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestMetricNames:
         self, traced, postgres, multi_query, stats_db
     ):
         num_sub_plans = len(sub_plan_sets(multi_query))
-        outcome = resilient_sub_plan_estimates(
+        outcome = price_sub_plans(
             postgres, multi_query, fallback=PostgresDefaultFallback(stats_db)
         )
         assert not outcome.failed
