@@ -1,44 +1,26 @@
-"""Benchmark: batched sub-plan inference and multicore scaling.
+"""Benchmark: batched sub-plan inference.
 
-Two measurements, written to ``benchmarks/BENCH_batch_infer.json``:
-
-1. **Batched pricing throughput** — every sub-plan of the quick-mode
-   STATS-CEB workload priced per parent query, once through the serial
-   per-sub-plan ``estimate`` loop and once through one
-   ``estimate_batch`` call per query (the injection hot path's shape).
-   Reported as sub-plans priced per second, per estimator family.  The
-   vectorised families (LW-NN, MSCN, LW-XGB — one stacked forward pass
-   instead of one per sub-plan) must clear **2x** the serial loop; the
-   memoized arithmetic families (PostgreSQL, MultiHist) and PessEst are
-   recorded without a floor.  Both passes must agree to 1e-9 relative.
-
-2. **Parallel wall-clock** — one full ``EndToEndBenchmark`` pass
-   (PostgreSQL estimates) serial versus a fork pool sized by
-   :func:`~repro.core.parallel.default_workers` with chunked dispatch.
-   The speedup must clear 1.0 only when a second core actually exists
-   (``os.cpu_count() >= 2``); a single-core runner just records the
-   honest numbers.
-
-Throughput numbers (``*_per_second`` — higher is better under the
-baseline comparator's naming convention) are merged into
-``benchmarks/BASELINES.json`` for the perf observatory.
+One measurement, written to ``benchmarks/BENCH_batch_infer.json``:
+every sub-plan of the quick-mode STATS-CEB workload priced per parent
+query, once through the serial per-sub-plan ``estimate`` loop and once
+through one ``estimate_batch`` call per query (the injection hot path's
+shape).  Reported as sub-plans priced per second, per estimator family.
+The vectorised families (LW-NN, MSCN, LW-XGB — one stacked forward pass
+instead of one per sub-plan) must clear **2x** the serial loop; the
+memoized arithmetic families (PostgreSQL, MultiHist) and PessEst are
+recorded without a floor.  Both passes must agree to 1e-9 relative.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
-from repro.core.benchmark import EndToEndBenchmark
 from repro.core.injection import sub_plan_queries
-from repro.core.parallel import default_workers, fork_available
-from repro.obs.prof.baseline import load_baselines, save_baselines
 
 REPORT_PATH = Path(__file__).parent / "BENCH_batch_infer.json"
-BASELINES_PATH = Path(__file__).parent / "BASELINES.json"
 
 #: Families whose ``estimate_batch`` is truly vectorised — one stacked
 #: model pass per batch — and must therefore beat the loop by >= 2x.
@@ -105,55 +87,12 @@ def test_emit_batch_infer_report(context):
             "batched_speedup": serial_seconds / batched_seconds,
         }
 
-    # -- parallel wall-clock -------------------------------------------------
-    database = context.database("stats")
-    estimator = context.fitted_estimator("PostgreSQL", "stats-ceb")
-    bench = EndToEndBenchmark(database, workload)
-    bench.run(estimator, queries=workload.queries[:2])  # warm-up
-
-    def timed_run(**kwargs):
-        started = time.perf_counter()
-        run = bench.run(estimator, **kwargs)
-        return time.perf_counter() - started, run
-
-    serial_seconds, serial_run = timed_run()
-    workers = default_workers(pending=len(workload.queries))
-    if fork_available() and workers > 1:
-        parallel_seconds, parallel_run = timed_run(workers=workers)
-    else:
-        workers = 1
-        parallel_seconds, parallel_run = serial_seconds, serial_run
-    assert [r.result_cardinality for r in parallel_run.query_runs] == [
-        r.result_cardinality for r in serial_run.query_runs
-    ]
-
     report = {
         "workload_queries": len(workload),
         "sub_plans": num_sub_plans,
         "families": families,
-        "serial_run_seconds": serial_seconds,
-        "parallel_run_seconds": parallel_seconds,
-        "parallel_workers": workers,
-        "parallel_vs_serial_speedup": serial_seconds / parallel_seconds,
-        "cpu_count": os.cpu_count(),
-        "schedulable_cpus": default_workers(),
-        "fork_available": fork_available(),
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    baselines = load_baselines(BASELINES_PATH)
-    for name, numbers in families.items():
-        baselines[f"batch_infer/{name}"] = {
-            "batched_subplans_per_second": numbers[
-                "batched_subplans_per_second"
-            ],
-            "serial_subplans_per_second": numbers["serial_subplans_per_second"],
-        }
-    save_baselines(
-        BASELINES_PATH,
-        baselines,
-        note="updated by `repro profile` and bench_batch_infer",
-    )
 
     print(
         "\nbatched pricing ({} sub-plans): ".format(num_sub_plans)
@@ -162,15 +101,9 @@ def test_emit_batch_infer_report(context):
             f"({numbers['batched_subplans_per_second']:.0f}/s)"
             for name, numbers in families.items()
         )
-        + f"; parallel {workers}w {report['parallel_vs_serial_speedup']:.2f}x "
-        f"(cpus={report['cpu_count']})"
     )
     for name in VECTORISED_FAMILIES:
         assert families[name]["batched_speedup"] >= 2.0, (
             name,
             families[name]["batched_speedup"],
         )
-    # The fork pool needs a second core to win; a single-CPU runner
-    # simply records the honest numbers above.
-    if fork_available() and (os.cpu_count() or 1) >= 2 and workers > 1:
-        assert report["parallel_vs_serial_speedup"] > 1.0

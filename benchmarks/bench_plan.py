@@ -16,12 +16,6 @@ Two gates:
    ``(cost, method_rank, left_mask)`` order).
 2. **Throughput** — the planner must clear **2x** the reference on
    this STATS-CEB-shaped workload.
-
-Throughput numbers (``*_per_second`` — higher is better under the
-baseline comparator's naming convention) are merged into
-``benchmarks/BASELINES.json`` under ``plan/stats_ceb`` for the perf
-observatory (``repro profile`` measures the same key live and gates it
-at ±20%).
 """
 
 from __future__ import annotations
@@ -33,10 +27,8 @@ from pathlib import Path
 
 from repro.check.reference_planner import ReferencePlanner
 from repro.engine.planner import Planner
-from repro.obs.prof.baseline import load_baselines, save_baselines
 
 REPORT_PATH = Path(__file__).parent / "BENCH_plan.json"
-BASELINES_PATH = Path(__file__).parent / "BASELINES.json"
 
 #: Timing passes per planner; the best (lowest) time is kept.
 REPEATS = 3
@@ -105,20 +97,6 @@ def test_emit_plan_report(context):
         "bit_identical_queries": len(with_cards),
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    baselines = load_baselines(BASELINES_PATH)
-    # Per-metric merge: `repro profile --update-baselines` records
-    # planning_seconds under the same bench key, and neither producer
-    # may clobber the other's metrics.
-    baselines.setdefault("plan/stats_ceb", {}).update({
-        "scalar_subplans_per_second": report["scalar_subplans_per_second"],
-        "subplans_costed_per_second": report["vectorised_subplans_per_second"],
-    })
-    save_baselines(
-        BASELINES_PATH,
-        baselines,
-        note="updated by `repro profile` and bench_plan",
-    )
 
     print(
         f"\nplanning ({len(with_cards)} queries, {num_sub_plans} sub-plans): "

@@ -17,9 +17,7 @@ hot-swap run where ``/admin/promote`` fires mid-load.  Written to
 
 Every request in every run must succeed (zero non-200s) — admission
 control exists for overload, and these loads are sized within the
-queue bounds.  QPS numbers (higher is better under the baseline
-comparator's naming convention) are merged into
-``benchmarks/BASELINES.json`` for the perf observatory.
+queue bounds.
 """
 
 from __future__ import annotations
@@ -32,14 +30,12 @@ from pathlib import Path
 
 from repro.engine.sql import query_to_sql
 from repro.estimators.persistence import save_estimator
-from repro.obs.prof.baseline import load_baselines, save_baselines
 from repro.serve.app import build_server
 from repro.serve.loadgen import run_load
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import EstimationService
 
 REPORT_PATH = Path(__file__).parent / "BENCH_serve.json"
-BASELINES_PATH = Path(__file__).parent / "BASELINES.json"
 
 ESTIMATOR = "LW-XGB"
 CLIENT_COUNTS = (1, 8, 64)
@@ -161,18 +157,6 @@ def test_emit_serve_report(context, tmp_path):
         "hot_swap": hot_swap,
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    baselines = load_baselines(BASELINES_PATH)
-    for clients in CLIENT_COUNTS:
-        baselines[f"serve/{ESTIMATOR}/clients-{clients}"] = {
-            "batched_qps": batched[clients]["qps"],
-            "direct_qps": direct[clients]["qps"],
-        }
-    save_baselines(
-        BASELINES_PATH,
-        baselines,
-        note="updated by `repro profile` and bench_serve",
-    )
 
     print(
         "\nserve ({}): ".format(ESTIMATOR)

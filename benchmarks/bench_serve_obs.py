@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.engine.sql import query_to_sql
 from repro.obs import metrics as obs_metrics
-from repro.obs.overhead import measure_serve_overhead
 from repro.serve.app import build_server
 from repro.serve.drift import DriftConfig, DriftMonitor
 from repro.serve.loadgen import run_load
@@ -97,6 +97,75 @@ def _get_text(address, path):
         return response.read().decode()
     finally:
         connection.close()
+
+
+def measure_serve_overhead(
+    baseline_address: tuple[str, int],
+    instrumented_address: tuple[str, int],
+    payloads: list[dict],
+    path: str = "/estimate",
+    rounds: int = 30,
+    requests_per_round: int = 8,
+    warmup: int = 5,
+    timeout: float = 30.0,
+) -> dict:
+    """Per-request serving cost with full request observability on vs off.
+
+    Two identical serving stacks answer the same payload cycle over
+    persistent HTTP connections; the instrumented one additionally
+    writes per-request traces, access-log lines and SLO accounting.
+    Rounds are *interleaved* (one baseline round, one instrumented
+    round, repeated) and each stack keeps its best round's mean
+    request latency, for the same drift-suppression reasons as
+    :func:`repro.obs.overhead.measure_live_overhead`.  ``overhead_serve``
+    is the number the < 2% budget in ``BENCH_serve_obs.json`` applies to.
+    """
+
+    def connect(address: tuple[str, int]) -> HTTPConnection:
+        return HTTPConnection(address[0], address[1], timeout=timeout)
+
+    def run_round(connection: HTTPConnection, offset: int) -> float:
+        started = time.perf_counter()
+        for index in range(requests_per_round):
+            payload = payloads[(offset + index) % len(payloads)]
+            connection.request(
+                "POST",
+                path,
+                body=json.dumps(payload),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            response.read()
+            if response.status != 200:
+                raise RuntimeError(
+                    f"serve overhead round got HTTP {response.status}"
+                )
+        return (time.perf_counter() - started) / requests_per_round
+
+    base_conn = connect(baseline_address)
+    inst_conn = connect(instrumented_address)
+    try:
+        for index in range(warmup):
+            run_round(base_conn, index)
+            run_round(inst_conn, index)
+        baseline = float("inf")
+        instrumented = float("inf")
+        for round_index in range(rounds):
+            offset = round_index * requests_per_round
+            baseline = min(baseline, run_round(base_conn, offset))
+            instrumented = min(instrumented, run_round(inst_conn, offset))
+    finally:
+        base_conn.close()
+        inst_conn.close()
+
+    return {
+        "rounds": rounds,
+        "requests_per_round": requests_per_round,
+        "payloads": len(payloads),
+        "baseline_seconds_per_request": baseline,
+        "instrumented_seconds_per_request": instrumented,
+        "overhead_serve": instrumented / baseline - 1.0,
+    }
 
 
 def _measure_overhead(database, estimator, payloads, tmp_path):

@@ -117,174 +117,6 @@ def cmd_export_workload(args) -> int:
     return 0
 
 
-def _write_profile_artifacts(
-    out_dir: Path,
-    sampler,
-    profiler,
-    title: str,
-) -> dict[str, Path]:
-    """Write flamegraph / collapsed stacks / phase profile; return paths."""
-    from repro.obs.prof import flamegraph as prof_flamegraph
-    from repro.obs.prof import phases as prof_phases
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    if sampler is not None:
-        subtitle = (
-            f"{sampler.sample_count} samples at "
-            f"{1.0 / sampler.interval_seconds:.0f} Hz"
-        )
-        paths["flamegraph"] = prof_flamegraph.write_flamegraph(
-            out_dir / "flamegraph.html",
-            sampler.stack_counts(),
-            title=title,
-            subtitle=subtitle,
-        )
-        paths["collapsed"] = sampler.write_collapsed(out_dir / "profile.collapsed")
-    if profiler is not None:
-        paths["phases"] = prof_phases.write_phase_profile(
-            out_dir / "phase_profile.json", profiler.snapshot()
-        )
-    return paths
-
-
-def _planning_throughput(database, queries) -> dict:
-    """Planner DP throughput under the workload's stored true cards.
-
-    Baseline currency for the ``plan/<workload>`` observatory key:
-    best-of-3 sweep of ``Planner.plan`` over every labelled query,
-    reported as sub-plans costed per second.
-    """
-    import math
-    import time
-
-    from repro.engine.planner import Planner
-
-    planner = Planner(database)
-    with_cards = [
-        (
-            labeled.query,
-            {s: float(c) for s, c in labeled.sub_plan_true_cards.items()},
-        )
-        for labeled in queries
-    ]
-    num_sub_plans = sum(len(cards) for _, cards in with_cards)
-    best = math.inf
-    for _ in range(3):
-        started = time.perf_counter()
-        for query, cards in with_cards:
-            planner.plan(query, cards)
-        best = min(best, time.perf_counter() - started)
-    return {
-        "planning_seconds": best,
-        "subplans_costed_per_second": num_sub_plans / best,
-    }
-
-
-def cmd_profile(args) -> int:
-    """Profile a smoke campaign: flamegraph, phase table, perf gate."""
-    from repro.obs import manifest as obs_manifest
-    from repro.obs.prof import baseline as prof_baseline
-    from repro.obs.prof import phases as prof_phases
-    from repro.obs.prof.sampler import StackSampler
-
-    context = _context(args)
-    workload_name = _workload_for(args.database)
-    estimators = args.estimator or ["PostgreSQL"]
-    out_dir = Path(args.out_dir)
-
-    profiler = prof_phases.activate()
-    sampler = None
-    if not args.no_sampler:
-        sampler = StackSampler(interval_seconds=args.sample_interval).start()
-    runs = []
-    try:
-        workload = context.workload(workload_name)
-        queries = (
-            workload.queries[: args.limit] if args.limit else list(workload.queries)
-        )
-        for name in estimators:
-            estimator = context.fitted_estimator(name, workload_name)
-            run = context.benchmark(workload_name).run(
-                estimator,
-                queries=queries,
-                workers=(
-                    default_workers(pending=len(queries))
-                    if args.workers <= 0
-                    else args.workers
-                ),
-            )
-            runs.append((name, run))
-    finally:
-        if sampler is not None:
-            sampler.stop()
-        artifacts = _write_profile_artifacts(
-            out_dir,
-            sampler,
-            profiler,
-            title=f"repro profile — {'/'.join(estimators)} on {workload_name}",
-        )
-        artifacts["manifest"] = obs_manifest.write_run_manifest(
-            out_dir / "run_manifest.json",
-            {
-                "command": "profile",
-                "database": args.database,
-                "estimators": list(estimators),
-                "workers": args.workers,
-                "limit": args.limit,
-                "sample_interval": args.sample_interval,
-            },
-            [(f"{name}/{workload_name}", run) for name, run in runs],
-        )
-        prof_phases.deactivate()
-
-    print(f"Profile: {', '.join(estimators)} on {workload_name}")
-    if sampler is not None:
-        print(f"  samples:             {sampler.sample_count}")
-    print(prof_phases.render_phase_table(profiler.snapshot()))
-    for label, path in sorted(artifacts.items()):
-        print(f"  {label + ':':<20} {path}")
-
-    if args.baselines is None:
-        return 0
-
-    current = {
-        f"profile/{name}/{workload_name}": prof_baseline.metrics_from_estimator_run(
-            run
-        )
-        for name, run in runs
-    }
-    # Always the full workload (not --limit's slice): the throughput
-    # rate depends on the query mix, and the key must stay comparable
-    # across invocations and with bench_plan's recorded baseline.
-    current[f"plan/{workload_name.replace('-', '_')}"] = _planning_throughput(
-        context.database(args.database), workload.queries
-    )
-    if args.update_baselines:
-        baselines = prof_baseline.load_baselines(args.baselines)
-        # Per-metric merge: bench_plan records throughput metrics under
-        # the same plan/* bench key; replacing whole entries would drop
-        # them.
-        for bench, metrics in current.items():
-            baselines.setdefault(bench, {}).update(metrics)
-        path = prof_baseline.save_baselines(
-            args.baselines, baselines, note="updated by `repro profile`"
-        )
-        print(f"  baselines updated:   {path}")
-        return 0
-    comparison = prof_baseline.compare_to_baselines(
-        current,
-        prof_baseline.load_baselines(args.baselines),
-        ratio_threshold=args.threshold,
-    )
-    report = prof_baseline.render_regression_markdown(comparison)
-    report_path = out_dir / "regression_report.md"
-    report_path.write_text(report)
-    print(report)
-    print(f"  regression report:   {report_path}")
-    return 0 if comparison.ok else 1
-
-
 def cmd_bench(args) -> int:
     """Run one fault-tolerant benchmark campaign and print a summary."""
     import math
@@ -329,21 +161,12 @@ def cmd_bench(args) -> int:
         host, port = server.address
         print(f"  metrics endpoint:    http://{host}:{port}/metrics")
         print(f"  health endpoint:     http://{host}:{port}/healthz (run {run_id})")
-    profiler = sampler = None
-    if args.profile:
-        from repro.obs.prof import phases as prof_phases
-        from repro.obs.prof.sampler import StackSampler
-
-        profiler = prof_phases.activate()
-        sampler = StackSampler().start()
     try:
         run = context.benchmark(workload_name).run(
             estimator, checkpoint=context.campaign_checkpoint()
         )
     finally:
         context.close_checkpoint()
-        if sampler is not None:
-            sampler.stop()
         if server is not None:
             server.close()
         if live:
@@ -377,20 +200,7 @@ def cmd_bench(args) -> int:
         print(f"  events:              {args.events_out}")
     if args.progress_out:
         print(f"  progress snapshot:   {args.progress_out}")
-    if args.profile:
-        from repro.obs.prof import phases as prof_phases
-
-        artifacts = _write_profile_artifacts(
-            Path(args.profile_dir),
-            sampler,
-            profiler,
-            title=f"repro bench — {args.estimator} on {workload_name}",
-        )
-        for label, path in sorted(artifacts.items()):
-            print(f"  profile {label + ':':<12} {path}")
     if args.manifest:
-        # The phase profiler (if --profile) is still active here, so the
-        # manifest picks up its snapshot as ``phase_profile``.
         obs_manifest.write_run_manifest(
             args.manifest,
             {
@@ -403,8 +213,6 @@ def cmd_bench(args) -> int:
             extra={"run_id": run_id},
         )
         print(f"  manifest:            {args.manifest}")
-    if args.profile:
-        prof_phases.deactivate()
     return 0
 
 
@@ -769,18 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve /metrics, /progress and /healthz over HTTP "
         "while the campaign runs",
     )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample stacks + attribute phases during the campaign and "
-        "write flamegraph.html / phase_profile.json to --profile-dir",
-    )
-    bench.add_argument(
-        "--profile-dir",
-        metavar="DIR",
-        default="results/profile",
-        help="where --profile artifacts go (default: results/profile)",
-    )
     bench.set_defaults(handler=cmd_bench)
 
     serve = commands.add_parser(
@@ -903,73 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         "database for drift ground truth (0 disables; needs --obs-dir)",
     )
     serve.set_defaults(handler=cmd_serve)
-
-    profile = commands.add_parser(
-        "profile",
-        help="profile a smoke campaign: sampling flamegraph, per-phase "
-        "wall/CPU/peak-memory attribution, perf-baseline gate",
-    )
-    profile.add_argument("--database", default="stats", choices=["stats", "imdb"])
-    profile.add_argument(
-        "--estimator",
-        action="append",
-        default=None,
-        choices=list(ESTIMATOR_ORDER),
-        help="CardEst method(s) to profile (repeatable; default PostgreSQL)",
-    )
-    profile.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="forked worker processes; worker phase profiles are merged "
-        "(0 = all schedulable cores, capped at the query count)",
-    )
-    profile.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="only profile the first N workload queries",
-    )
-    profile.add_argument(
-        "--out-dir",
-        metavar="DIR",
-        default="results/profile",
-        help="artifact directory (default: results/profile)",
-    )
-    profile.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="stack-sampling period (default 0.01 = 100 Hz)",
-    )
-    profile.add_argument(
-        "--no-sampler",
-        action="store_true",
-        help="phase attribution only, no sampling profiler thread",
-    )
-    profile.add_argument(
-        "--baselines",
-        metavar="FILE",
-        default=None,
-        help="compare phase timings against this baseline store "
-        "(e.g. benchmarks/BASELINES.json); exit 1 on regression",
-    )
-    profile.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="record current timings into --baselines instead of gating",
-    )
-    profile.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        metavar="RATIO",
-        help="relative slowdown that counts as a regression (default 0.2)",
-    )
-    profile.set_defaults(handler=cmd_profile)
 
     blame = commands.add_parser(
         "blame",

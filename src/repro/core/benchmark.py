@@ -30,7 +30,6 @@ interrupted campaign resumes where it stopped.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.injection import price_sub_plans
@@ -49,7 +48,6 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
-from repro.obs.prof import phases as prof_phases
 from repro.resilience.fallback import PostgresDefaultFallback
 from repro.resilience.policy import (
     Deadline,
@@ -133,20 +131,9 @@ class EstimatorRun:
 
         Before the observability split this accessor silently folded
         inference time in; use :meth:`total_inference_seconds` for that
-        component, or the deprecated
-        :meth:`total_optimization_seconds` for the old combined value.
+        component.
         """
         return sum(r.planning_seconds for r in self.query_runs)
-
-    def total_optimization_seconds(self) -> float:
-        """Deprecated combined inference + planning time."""
-        warnings.warn(
-            "total_optimization_seconds() is deprecated; use "
-            "total_inference_seconds() + total_planning_seconds()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.total_inference_seconds() + self.total_planning_seconds()
 
     def total_end_to_end_seconds(self, penalty: dict[str, float] | None = None) -> float:
         return (
@@ -452,14 +439,13 @@ class EndToEndBenchmark:
             # The ``inference`` child span is opened inside the pricing
             # pass, next to the per-sub-plan latency histogram.
             started = time.perf_counter()
-            with prof_phases.phase("inference", estimator=estimator.name):
-                inference = price_sub_plans(
-                    estimator,
-                    query,
-                    fallback=self._fallback,
-                    retry=retry,
-                    deadline=deadline,
-                )
+            inference = price_sub_plans(
+                estimator,
+                query,
+                fallback=self._fallback,
+                retry=retry,
+                deadline=deadline,
+            )
             inference_seconds = time.perf_counter() - started
             estimates = inference.cards
             attempts = max(attempts, inference.max_attempts)
@@ -469,9 +455,7 @@ class EndToEndBenchmark:
 
             started = time.perf_counter()
             planned = None
-            with obs_trace.span("planning", query=query.name), prof_phases.phase(
-                "planning", estimator=estimator.name
-            ):
+            with obs_trace.span("planning", query=query.name):
                 try:
                     planned, planning_attempts = call_with_retry(
                         lambda: self._planner.plan(query, estimates),
@@ -532,9 +516,7 @@ class EndToEndBenchmark:
 
                 with obs_trace.span(
                     "execution", query=query.name
-                ) as execution_span, prof_phases.phase(
-                    "execution", estimator=estimator.name
-                ):
+                ) as execution_span:
                     try:
                         execution, execution_attempts = call_with_retry(
                             execute_once,

@@ -58,7 +58,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import time
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 
@@ -68,7 +67,6 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
-from repro.obs.prof import phases as prof_phases
 
 #: Parent-side state inherited by forked workers.  Set immediately
 #: before the workers are spawned, restored under try/finally even
@@ -230,16 +228,6 @@ def _worker_init() -> None:
     obs_events.deactivate(close=False)
     obs_progress.deactivate()
     obs_metrics.reset()
-    # Phase profiling, by contrast, *is* kept on in workers: the child
-    # swaps the inherited profiler for a fresh one (tracemalloc state
-    # is process-local) and ships a per-task dump with every result so
-    # the parent can reassemble per-worker compute profiles.  The
-    # argless activate() closes the inherited profiler *before*
-    # constructing the replacement — constructing first would see the
-    # inherited tracemalloc as already-tracing, decline ownership, and
-    # then lose tracing entirely when the old profiler closes.
-    if prof_phases.is_active():
-        prof_phases.activate()
 
 
 def _worker_loop(task_queue, result_pipe) -> None:
@@ -266,18 +254,12 @@ def _worker_loop(task_queue, result_pipe) -> None:
         for index in chunk:
             result_pipe.send(("start", index, pid))
             obs_metrics.reset()
-            profiler = prof_phases.active_profiler()
-            if profiler is not None:
-                profiler.reset()
             try:
                 run = benchmark._run_query(estimator, queries[index])
             except BaseException as exc:  # noqa: BLE001 — must reach the parent
                 result_pipe.send(("error", index, f"{type(exc).__name__}: {exc}"))
             else:
-                prof_dump = profiler.dump() if profiler is not None else None
-                result_pipe.send(
-                    ("done", index, run, obs_metrics.registry().dump(), prof_dump)
-                )
+                result_pipe.send(("done", index, run, obs_metrics.registry().dump()))
     result_pipe.close()
 
 
@@ -412,7 +394,6 @@ def run_parallel(
         for _ in range(workers):
             spawn_worker()
 
-        dispatch_started = time.perf_counter()
         while len(outcomes) < len(queries):
             if campaign_deadline is not None and campaign_deadline.expired:
                 break
@@ -439,15 +420,11 @@ def run_parallel(
                         worker=message[2] if len(message) > 2 else worker_pid,
                     )
                 elif kind == "done":
-                    _, index, run, dump, *extras = message
+                    _, index, run, dump = message
                     claimed.pop(reader, None)
                     chunks_in_flight.get(reader, set()).discard(index)
                     if index not in outcomes:  # requeue may rarely duplicate
                         registry.merge(dump)
-                        prof_dump = extras[0] if extras else None
-                        profiler = prof_phases.active_profiler()
-                        if prof_dump and profiler is not None:
-                            profiler.note_worker(worker_pid, prof_dump)
                         finish(index, run)
                 elif kind == "error":
                     _, index, error = message
@@ -456,15 +433,6 @@ def run_parallel(
                     if index not in outcomes:
                         finish(index, failed_query_run(queries[index], error))
                         registry.counter("benchmark.failed_queries").inc()
-
-        profiler = prof_phases.active_profiler()
-        if profiler is not None:
-            # Pool wall-clock × workers minus in-worker compute is the
-            # dispatch/idle overhead — the number that explains a
-            # slower-than-serial parallel run.
-            profiler.note_parallel_section(
-                time.perf_counter() - dispatch_started, workers
-            )
 
         # Campaign deadline: fill what never finished, without
         # recording it as completed (a resume may still run it).

@@ -150,19 +150,6 @@ def main(argv=None) -> int:
         default=None,
         help="stream structured campaign events (JSONL) while experiments run",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample stacks + attribute phases across the whole run; writes "
-        "flamegraph.html / profile.collapsed / phase_profile.json to "
-        "--profile-dir and folds the phase snapshot into the manifest",
-    )
-    parser.add_argument(
-        "--profile-dir",
-        metavar="DIR",
-        default="results/profile",
-        help="where --profile artifacts go (default: results/profile)",
-    )
     args = parser.parse_args(argv)
 
     checkpoint_path = args.resume or args.checkpoint
@@ -194,13 +181,6 @@ def main(argv=None) -> int:
     event_log = obs_events.activate(args.events_out) if args.events_out else None
     if manifest_path is not None:
         obs_manifest.enable_collection()
-    profiler = sampler = None
-    if args.profile:
-        from repro.obs.prof import phases as prof_phases
-        from repro.obs.prof.sampler import StackSampler
-
-        profiler = prof_phases.activate()
-        sampler = StackSampler().start()
 
     experiment_timings: dict[str, float] = {}
     try:
@@ -220,26 +200,6 @@ def main(argv=None) -> int:
                 (save_dir / f"{name}.txt").write_text(output + "\n")
     finally:
         context.close_checkpoint()
-        if sampler is not None:
-            sampler.stop()
-        if profiler is not None:
-            from repro.obs.prof import flamegraph as prof_flamegraph
-            from repro.obs.prof import phases as prof_phases
-
-            profile_dir = Path(args.profile_dir)
-            profile_dir.mkdir(parents=True, exist_ok=True)
-            prof_flamegraph.write_flamegraph(
-                profile_dir / "flamegraph.html",
-                sampler.stack_counts(),
-                title=f"experiments {args.experiment} ({args.mode})",
-                subtitle=f"{sampler.sample_count} samples",
-            )
-            sampler.write_collapsed(profile_dir / "profile.collapsed")
-            prof_phases.write_phase_profile(
-                profile_dir / "phase_profile.json", profiler.snapshot()
-            )
-            print(prof_phases.render_phase_table(profiler.snapshot()))
-            print(f"[profile -> {profile_dir}]")
         if tracer is not None:
             obs_trace.deactivate()
             tracer.export_jsonl(args.trace_out)
@@ -262,11 +222,6 @@ def main(argv=None) -> int:
             )
             obs_manifest.disable_collection()
             print(f"[manifest -> {manifest_path}]")
-        if profiler is not None:
-            # After the manifest write, so phase_profile lands in it.
-            from repro.obs.prof import phases as prof_phases
-
-            prof_phases.deactivate()
     return 0
 
 

@@ -13,12 +13,13 @@ Dependency-free instrumentation for the benchmark platform:
 - :mod:`repro.obs.blame` — misestimation attribution: which sub-plan
   estimates caused a bad plan,
 - :mod:`repro.obs.dashboard` — self-contained HTML campaign report,
-- :mod:`repro.obs.manifest` — machine-readable ``run_manifest.json``,
-- :mod:`repro.obs.overhead` — self-measurement of instrumentation cost,
-- :mod:`repro.obs.prof` — continuous profiling (sampling stack
-  profiler + flamegraphs, per-phase wall/CPU/memory attribution) and
-  the performance-regression observatory (``benchmarks/BASELINES.json``
-  + comparator behind ``repro profile``).
+- :mod:`repro.obs.manifest` — machine-readable ``run_manifest.json``
+  (per-query and per-run inference / planning / execution seconds),
+- :mod:`repro.obs.overhead` — self-measurement of instrumentation cost.
+
+Speed is measured by ``benchmarks/perf/run.py`` (``BENCHMARK.json``),
+not from inside this package; for function-level stacks run the command
+under ``python -m cProfile``.
 
 Everything is **off by default**: :func:`repro.obs.trace.span`,
 :func:`repro.obs.events.emit` and the progress hooks are shared no-ops

@@ -274,59 +274,30 @@ def _events_section(events: list[dict]) -> list[str]:
 
 
 def _phases_section(manifest: dict) -> list[str]:
-    """Per-estimator phase attribution table (wall / CPU / peak memory)."""
-    profile = manifest.get("phase_profile") or {}
-    phases = profile.get("phases") or {}
-    if not phases:
+    """Per-estimator phase table from the manifest's ``runs[].totals``."""
+    runs = [run for run in manifest.get("runs") or [] if run.get("totals")]
+    if not runs:
         return []
     lines = [
-        "<h2>Phase profile (from manifest)</h2>",
+        "<h2>Phase times (from manifest)</h2>",
         "<table>",
-        "<tr><th>estimator</th><th>phase</th><th>count</th>"
-        "<th>wall s</th><th>CPU s</th><th>peak MiB</th></tr>",
+        "<tr><th>estimator</th><th>workload</th><th>phase</th>"
+        "<th>queries</th><th>wall s</th></tr>",
     ]
-    for estimator in sorted(phases):
-        for name, payload in sorted(phases[estimator].items()):
+    for run in runs:
+        prefix = (
+            f"<tr><td>{_esc(run.get('estimator', '?'))}</td>"
+            f"<td>{_esc(run.get('workload', '?'))}</td>"
+        )
+        queries = len(run.get("queries") or [])
+        for phase in ("inference", "planning", "execution"):
+            seconds = run["totals"].get(f"{phase}_seconds")
             lines.append(
-                "<tr>"
-                f"<td>{_esc(estimator)}</td>"
-                f"<td>{_esc(name)}</td>"
-                f'<td class="num">{payload.get("count", 0)}</td>'
-                f'<td class="num">{_fmt(payload.get("wall_seconds"), 4)}</td>'
-                f'<td class="num">{_fmt(payload.get("cpu_seconds"), 4)}</td>'
-                f'<td class="num">'
-                f"{_fmt(payload.get('peak_bytes', 0) / 1048576.0, 2)}</td>"
-                "</tr>"
+                f"{prefix}<td>{phase}</td>"
+                f'<td class="num">{queries}</td>'
+                f'<td class="num">{_fmt(seconds, 4)}</td></tr>'
             )
     lines.append("</table>")
-    parallel = profile.get("parallel")
-    if parallel:
-        lines.append(
-            f'<p class="muted">Parallel section: '
-            f"{_fmt(parallel.get('wall_seconds'), 3)}s wall × "
-            f"{parallel.get('workers')} workers; "
-            f"{_fmt(parallel.get('compute_wall_seconds'), 3)}s worker compute, "
-            f"{_fmt(parallel.get('dispatch_overhead_seconds'), 3)}s "
-            "dispatch/idle overhead.</p>"
-        )
-    workers = profile.get("workers") or {}
-    if workers:
-        lines.append("<table>")
-        lines.append(
-            "<tr><th>worker</th><th>tasks</th><th>compute wall s</th>"
-            "<th>CPU s</th></tr>"
-        )
-        for worker in sorted(workers):
-            entry = workers[worker]
-            lines.append(
-                "<tr>"
-                f"<td>{_esc(worker)}</td>"
-                f'<td class="num">{entry.get("tasks", 0)}</td>'
-                f'<td class="num">{_fmt(entry.get("compute_wall_seconds"), 3)}</td>'
-                f'<td class="num">{_fmt(entry.get("cpu_seconds"), 3)}</td>'
-                "</tr>"
-            )
-        lines.append("</table>")
     return lines
 
 

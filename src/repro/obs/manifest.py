@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 
 from repro.obs import metrics
-from repro.obs.prof import phases as prof_phases
 
 #: Version 2 adds the ``events_file`` link and guarantees sorted JSON
 #: keys; readers (dashboard, blame tooling) use :func:`load_run_manifest`
@@ -121,7 +120,6 @@ def run_manifest(
     """
     if runs is None:
         runs = collected_runs()
-    profiler = prof_phases.active_profiler()
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -131,11 +129,6 @@ def run_manifest(
         "trace_file": trace_file,
         "checkpoint_file": checkpoint_file,
         "events_file": events_file,
-        # Per-estimator wall/CPU/peak-memory phase attribution, present
-        # when a phase profiler was active (``repro profile`` /
-        # ``repro bench --profile``).  Additive and optional, so the
-        # schema version is unchanged and old readers stay compatible.
-        "phase_profile": profiler.snapshot() if profiler is not None else None,
     }
     if extra:
         manifest.update(extra)

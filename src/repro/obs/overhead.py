@@ -19,7 +19,6 @@ scheduler noise the way the benchmark's own repetition loop does):
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Callable
@@ -220,121 +219,4 @@ def measure_live_overhead(
         "baseline_seconds": baseline,
         "live_seconds": live,
         "overhead_live": live / baseline - 1.0,
-    }
-
-
-def measure_sampler_overhead(
-    database: Database,
-    plan: PlanNode | None = None,
-    repeats: int = 30,
-    warmup: int = 3,
-    interval_seconds: float = 0.01,
-) -> dict:
-    """Time plan executions with the stack sampler on vs off.
-
-    The sampler never touches the profiled code path — the only cost is
-    the GIL time its daemon thread steals at ~100 Hz — so this is the
-    contract the continuous-profiling layer commits to: < 2% relative
-    to an unsampled run.  Baseline and sampled executions are
-    interleaved (one of each per repeat, best-of over both streams) for
-    the same drift-suppression reasons as :func:`measure_live_overhead`;
-    a fresh sampler thread is started and joined *outside* the timed
-    region of each sampled cycle.
-    """
-    from repro.obs.prof.sampler import StackSampler
-
-    executor = Executor(database)
-    plan = plan if plan is not None else campaign_overhead_plan(database)
-
-    for _ in range(warmup):
-        executor.execute(plan)
-
-    baseline = float("inf")
-    sampled = float("inf")
-    total_samples = 0
-    for _ in range(repeats):
-        baseline = min(baseline, _best_of(lambda: executor.execute(plan), 1))
-        sampler = StackSampler(interval_seconds=interval_seconds)
-        with sampler:
-            sampled = min(sampled, _best_of(lambda: executor.execute(plan), 1))
-        total_samples += sampler.sample_count
-
-    return {
-        "repeats": repeats,
-        "plan_tables": sorted(plan.tables),
-        "interval_seconds": interval_seconds,
-        "samples": total_samples,
-        "baseline_seconds": baseline,
-        "sampled_seconds": sampled,
-        "overhead_sampler": sampled / baseline - 1.0,
-    }
-
-
-def measure_serve_overhead(
-    baseline_address: tuple[str, int],
-    instrumented_address: tuple[str, int],
-    payloads: list[dict],
-    path: str = "/estimate",
-    rounds: int = 30,
-    requests_per_round: int = 8,
-    warmup: int = 5,
-    timeout: float = 30.0,
-) -> dict:
-    """Per-request serving cost with full request observability on vs off.
-
-    Two identical serving stacks answer the same payload cycle over
-    persistent HTTP connections; the instrumented one additionally
-    writes per-request traces, access-log lines and SLO accounting.
-    Rounds are *interleaved* (one baseline round, one instrumented
-    round, repeated) and each stack keeps its best round's mean
-    request latency, for the same drift-suppression reasons as
-    :func:`measure_live_overhead`.  ``overhead_serve`` is the number
-    the < 2% budget in ``BENCH_serve_obs.json`` applies to.
-    """
-    import http.client
-
-    def connect(address: tuple[str, int]) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(address[0], address[1], timeout=timeout)
-
-    def run_round(connection: http.client.HTTPConnection, offset: int) -> float:
-        started = time.perf_counter()
-        for index in range(requests_per_round):
-            payload = payloads[(offset + index) % len(payloads)]
-            connection.request(
-                "POST",
-                path,
-                body=json.dumps(payload),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            response.read()
-            if response.status != 200:
-                raise RuntimeError(
-                    f"serve overhead round got HTTP {response.status}"
-                )
-        return (time.perf_counter() - started) / requests_per_round
-
-    base_conn = connect(baseline_address)
-    inst_conn = connect(instrumented_address)
-    try:
-        for index in range(warmup):
-            run_round(base_conn, index)
-            run_round(inst_conn, index)
-        baseline = float("inf")
-        instrumented = float("inf")
-        for round_index in range(rounds):
-            offset = round_index * requests_per_round
-            baseline = min(baseline, run_round(base_conn, offset))
-            instrumented = min(instrumented, run_round(inst_conn, offset))
-    finally:
-        base_conn.close()
-        inst_conn.close()
-
-    return {
-        "rounds": rounds,
-        "requests_per_round": requests_per_round,
-        "payloads": len(payloads),
-        "baseline_seconds_per_request": baseline,
-        "instrumented_seconds_per_request": instrumented,
-        "overhead_serve": instrumented / baseline - 1.0,
     }

@@ -20,7 +20,6 @@ from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted
 from repro.engine.predicates import Predicate
 from repro.engine.query import LabeledQuery, Query
-from repro.obs.prof import phases as prof_phases
 from repro.workloads.templates import JoinTemplate
 
 
@@ -146,8 +145,7 @@ def label_query(
     budget (the workload must stay runnable end to end).
     """
     try:
-        with prof_phases.phase("labelling"):
-            sub_cards = service.sub_plan_cards(query)
+        sub_cards = service.sub_plan_cards(query)
     except ExecutionAborted:
         return None
     total = sub_cards[query.tables]

@@ -88,8 +88,7 @@ class TestEstimatorRun:
         assert len(postgres_run.all_q_errors()) >= len(postgres_run.query_runs)
 
     def test_inference_and_planning_split(self, postgres_run):
-        """The split accessors cover disjoint components; the deprecated
-        combined accessor still reports their sum (and warns)."""
+        """The split accessors cover disjoint components."""
         inference = postgres_run.total_inference_seconds()
         planning = postgres_run.total_planning_seconds()
         assert inference == pytest.approx(
@@ -98,9 +97,6 @@ class TestEstimatorRun:
         assert planning == pytest.approx(
             sum(r.planning_seconds for r in postgres_run.query_runs)
         )
-        with pytest.warns(DeprecationWarning):
-            combined = postgres_run.total_optimization_seconds()
-        assert combined == pytest.approx(inference + planning)
 
 
 class TestPenalties:

@@ -126,7 +126,7 @@ class TestKilledCampaign:
         assert subset[0].query.name in html
 
 
-def test_phase_profile_section_renders_from_manifest(tmp_path):
+def test_phase_table_renders_from_run_totals(tmp_path):
     import json
 
     from repro.obs.manifest import MANIFEST_SCHEMA_VERSION
@@ -137,43 +137,35 @@ def test_phase_profile_section_renders_from_manifest(tmp_path):
             {
                 "schema_version": MANIFEST_SCHEMA_VERSION,
                 "config": {},
-                "runs": [],
+                "runs": [
+                    {
+                        "label": "PostgreSQL",
+                        "estimator": "PostgreSQL",
+                        "workload": "STATS-CEB",
+                        "totals": {
+                            "inference_seconds": 0.125,
+                            "planning_seconds": 0.0625,
+                            "execution_seconds": 1.25,
+                        },
+                        "queries": [{}, {}, {}],
+                    }
+                ],
                 "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-                "phase_profile": {
-                    "phases": {
-                        "PostgreSQL": {
-                            "execution": {
-                                "count": 5,
-                                "wall_seconds": 1.25,
-                                "cpu_seconds": 1.0,
-                                "peak_bytes": 2097152,
-                            }
-                        }
-                    },
-                    "workers": {
-                        "4242": {
-                            "tasks": 5,
-                            "compute_wall_seconds": 1.2,
-                            "cpu_seconds": 1.0,
-                        }
-                    },
-                    "parallel": {
-                        "wall_seconds": 1.0,
-                        "workers": 2,
-                        "compute_wall_seconds": 1.2,
-                        "dispatch_overhead_seconds": 0.8,
-                    },
-                },
             }
         )
     )
     html = render_dashboard(manifest_path=manifest_path)
-    assert "Phase profile" in html
-    assert "PostgreSQL" in html and "execution" in html
-    assert "1.2500" in html  # wall seconds
-    assert "2.00" in html  # peak MiB
-    assert "4242" in html  # per-worker row
-    assert "dispatch" in html.lower()
+    assert "Phase times" in html
+    for phase, wall in (
+        ("inference", "0.1250"),
+        ("planning", "0.0625"),
+        ("execution", "1.2500"),
+    ):
+        assert (
+            "<tr><td>PostgreSQL</td><td>STATS-CEB</td>"
+            f'<td>{phase}</td><td class="num">3</td>'
+            f'<td class="num">{wall}</td></tr>'
+        ) in html
 
 
 class TestServePanel:

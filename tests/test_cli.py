@@ -127,46 +127,6 @@ class TestParser:
                 ["explain", "--sql", "SELECT COUNT(*) FROM users", "--estimator", "Magic"]
             )
 
-    def test_profile_defaults_and_flags(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.estimator is None  # handler defaults to PostgreSQL
-        assert args.workers == 1
-        assert args.out_dir == "results/profile"
-        assert args.sample_interval == 0.01
-        assert args.baselines is None
-        assert args.threshold == 0.2
-
-        args = build_parser().parse_args(
-            [
-                "profile",
-                "--estimator", "PostgreSQL",
-                "--estimator", "TrueCard",
-                "--workers", "2",
-                "--limit", "5",
-                "--no-sampler",
-                "--baselines", "benchmarks/BASELINES.json",
-                "--update-baselines",
-                "--threshold", "0.3",
-            ]
-        )
-        assert args.estimator == ["PostgreSQL", "TrueCard"]
-        assert args.workers == 2
-        assert args.limit == 5
-        assert args.no_sampler is True
-        assert args.baselines == "benchmarks/BASELINES.json"
-        assert args.update_baselines is True
-        assert args.threshold == 0.3
-
-    def test_bench_profile_flags(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.profile is False
-        assert args.profile_dir == "results/profile"
-        args = build_parser().parse_args(
-            ["bench", "--profile", "--profile-dir", "out/prof"]
-        )
-        assert args.profile is True
-        assert args.profile_dir == "out/prof"
-
 
 @pytest.mark.slow
 class TestCommands:
@@ -325,67 +285,3 @@ class TestDashboardCommand:
         assert code == 0
         assert "warning" in capsys.readouterr().out
         assert out.exists()
-
-    def test_profile_smoke_and_baseline_gate(self, tmp_path, capsys):
-        """`repro profile`: artifacts, then gate pass / injected fail."""
-        import json
-
-        out_dir = tmp_path / "prof"
-        baselines = tmp_path / "BASELINES.json"
-
-        # First run records the baselines.
-        code = main(
-            ["profile", "--database", "stats", "--limit", "2",
-             "--out-dir", str(out_dir),
-             "--baselines", str(baselines), "--update-baselines"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "samples:" in out
-        assert "inference" in out and "execution" in out
-        assert (out_dir / "flamegraph.html").exists()
-        assert (out_dir / "profile.collapsed").exists()
-        profile = json.loads((out_dir / "phase_profile.json").read_text())
-        assert "PostgreSQL" in profile["phases"]
-        manifest = json.loads((out_dir / "run_manifest.json").read_text())
-        assert manifest["phase_profile"]["phases"]
-        assert baselines.exists()
-
-        # Unchanged rerun passes the gate (exit 0).
-        code = main(
-            ["profile", "--database", "stats", "--limit", "2",
-             "--out-dir", str(out_dir),
-             "--baselines", str(baselines), "--threshold", "1000"]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-        # An injected >= 20% regression fails the gate (exit 1).
-        store = json.loads(baselines.read_text())
-        for metrics in store["baselines"].values():
-            for name in metrics:
-                metrics[name] = metrics[name] / 1000.0
-        baselines.write_text(json.dumps(store))
-        code = main(
-            ["profile", "--database", "stats", "--limit", "2",
-             "--out-dir", str(out_dir), "--baselines", str(baselines)]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
-        assert "Regressions" in (out_dir / "regression_report.md").read_text()
-
-    def test_profile_workers_merges_worker_profiles(self, tmp_path, capsys):
-        import json
-
-        out_dir = tmp_path / "profw"
-        code = main(
-            ["profile", "--database", "stats", "--limit", "4", "--workers", "2",
-             "--no-sampler", "--out-dir", str(out_dir)]
-        )
-        assert code == 0
-        profile = json.loads((out_dir / "phase_profile.json").read_text())
-        assert profile["phases"]["PostgreSQL"]["execution"]["count"] == 4
-        parallel = profile["parallel"]
-        assert parallel["workers"] == 2
-        assert parallel["dispatch_overhead_seconds"] >= 0.0
-        assert profile["workers"], "no per-worker profiles were merged"
