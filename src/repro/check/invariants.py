@@ -75,6 +75,7 @@ from repro.engine.plans import (
 )
 from repro.engine.query import LabeledQuery, Query
 from repro.engine.subsets import space_of
+from repro.estimators.datad.bayescard import BayesCardEstimator
 from repro.estimators.multihist import MultiHistEstimator
 from repro.estimators.pessest import PessimisticEstimator
 from repro.estimators.postgres import PostgresEstimator
@@ -171,18 +172,22 @@ def check_oracle(case: CheckCase) -> list[Discrepancy]:
 def check_batch(case: CheckCase) -> list[Discrepancy]:
     """``estimate_batch`` must match the per-query ``estimate`` loop.
 
-    Fits the statistics-backed estimator families (the ones with real
-    vectorised or memoized batch paths reachable from a fuzz database)
-    and compares both code paths over every query's full sub-plan
-    space.  Learned families are covered by the tests/estimators sweep,
-    which has trained models to hand; fuzz cases are too small to train
-    on.
+    Fits the estimator families whose batch path is reachable from a
+    fuzz database without training queries — vectorised (PostgreSQL),
+    memoised (MultiHist) and per-query evaluation (PessEst, and
+    BayesCard for the fan-out PGMs, so fuzzed FK-FK edges, NULL keys and
+    int64-limit key domains reach the shared ``_visit``) — and compares
+    both code paths over every query's full sub-plan space.  The
+    query-driven families and the SPNs are covered by the
+    tests/estimators sweep, which has trained models to hand; fuzz
+    cases are too small to train on.
     """
     discrepancies: list[Discrepancy] = []
     estimators = [
         PostgresEstimator().fit(case.database),
         MultiHistEstimator().fit(case.database),
         PessimisticEstimator().fit(case.database),
+        BayesCardEstimator().fit(case.database),
     ]
     for query in case.queries:
         sub = sub_plan_queries(query)

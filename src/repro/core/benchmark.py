@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.injection import price_sub_plans
-from repro.core.metrics import p_error, q_error
+from repro.core.metrics import p_error, q_error, true_plan_cost
 from repro.core.parallel import fork_available, run_parallel
 from repro.engine.cache import ExecutionContext
 from repro.engine.cost import MissingCardinalityError
@@ -254,6 +254,9 @@ class EndToEndBenchmark:
         #: suppresses cache/warm-up noise when comparing close methods.
         self._repetitions = max(1, repetitions)
         self._workers = max(1, workers)
+        #: id(labelled query) -> (it, PPC of its true-cardinality plan);
+        #: holding the object keeps its id from being reused.
+        self._true_plan_costs: dict[int, tuple[LabeledQuery, float]] = {}
 
     @property
     def database(self) -> Database:
@@ -399,6 +402,16 @@ class EndToEndBenchmark:
         obs_progress.end_campaign()
         return result
 
+    def _true_plan_cost(
+        self, labeled: LabeledQuery, true_cards: dict[frozenset[str], float]
+    ) -> float:
+        """P-Error's denominator, planned once per labelled query."""
+        entry = self._true_plan_costs.get(id(labeled))
+        if entry is None:
+            cost = true_plan_cost(self._planner, labeled.query, true_cards)
+            entry = self._true_plan_costs[id(labeled)] = (labeled, cost)
+        return entry[1]
+
     def _run_query(
         self,
         estimator: CardinalityEstimator,
@@ -485,7 +498,14 @@ class EndToEndBenchmark:
             perr = float("nan")
             if self._compute_p and planned is not None:
                 try:
-                    perr = p_error(self._planner, query, estimates, true_cards)
+                    perr = p_error(
+                        self._planner,
+                        query,
+                        estimates,
+                        true_cards,
+                        estimated_plan=planned.plan,
+                        true_cost=self._true_plan_cost(labeled, true_cards),
+                    )
                 except Exception as exc:
                     failed = True
                     errors.append(f"p_error failed: {type(exc).__name__}: {exc}")

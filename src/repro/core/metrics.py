@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.planner import Planner
+from repro.engine.plans import PlanNode
 from repro.engine.query import Query
 
 
@@ -38,23 +39,46 @@ def q_error(estimate: float, true_cardinality: float) -> float:
     return max(estimate / true_cardinality, true_cardinality / estimate)
 
 
+def true_plan_cost(
+    planner: Planner,
+    query: Query,
+    true_cards: dict[frozenset[str], float],
+) -> float:
+    """``PPC(P(C_true), C_true)``, P-Error's denominator.
+
+    A function of the query and its labels alone, so whoever scores
+    many estimators on one labelled query computes it once.
+    """
+    true_plan = planner.plan(query, true_cards).plan
+    return planner.cost_model.plan_cost(true_plan, true_cards)
+
+
 def p_error(
     planner: Planner,
     query: Query,
     estimated_cards: dict[frozenset[str], float],
     true_cards: dict[frozenset[str], float],
+    *,
+    estimated_plan: PlanNode | None = None,
+    true_cost: float | None = None,
 ) -> float:
-    """P-Error of one query given full sub-plan cardinality maps."""
-    estimated_plan = planner.plan(query, estimated_cards).plan
-    true_plan = planner.plan(query, true_cards).plan
+    """P-Error of one query given full sub-plan cardinality maps.
+
+    A caller that already holds ``planner.plan(query,
+    estimated_cards).plan`` or :func:`true_plan_cost` passes them in
+    place of having them recomputed.
+    """
+    if estimated_plan is None:
+        estimated_plan = planner.plan(query, estimated_cards).plan
+    if true_cost is None:
+        true_cost = true_plan_cost(planner, query, true_cards)
     cost_of_estimated = planner.cost_model.plan_cost(estimated_plan, true_cards)
-    cost_of_true = planner.cost_model.plan_cost(true_plan, true_cards)
     # P-Error >= 1 by construction: the true-cardinality plan is
     # PPC-optimal over the same sub-plan space, so the estimator-induced
     # plan can never genuinely cost less under the true cardinalities.
     # Ratios below 1 are cost-model tie-breaking / floating-point
     # artifacts; left unclamped they skew percentile aggregates.
-    return max(cost_of_estimated / max(cost_of_true, 1e-12), 1.0)
+    return max(cost_of_estimated / max(true_cost, 1e-12), 1.0)
 
 
 def percentiles(

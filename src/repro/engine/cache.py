@@ -30,6 +30,7 @@ policy.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Callable
 
@@ -63,7 +64,8 @@ class LRUByteCache:
     not stored.  Hit/miss/eviction counts feed
     ``<metric_prefix>.hits`` / ``.misses`` / ``.evictions`` counters in
     the process metrics registry, and ``<metric_prefix>.bytes`` tracks
-    the resident footprint.
+    the resident footprint.  ``get``/``put``/``clear`` hold a lock: an
+    estimator's cache is reached from every serving thread.
     """
 
     def __init__(
@@ -76,6 +78,7 @@ class LRUByteCache:
         self._sizer = sizer
         self._entries: OrderedDict[object, tuple[object, int]] = OrderedDict()
         self._bytes = 0
+        self._lock = threading.Lock()
         self.metric_prefix = metric_prefix
         # Metric names are resolved through the registry on every use
         # (not bound to Counter objects) so a metrics reset() cannot
@@ -109,33 +112,37 @@ class LRUByteCache:
 
     def get(self, key):
         """The cached value (refreshing recency), or None on a miss."""
-        entry = self._entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
         if entry is None:
             obs_metrics.registry().counter(self._misses_name).inc()
             return None
-        self._entries.move_to_end(key)
         obs_metrics.registry().counter(self._hits_name).inc()
         return entry[0]
 
     def put(self, key, value, nbytes: int | None = None) -> None:
         """Store ``value``; evicts cold entries to respect the budget."""
         size = self._sizer(value) if nbytes is None else int(nbytes)
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        if size > self._budget:
-            return  # larger than the whole cache: not worth storing
-        self._entries[key] = (value, size)
-        self._bytes += size
-        while self._bytes > self._budget and self._entries:
-            _, (_, evicted_size) = self._entries.popitem(last=False)
-            self._bytes -= evicted_size
-            obs_metrics.registry().counter(self._evictions_name).inc()
-        obs_metrics.registry().gauge(f"{self.metric_prefix}.bytes").set(self._bytes)
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            if size > self._budget:
+                return  # larger than the whole cache: not worth storing
+            self._entries[key] = (value, size)
+            self._bytes += size
+            while self._bytes > self._budget and self._entries:
+                _, (_, evicted_size) = self._entries.popitem(last=False)
+                self._bytes -= evicted_size
+                obs_metrics.registry().counter(self._evictions_name).inc()
+            obs_metrics.registry().gauge(f"{self.metric_prefix}.bytes").set(self._bytes)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
         obs_metrics.registry().gauge(f"{self.metric_prefix}.bytes").set(0)
 
 

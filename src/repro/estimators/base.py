@@ -71,9 +71,13 @@ class CardinalityEstimator(abc.ABC):
         The default implementation is exactly that loop.  The numpy
         families (LW-NN, MSCN, LW-XGB, and the vectorised traditional
         methods) override it to price a whole sub-plan space in one
-        forward pass; this is the benchmark's inference hot path, since
-        the end-to-end protocol prices every connected sub-plan of
-        every query.
+        forward pass; the per-query-evaluation families (the fan-out
+        PGMs BayesCard / DeepDB / FLAT, and PessEst) answer each
+        distinct per-table model question or subtree bound once per
+        call and recombine per sub-plan, ``estimate`` being a batch of
+        one.  This is the benchmark's inference hot path, since the
+        end-to-end protocol prices every connected sub-plan of every
+        query.
         """
         return [float(self.estimate(query)) for query in queries]
 

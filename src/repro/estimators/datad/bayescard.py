@@ -37,8 +37,14 @@ class ChowLiuTreeModel(TableDensityModel):
         self._children: dict[str, list[str]] = {c: [] for c in self.columns}
         self._counts: dict[str, np.ndarray] = {}
         self._cpts: dict[str, np.ndarray] = {}
+        #: column -> message of its sub-tree when nothing in it is
+        #: constrained; derived from the CPTs, dropped by ``_normalize``
+        self._free_messages: dict[str, np.ndarray] = {}
 
         self._learn_structure(binned)
+        #: column -> the columns of its sub-tree
+        self._scope: dict[str, frozenset[str]] = {}
+        self._collect_scope(self._root())
         self._count_statistics(binned, reset=True)
         self._normalize()
 
@@ -102,6 +108,13 @@ class ChowLiuTreeModel(TableDensityModel):
                 self._parent[column] = columns[root]
                 self._children[columns[root]].append(column)
 
+    def _collect_scope(self, column: str) -> frozenset[str]:
+        scope = frozenset((column,)).union(
+            *(self._collect_scope(child) for child in self._children[column])
+        )
+        self._scope[column] = scope
+        return scope
+
     # -- parameters --------------------------------------------------------------
 
     def _count_statistics(self, binned: dict[str, np.ndarray], reset: bool) -> None:
@@ -122,6 +135,7 @@ class ChowLiuTreeModel(TableDensityModel):
                 self._counts[column] += counts
 
     def _normalize(self) -> None:
+        self._free_messages.clear()
         for column in self.columns:
             counts = self._counts[column] + self._alpha
             if counts.ndim == 1:
@@ -164,7 +178,9 @@ class ChowLiuTreeModel(TableDensityModel):
         K is 1 for plain probability queries and ``bins(target)`` when
         a per-bin target distribution is requested: the target node
         carries an identity coverage whose extra axis broadcasts up the
-        tree.
+        tree.  A child sub-tree that holds neither a constrained column
+        nor the target sends the same message whatever the query, so
+        that message is computed once per parameter state.
         """
         bins = self._num_bins[column]
         coverage = coverages.get(column)
@@ -176,8 +192,15 @@ class ChowLiuTreeModel(TableDensityModel):
             own = (coverage if coverage is not None else np.ones(bins))[:, None]
         belief = own.astype(np.float64)
         for child in self._children[column]:
-            child_belief = self._belief(child, coverages, target)
-            message = self._cpts[child] @ child_belief  # (bins, K_child)
+            scope = self._scope[child]
+            if target in scope or not scope.isdisjoint(coverages):
+                child_belief = self._belief(child, coverages, target)
+                message = self._cpts[child] @ child_belief  # (bins, K_child)
+            else:
+                message = self._free_messages.get(child)
+                if message is None:
+                    message = self._cpts[child] @ self._belief(child, {}, None)
+                    self._free_messages[child] = message
             belief = belief * message
         return belief
 

@@ -20,17 +20,36 @@ from repro.estimators.ml.clustering import kmeans
 from repro.estimators.ml.rdc import rdc
 
 
+def _union_scope(children: list) -> frozenset[str]:
+    return frozenset().union(*(child.scope for child in children))
+
+
 @dataclass
 class LeafNode:
-    """Per-column histogram leaf (with Laplace smoothing)."""
+    """Per-column histogram leaf (with Laplace smoothing).
+
+    Every node carries its ``scope`` — the columns modelled at or below
+    it — so inference can answer an unconstrained sub-tree without
+    walking it.
+    """
 
     column: str
     counts: np.ndarray
     alpha: float = 0.1
+    scope: frozenset[str] = field(init=False, repr=False)
+    #: smoothed, normalised ``counts``; derived, dropped when they change
+    _probabilities: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scope = frozenset((self.column,))
 
     def prob_vector(self) -> np.ndarray:
-        smoothed = self.counts + self.alpha
-        return smoothed / smoothed.sum()
+        """Bin probabilities; shared between calls, so read-only."""
+        if self._probabilities is None:
+            smoothed = self.counts + self.alpha
+            self._probabilities = smoothed / smoothed.sum()
+            self._probabilities.setflags(write=False)
+        return self._probabilities
 
     def nbytes(self) -> int:
         return self.counts.nbytes
@@ -44,6 +63,10 @@ class ProductNode:
     """Independent column groups multiply."""
 
     children: list = field(default_factory=list)
+    scope: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scope = _union_scope(self.children)
 
     def nbytes(self) -> int:
         return sum(child.nbytes() for child in self.children)
@@ -61,6 +84,10 @@ class SumNode:
     centroids: np.ndarray = field(default_factory=lambda: np.empty(0))
     cluster_columns: tuple[str, ...] = ()
     counts: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scope: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scope = _union_scope(self.children)
 
     def nbytes(self) -> int:
         own = self.weights.nbytes + self.centroids.nbytes
@@ -191,15 +218,17 @@ class SumProductNetwork(TableDensityModel):
         return result
 
     def _evaluate(self, node, coverages: dict[str, np.ndarray]) -> float:
+        if node.scope.isdisjoint(coverages):
+            return 1.0  # nothing below is constrained: the whole mass
         if isinstance(node, LeafNode):
-            coverage = coverages.get(node.column)
-            if coverage is None:
-                return 1.0
-            return float((node.prob_vector() * coverage).sum())
+            return float((node.prob_vector() * coverages[node.column]).sum())
         if isinstance(node, ProductNode):
             result = 1.0
             for child in node.children:
-                result *= self._evaluate(child, coverages)
+                # Same test as above, before the call: most children of
+                # a product are unconstrained leaves.
+                if not child.scope.isdisjoint(coverages):
+                    result *= self._evaluate(child, coverages)
             return result
         assert isinstance(node, SumNode)
         return float(
@@ -211,14 +240,12 @@ class SumProductNetwork(TableDensityModel):
 
     def _evaluate_vector(self, node, coverages: dict[str, np.ndarray], target: str):
         """Like ``_evaluate`` but keeps ``target``'s bins as a vector."""
-        if isinstance(node, LeafNode):
+        if target not in node.scope:
+            return self._evaluate(node, coverages)
+        if isinstance(node, LeafNode):  # the target's own leaf
+            probabilities = node.prob_vector()
             coverage = coverages.get(node.column)
-            if node.column == target:
-                probabilities = node.prob_vector()
-                return probabilities * coverage if coverage is not None else probabilities
-            if coverage is None:
-                return 1.0
-            return float((node.prob_vector() * coverage).sum())
+            return probabilities * coverage if coverage is not None else probabilities
         if isinstance(node, ProductNode):
             scalar = 1.0
             vector = None
@@ -232,21 +259,10 @@ class SumProductNetwork(TableDensityModel):
                     vector = vector * value
             return scalar * vector if vector is not None else scalar
         assert isinstance(node, SumNode)
-        values = [
-            self._evaluate_vector(child, coverages, target)
-            for child in node.children
-        ]
-        if all(np.isscalar(value) or np.ndim(value) == 0 for value in values):
-            # The target column does not live below this sum: stay scalar
-            # so an enclosing product keeps the real target vector intact.
-            return float(sum(w * float(v) for w, v in zip(node.weights, values)))
+        # Every child of a sum models the same columns, the target among them.
         total = None
-        for w, value in zip(node.weights, values):
-            contribution = w * (
-                value
-                if not (np.isscalar(value) or np.ndim(value) == 0)
-                else np.full(self._num_bins[target], float(value) / self._num_bins[target])
-            )
+        for w, child in zip(node.weights, node.children):
+            contribution = w * self._evaluate_vector(child, coverages, target)
             total = contribution if total is None else total + contribution
         return total
 
@@ -270,6 +286,7 @@ class SumProductNetwork(TableDensityModel):
             node.counts += np.bincount(
                 binned[node.column], minlength=self._num_bins[node.column]
             )
+            node._probabilities = None
             return
         if isinstance(node, ProductNode):
             for child in node.children:

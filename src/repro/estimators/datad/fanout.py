@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
+from repro.engine.predicates import Predicate
 from repro.engine.query import Query
 from repro.engine.table import Table
 from repro.estimators.base import CardinalityEstimator
@@ -210,24 +211,47 @@ class FanoutJoinEstimator(CardinalityEstimator):
     # -- estimation ----------------------------------------------------------------
 
     def estimate(self, query: Query) -> float:
-        coverages = self._query_coverages(query)
+        return self.estimate_batch([query])[0]
+
+    def estimate_batch(self, queries: list[Query]) -> list[float]:
+        """Price ``queries`` with one model evaluation per distinct question.
+
+        The sub-plans of one query ask their tables' models the same
+        few weighted questions over and over; ``filtered`` holds each
+        ``(table, predicates)`` pair's answers for the length of this
+        call only, so an ``update`` can never meet a stale one.
+        """
+        filtered: dict[tuple, _FilteredTable] = {}
+        return [self._estimate(query, filtered) for query in queries]
+
+    def _estimate(self, query: Query, filtered: dict[tuple, _FilteredTable]) -> float:
+        tables = {}
+        for table in query.tables:
+            # Predicates keep their query order: coverages of one column
+            # multiply in that order, like the per-query loop's.
+            predicates = query.predicates_on(table)
+            if (table, predicates) not in filtered:
+                filtered[table, predicates] = _FilteredTable(
+                    self._models[table], self._coverages(predicates)
+                )
+            tables[table] = filtered[table, predicates]
         if query.num_tables == 1:
             table = next(iter(query.tables))
-            return self._rows[table] * self._models[table].prob(coverages[table])
+            return self._rows[table] * tables[table].ask(())
         root = self._choose_root(query)
-        total, _ = self._visit(query, coverages, root, parent_edge=None)
+        total, _ = self._visit(query, tables, root, parent_edge=None)
         return max(total, 0.0)
 
-    def _query_coverages(self, query: Query) -> dict[str, dict[str, np.ndarray]]:
+    def _coverages(self, predicates: tuple[Predicate, ...]) -> dict[str, np.ndarray]:
+        """Per-column coverage vectors of one table's predicates."""
         assert self._disc is not None
-        coverages: dict[str, dict[str, np.ndarray]] = {t: {} for t in query.tables}
-        for predicate in query.predicates:
+        coverages: dict[str, np.ndarray] = {}
+        for predicate in predicates:
             vector = self._disc.coverage(predicate)
-            existing = coverages[predicate.table].get(predicate.column)
-            if existing is None:
-                coverages[predicate.table][predicate.column] = vector
-            else:
-                coverages[predicate.table][predicate.column] = existing * vector
+            existing = coverages.get(predicate.column)
+            coverages[predicate.column] = (
+                vector if existing is None else existing * vector
+            )
         return coverages
 
     @staticmethod
@@ -245,7 +269,7 @@ class FanoutJoinEstimator(CardinalityEstimator):
     def _visit(
         self,
         query: Query,
-        coverages: dict[str, dict[str, np.ndarray]],
+        tables: dict[str, _FilteredTable],
         table: str,
         parent_edge: JoinEdge | None,
     ) -> tuple[float, np.ndarray | None]:
@@ -259,55 +283,57 @@ class FanoutJoinEstimator(CardinalityEstimator):
         (independent expectations would systematically under-estimate,
         since fan-outs are positively correlated in skewed data).
 
+        The weights depend only on *which* incident edges are children,
+        never on what the child subtrees returned, so the model query is
+        asked through ``tables[table]``, which answers it once for every
+        sub-plan and root that shares it; only the scalar recombination
+        below is per subtree.
+
         Returns ``(total, by_bucket)``; ``by_bucket`` (counts per key
         bucket of the edge towards the parent) is only computed when
         the parent edge is many-to-many.
         """
-        model = self._models[table]
+        answers = tables[table]
         rows = self._rows[table]
-        weighted = dict(coverages[table])
+        #: (column, maker of its constant weight vector), in edge order
+        weights: list[tuple] = []
 
         scalar_ratio = 1.0  # child-subtree ratios, independent of this table's rows
         fkfk_children: list[tuple[JoinEdge, np.ndarray]] = []
 
         for edge in query.join_edges:
-            if parent_edge is not None and edge is parent_edge:
-                continue
-            if table not in edge.tables:
+            if edge is parent_edge or (table != edge.left and table != edge.right):
                 continue
             child = edge.other(table)
-            child_total, child_buckets = self._visit(query, coverages, child, edge)
+            child_total, child_buckets = self._visit(query, tables, child, edge)
 
             if edge.one_to_many and edge.left == table:
                 # PK -> FK: weight by the fan-out column's mean degree.
                 column = fanout_column_name(edge)
                 binner = self._fanout_binners[(table, column)]
-                reps = binner.representatives()
                 if self._joint_fanout:
-                    existing = weighted.get(column)
-                    weighted[column] = reps if existing is None else existing * reps
+                    weights.append((column, binner.representatives))
                 else:
                     # Ablation: independent per-edge expectation.
-                    prob = model.prob(coverages[table]) or 1e-12
-                    joint = model.prob_by_bin(coverages[table], column)
-                    scalar_ratio *= float((joint * reps).sum()) / prob
+                    prob = answers.ask(()) or 1e-12
+                    joint = answers.ask((), column)
+                    scalar_ratio *= (
+                        float((joint * binner.representatives()).sum()) / prob
+                    )
                 scalar_ratio *= child_total / max(self._rows[child], 1)
             elif edge.one_to_many:
                 # FK -> PK: key must be non-NULL, referenced row must
                 # survive the child subtree.
                 key_column = edge.key_for(table)
                 binner = self._disc.key_binner_for(table, key_column)
-                existing = weighted.get(key_column)
-                non_null = binner.non_null_coverage()
-                weighted[key_column] = (
-                    non_null if existing is None else existing * non_null
-                )
+                weights.append((key_column, binner.non_null_coverage))
                 scalar_ratio *= child_total / max(self._rows[child], 1)
             else:
                 assert child_buckets is not None
                 fkfk_children.append((edge, child_buckets))
 
-        mass = model.prob(weighted)
+        weights = tuple(weights)
+        mass = answers.ask(weights)
         if mass <= 0.0:
             mass = 0.5 / max(rows, 1)  # smoothing: never emit hard zero
 
@@ -316,7 +342,7 @@ class FanoutJoinEstimator(CardinalityEstimator):
         for edge, child_buckets in fkfk_children:
             key_column = edge.key_for(table)
             child = edge.other(table)
-            joint = model.prob_by_bin(weighted, key_column)
+            joint = answers.ask(weights, key_column)
             own_distinct = self._bucket_distinct[(table, key_column)]
             child_distinct = self._bucket_distinct[(child, edge.key_for(child))]
             denominator = np.maximum(np.maximum(own_distinct, child_distinct), 1.0)
@@ -328,6 +354,41 @@ class FanoutJoinEstimator(CardinalityEstimator):
         by_bucket = None
         if parent_edge is not None and not parent_edge.one_to_many:
             key_column = parent_edge.key_for(table)
-            bucket_mass = model.prob_by_bin(weighted, key_column)
+            bucket_mass = answers.ask(weights, key_column)
             by_bucket = bucket_mass * rows * scalar_ratio * fkfk_factor
         return total, by_bucket
+
+
+class _FilteredTable:
+    """One table's model under one predicate set, for one estimation call.
+
+    A question is the predicates' coverage set times constant weight
+    vectors on some columns (``weights``: ``(column, maker)`` pairs),
+    optionally kept per bin of a ``target`` column.  Each distinct
+    question reaches the model once; the answers are shared, so callers
+    must not write into the returned vectors.
+    """
+
+    def __init__(self, model: TableDensityModel, coverages: dict[str, np.ndarray]):
+        self._model = model
+        self._coverages = coverages
+        self._weighted: dict[tuple, dict[str, np.ndarray]] = {}
+        self._answers: dict[tuple, float | np.ndarray] = {}
+
+    def ask(self, weights: tuple, target: str | None = None):
+        """``prob`` of the weighted region, or ``prob_by_bin`` over ``target``."""
+        columns = tuple(column for column, _ in weights)
+        answer = self._answers.get((columns, target))
+        if answer is None:
+            weighted = self._weighted.get(columns)
+            if weighted is None:
+                weighted = self._weighted[columns] = dict(self._coverages)
+                for column, make in weights:
+                    existing = weighted.get(column)
+                    weighted[column] = make() if existing is None else existing * make()
+            if target is None:
+                answer = self._model.prob(weighted)
+            else:
+                answer = self._model.prob_by_bin(weighted, target)
+            self._answers[(columns, target)] = answer
+        return answer

@@ -19,7 +19,7 @@ best-in-class end-to-end time in the paper's Table 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,20 @@ class MultiLeafNode:
     counts: np.ndarray
     anchor: str | None = None
     alpha: float = 0.1
+    scope: frozenset[str] = field(init=False, repr=False)
+    #: smoothed, normalised ``counts``; derived, dropped when they change
+    _probabilities: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scope = frozenset(self.all_columns)
 
     def prob_tensor(self) -> np.ndarray:
-        smoothed = self.counts + self.alpha / self.counts.size
-        return smoothed / smoothed.sum()
+        """Cell probabilities; shared between calls, so read-only."""
+        if self._probabilities is None:
+            smoothed = self.counts + self.alpha / self.counts.size
+            self._probabilities = smoothed / smoothed.sum()
+            self._probabilities.setflags(write=False)
+        return self._probabilities
 
     @property
     def all_columns(self) -> tuple[str, ...]:
@@ -238,7 +248,7 @@ class FactorizedSPN(SumProductNetwork):
         return tensor.sum(axis=other_axes), denominator
 
     def _evaluate(self, node, coverages):
-        if isinstance(node, MultiLeafNode):
+        if isinstance(node, MultiLeafNode) and not node.scope.isdisjoint(coverages):
             numerator, denominator = self._leaf_masses(node, coverages, target=None)
             return float(numerator) / max(denominator, 1e-12)
         return super()._evaluate(node, coverages)
@@ -260,6 +270,7 @@ class FactorizedSPN(SumProductNetwork):
                 index = index * self._num_bins[c] + binned[c]
             flat = node.counts.reshape(-1)
             np.add.at(flat, index, 1.0)
+            node._probabilities = None
             return
         super()._update_node(node, binned)
 

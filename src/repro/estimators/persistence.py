@@ -23,7 +23,9 @@ from repro.estimators.base import CardinalityEstimator
 #: the serialized payload and re-attached on load).
 _DATABASE_ATTRIBUTES = ("_database",)
 
-FORMAT_VERSION = 1
+#: 2: SPN nodes carry their column scope, Chow-Liu trees their sub-tree
+#: scopes; a format-1 DeepDB / FLAT / BayesCard file cannot answer.
+FORMAT_VERSION = 2
 
 
 class PersistenceError(RuntimeError):

@@ -65,6 +65,27 @@ class TestEstimatorRun:
         for run in postgres_run.query_runs:
             assert run.p_error >= 1.0 - 1e-9
 
+    def test_p_error_is_the_four_argument_p_error(
+        self, bench, postgres_run, stats_db, stats_workload
+    ):
+        """The harness hands its plan over and plans the true
+        cardinalities once per labelled query; the metric on its own
+        plans both.  Same numbers, on a first and on a repeated run."""
+        from repro.core.injection import estimate_sub_plans
+        from repro.core.metrics import p_error
+
+        estimator = PostgresEstimator().fit(stats_db)
+        again = bench.run(estimator)
+        for labeled, first, second in zip(
+            stats_workload, postgres_run.query_runs, again.query_runs
+        ):
+            true_cards = {
+                s: float(c) for s, c in labeled.sub_plan_true_cards.items()
+            }
+            estimates = estimate_sub_plans(estimator, labeled.query)
+            expected = p_error(bench.planner, labeled.query, estimates, true_cards)
+            assert first.p_error == second.p_error == expected
+
     def test_q_errors_cover_subplan_space(self, postgres_run, stats_workload):
         from repro.core.injection import sub_plan_sets
 

@@ -8,7 +8,9 @@ from repro.core.truecards import TrueCardinalityService
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
 from repro.estimators.datad.bayescard import BayesCardEstimator
+from repro.estimators.datad.deepdb import DeepDBEstimator
 from repro.estimators.datad.fanout import fanout_column_name
+from repro.estimators.datad.flat import FlatEstimator
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +130,118 @@ class TestInternals:
             ),
         )
         assert fitted._choose_root(query) == "users"
+
+
+# -- one evaluation per distinct model question ------------------------------------
+
+
+def _sub_plans(labeled):
+    from repro.core.injection import sub_plan_queries
+
+    return list(sub_plan_queries(labeled.query).values())
+
+
+def _by_name(workload, name):
+    return next(q for q in workload.queries if q.query.name == name)
+
+
+def _count_model_calls(estimator, monkeypatch):
+    """Count ``prob`` / ``prob_by_bin`` calls reaching the fitted models."""
+    calls = {"prob": 0, "prob_by_bin": 0}
+
+    def counted(name, inner):
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for model in estimator._models.values():
+        for name in calls:
+            monkeypatch.setattr(model, name, counted(name, getattr(model, name)))
+    return calls
+
+
+def _model_questions(estimator, sub_plans):
+    """Distinct (table, child-edge set[, target]) questions of the walks."""
+    masses, vectors = set(), set()
+
+    def walk(query, table, parent):
+        children = frozenset(
+            e for e in query.join_edges if e is not parent and table in e.tables
+        )
+        masses.add((table, children))
+        for edge in children:
+            if not edge.one_to_many:
+                vectors.add((table, children, edge.key_for(table)))
+            walk(query, edge.other(table), edge)
+        if parent is not None and not parent.one_to_many:
+            vectors.add((table, children, parent.key_for(table)))
+
+    for query in sub_plans:
+        walk(query, estimator._choose_root(query), None)
+    return masses, vectors
+
+
+class TestSharedEvaluation:
+    def test_batch_asks_each_question_once(self, stats_db, stats_workload, monkeypatch):
+        """8 tables, 63 sub-plans: the batch asks the models no more
+        often than there are distinct (table, child-edge set) pairs, the
+        loop once per table of every sub-plan."""
+        estimator = BayesCardEstimator().fit(stats_db)
+        sub_plans = _sub_plans(_by_name(stats_workload, "stats-ceb-q24"))
+        assert max(q.num_tables for q in sub_plans) >= 5
+        masses, vectors = _model_questions(estimator, sub_plans)
+        calls = _count_model_calls(estimator, monkeypatch)
+
+        estimator.estimate_batch(sub_plans)
+        batch = dict(calls)
+        assert 0 < batch["prob"] <= len(masses)
+        assert 0 < batch["prob_by_bin"] <= len(vectors)
+
+        calls.update(prob=0, prob_by_bin=0)
+        for query in sub_plans:
+            estimator.estimate(query)
+        assert batch["prob"] < calls["prob"]
+        assert batch["prob_by_bin"] < calls["prob_by_bin"]
+        assert calls["prob"] == sum(q.num_tables for q in sub_plans)
+
+    @pytest.mark.parametrize("joint_fanout", [True, False])
+    @pytest.mark.parametrize(
+        "factory", [BayesCardEstimator, DeepDBEstimator, FlatEstimator]
+    )
+    def test_batch_is_the_loop_bit_for_bit(
+        self, stats_db, stats_workload, factory, joint_fanout
+    ):
+        """Two queries' sub-plans interleaved and shuffled in one batch."""
+        estimator = factory(joint_fanout=joint_fanout).fit(stats_db)
+        batch = _sub_plans(_by_name(stats_workload, "stats-ceb-q24"))
+        batch += _sub_plans(_by_name(stats_workload, "stats-ceb-q19"))
+        np.random.default_rng(7).shuffle(batch)
+        assert estimator.estimate_batch(batch) == [estimator.estimate(q) for q in batch]
+
+    @pytest.mark.parametrize(
+        "factory", [BayesCardEstimator, DeepDBEstimator, FlatEstimator]
+    )
+    def test_nothing_batched_survives_an_update(self, stats_db, stats_workload, factory):
+        """estimate_batch -> update -> estimate_batch equals a twin that
+        never batched: no memo entry or cached leaf vector outlives the
+        parameters it was computed from."""
+        from repro.datasets.stats_db import split_by_date
+
+        batch = _sub_plans(_by_name(stats_workload, "stats-ceb-q24"))
+        answers = []
+        for batches_first in (True, False):
+            old, new = split_by_date(stats_db)
+            estimator = factory().fit(old)
+            before = estimator.estimate_batch(batch) if batches_first else None
+            for name, delta in new.items():
+                if delta.num_rows:
+                    old.insert(name, delta)
+            estimator.update(new)
+            if batches_first:
+                answers.append(estimator.estimate_batch(batch))
+                assert answers[0] != before
+            else:
+                answers.append([estimator.estimate(q) for q in batch])
+        assert answers[0] == answers[1]
