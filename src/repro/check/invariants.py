@@ -17,7 +17,9 @@ checks are:
 ``plans``
     Plan-choice independence: every physical plan the planner *could*
     have picked (all join orders × all legal join methods × both scan
-    methods) must produce the same count as the chosen one.
+    methods) must produce, at *every* node, the true count of the
+    sub-plan that node covers — an inner count is the join kernel's sum,
+    not the length of a column, so each is checked against the labels.
 ``planner-vectorised``
     Reference-vs-production DP scoring: under fuzzed cardinality maps —
     the true counts plus adversarial variants (all-equal values that
@@ -359,20 +361,25 @@ def _enumerate_plans(query: Query, database) -> list[PlanNode]:
 
 
 def check_plans(case: CheckCase) -> list[Discrepancy]:
-    """Every legal physical plan must produce the same count."""
+    """Every node of every legal physical plan must count its sub-plan."""
     discrepancies: list[Discrepancy] = []
     executor = Executor(case.database)
     reference = _true_counts(case)
     for query in case.queries:
-        expected = reference[query.name][query.tables]
+        expected = reference[query.name]
         for plan in _enumerate_plans(query, case.database):
-            got = executor.count(plan)
-            if got != expected:
+            node_rows = executor.execute(plan).node_rows
+            wrong = {
+                tuple(sorted(node.tables)): (got, expected[node.tables])
+                for node in plan.walk()
+                if (got := node_rows.get(node.tables)) != expected[node.tables]
+            }
+            if wrong:
                 discrepancies.append(
                     Discrepancy(
                         "plans",
                         query.name,
-                        f"plan returned {got}, expected {expected}:\n"
+                        f"nodes with (got, expected) rows {wrong}:\n"
                         + plan.describe(),
                     )
                 )

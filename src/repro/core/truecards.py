@@ -207,46 +207,16 @@ class TrueCardinalityService:
                 query, frozenset((leaf,)), materialized, materialized_bytes
             )
             node = _extension_node(query, subset, leaf, edge)
-            rows = self._executor.join_rows(node, base, scan)
+            rows = self._executor.join_rows(node, base, scan, keep=_boundary(query, subset))
         count = _row_count(rows)
         if count > self._max_rows:
             raise ExecutionAborted(
                 f"intermediate result of {count} rows exceeds budget {self._max_rows}"
             )
-        if len(subset) > 1:
-            rows = self._trim_to_boundary(query, subset, rows)
         nbytes = sum(array.nbytes for array in rows.values())
         if materialized_bytes[0] + nbytes <= MATERIALIZED_BUDGET_BYTES:
             materialized[subset] = rows
             materialized_bytes[0] += nbytes
-        return rows
-
-    @staticmethod
-    def _trim_to_boundary(
-        query: Query,
-        subset: frozenset[str],
-        rows: dict[str, np.ndarray],
-    ) -> dict[str, np.ndarray]:
-        """Drop row-id columns no superset join can ever probe.
-
-        Only *boundary* tables — those with a join edge leaving
-        ``subset`` — can anchor the join that extends the intermediate
-        by one leaf; interior columns are dead weight for counting, so
-        shedding them keeps the joins' combine step proportional to the
-        join-graph frontier, not the subset size.
-        """
-        boundary = set()
-        for edge in query.join_edges:
-            left_in = edge.left in subset
-            if left_in != (edge.right in subset):
-                boundary.add(edge.left if left_in else edge.right)
-        if not boundary:
-            # The full query: nothing joins it further, keep one
-            # column so the row count stays readable.
-            first = next(iter(rows))
-            return {first: rows[first]}
-        if len(boundary) < len(rows):
-            return {name: rows[name] for name in sorted(boundary)}
         return rows
 
     @staticmethod
@@ -278,6 +248,21 @@ class TrueCardinalityService:
 
 def _row_count(rows: dict[str, np.ndarray]) -> int:
     return int(len(next(iter(rows.values()))))
+
+
+def _boundary(query: Query, subset: frozenset[str]) -> frozenset[str]:
+    """Tables of ``subset`` with a join edge of ``query`` leaving it.
+
+    Only their row ids can anchor the join that extends the intermediate
+    by one leaf, so they are all a materialized intermediate holds: its
+    width follows the join-graph frontier, not the subset size.  Never
+    empty for a proper connected subset of a connected query.
+    """
+    return frozenset(
+        edge.left if edge.left in subset else edge.right
+        for edge in query.join_edges
+        if (edge.left in subset) != (edge.right in subset)
+    )
 
 
 def _extension_node(query: Query, subset: frozenset[str], leaf: str, edge) -> JoinNode:

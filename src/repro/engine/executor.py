@@ -1,11 +1,16 @@
 """Vectorised plan executor.
 
-An intermediate result is represented as a dict mapping each covered
-table to an aligned array of row ids — row ``i`` of the join result is
-the combination of ``rows[table][i]`` across all covered tables.  The
-cost of an operator therefore genuinely scales with the cardinalities
-flowing through it, which is what makes end-to-end time a meaningful
-signal for plan quality.
+An intermediate result is a dict of aligned row-id arrays — row ``i`` of
+the join result combines ``columns[table][i]`` — plus its row count.  It
+holds a column only for the tables in the node's ``keep`` set: those
+whose row ids some ancestor join still reads as a join key.  A join
+takes its key arrays from its full inputs, emits the ``keep`` columns
+and returns ``(columns, count)``; the root of a ``COUNT(*)`` plan keeps
+nothing, so it sums its per-probe match counts and materialises no
+output at all.  The cost of an operator therefore scales with the
+cardinalities flowing through it times the key columns still live above
+it — PostgreSQL's narrow tuples — which is what makes end-to-end time a
+meaningful signal for plan quality.
 
 The three join operators do physically different work:
 
@@ -14,9 +19,9 @@ The three join operators do physically different work:
   a direct-address directory look-up on dense INT key domains, so the
   operator does the linear build + probe + output work the cost model
   charges it; FLOAT keys and sparse domains probe by binary search;
-- **merge join**: fully reorders *both* inputs (all row-id columns) by
-  the join key before matching — the expensive sort PostgreSQL charges
-  for;
+- **merge join**: fully reorders *both* inputs (keys and every kept
+  row-id column) by the join key before matching — the expensive sort
+  PostgreSQL charges for;
 - **index nested-loop join**: probes the inner base table's key index
   per outer row, fetching all key matches and applying the inner
   filters *after* the fetch, exactly like an index scan qual.
@@ -26,10 +31,9 @@ row-count accumulators) is threaded through calls rather than stored on
 the instance, so one executor can be shared across interleaved or
 concurrent executions.
 
-Instrumentation is opt-in.  ``execute(plan)`` walks the plan on the
-same code path as always; ``execute(plan, collect_stats=True)`` — or
-any execution while a :mod:`repro.obs.trace` tracer is active — takes a
-parallel instrumented walk that records per-node
+Instrumentation is opt-in and wraps the one plan walk:
+``execute(plan, collect_stats=True)`` — or any execution while a
+:mod:`repro.obs.trace` tracer is active — additionally records per-node
 :class:`NodeRuntimeStats` (actual rows in/out, inclusive elapsed time,
 operator method), emits one trace span per operator, and feeds the
 ``executor.rows.<operator>`` counters in :mod:`repro.obs.metrics`.
@@ -43,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.cache import ExecutionContext
+from repro.engine.catalog import TableSchema
 from repro.engine.database import Database
 from repro.engine.join_build import JoinBuild
 from repro.engine.plans import (
@@ -54,6 +59,7 @@ from repro.engine.plans import (
     ScanNode,
 )
 from repro.engine.predicates import Predicate, conjunction_mask
+from repro.engine.table import Table
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -158,11 +164,10 @@ class Executor:
         deadline = None if timeout is None else started + timeout
         node_rows: dict[frozenset[str], int] = {}
         node_stats: dict[frozenset[str], NodeRuntimeStats] = {}
+        stats = node_stats if collect_stats or obs_trace.is_active() else None
         try:
-            if collect_stats or obs_trace.is_active():
-                rows = self._run_instrumented(plan, node_rows, node_stats, deadline)
-            else:
-                rows = self._run(plan, node_rows, deadline)
+            # Nothing above the root reads a row id: it keeps no column.
+            _, cardinality = self._run(plan, frozenset(), node_rows, stats, deadline)
         except ExecutionAborted as exc:
             obs_metrics.registry().counter("executor.aborts").inc()
             obs_events.emit(
@@ -172,7 +177,6 @@ class Executor:
                 reason=str(exc),
             )
             raise
-        cardinality = self._cardinality(rows)
         return ExecutionResult(
             cardinality=cardinality,
             elapsed_seconds=time.perf_counter() - started,
@@ -189,16 +193,22 @@ class Executor:
         node: JoinNode,
         left: dict[str, np.ndarray],
         right: dict[str, np.ndarray],
+        keep: frozenset[str] | None = None,
         deadline: float | None = None,
     ) -> dict[str, np.ndarray]:
         """Run a single join operator over pre-materialized inputs.
 
+        Returns the output's row-id columns for the tables in ``keep``
+        (``None``: every table the inputs hold); the inputs need only
+        hold the two key tables of ``node.edge`` plus whatever is kept.
         Used by the true-cardinality service to extend a shared
         intermediate by one table without re-executing the whole
         sub-plan from scans.  Budget enforcement (row limits) applies
         exactly as inside a full plan walk.
         """
-        return self._join(node, left, right, deadline)
+        if keep is None:
+            keep = node.tables
+        return self._join(node, left, right, keep, deadline)[0]
 
     def scan_rows(self, node: ScanNode) -> dict[str, np.ndarray]:
         """Run a single scan operator (cached when a context is set)."""
@@ -210,73 +220,40 @@ class Executor:
         left: dict[str, np.ndarray],
         right: dict[str, np.ndarray],
     ) -> int:
-        """Output cardinality of a hash join without materializing it.
+        """Output cardinality of a single join without materializing it.
 
-        Per-probe match counts are summed directly — no range expansion,
-        no column combine — so counting costs what building and probing
-        cost, regardless of the output size.  The budget check matches
-        :meth:`join_rows`: a count beyond the row budget aborts.
+        The join kernel of :meth:`join_rows` with nothing kept: per-probe
+        match counts are summed directly — no range expansion, no gather
+        — so counting costs what building and probing cost, regardless
+        of the output size, and a count beyond the row budget aborts.
         """
-        edge = node.edge
-        left_keys, left_valid = self._key_values(left, edge.left, edge.left_column)
-        right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
-        build = self._join_build(node, right_keys, right_valid, len(left_keys))
-        _, counts = build.match(left_keys[left_valid])
-        return self._check_budget(counts)
+        return self._join(node, left, right, frozenset(), None)[1]
 
     # -- plan walking ------------------------------------------------------
 
     def _run(
         self,
         plan: PlanNode,
+        keep: frozenset[str],
         node_rows: dict[frozenset[str], int],
+        node_stats: dict[frozenset[str], NodeRuntimeStats] | None,
         deadline: float | None,
-    ) -> dict[str, np.ndarray]:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise ExecutionAborted("execution timed out")
-        if isinstance(plan, ScanNode):
-            result = self._scan(plan)
-        else:
-            assert isinstance(plan, JoinNode)
-            left = self._run(plan.left, node_rows, deadline)
-            right = self._run(plan.right, node_rows, deadline)
-            result = self._join(plan, left, right, deadline)
-        count = self._cardinality(result)
-        if count > self._max_rows:
-            raise ExecutionAborted(
-                f"intermediate result of {count} rows exceeds budget {self._max_rows}"
-            )
-        node_rows[plan.tables] = count
-        return result
+    ) -> tuple[dict[str, np.ndarray], int]:
+        """Evaluate ``plan``; returns its ``keep`` columns and row count.
 
-    def _run_instrumented(
-        self,
-        plan: PlanNode,
-        node_rows: dict[frozenset[str], int],
-        node_stats: dict[frozenset[str], NodeRuntimeStats],
-        deadline: float | None,
-    ) -> dict[str, np.ndarray]:
-        """Same walk as :meth:`_run`, with per-node stats and spans."""
+        ``keep`` holds the tables some ancestor join still reads as a
+        key (it may name tables outside ``plan``; a scan always emits
+        its one column).  ``node_stats`` is ``None`` on plain runs; on
+        instrumented ones every node is also timed, traced and counted.
+        """
         if deadline is not None and time.perf_counter() > deadline:
             raise ExecutionAborted("execution timed out")
+        if node_stats is None:
+            return self._evaluate(plan, keep, node_rows, None, deadline)[:2]
         started = time.perf_counter()
         with obs_trace.span(plan.method, tables=",".join(sorted(plan.tables))) as sp:
-            rows_in: tuple[int, ...] = ()
-            if isinstance(plan, ScanNode):
-                result = self._scan(plan)
-            else:
-                assert isinstance(plan, JoinNode)
-                left = self._run_instrumented(plan.left, node_rows, node_stats, deadline)
-                right = self._run_instrumented(plan.right, node_rows, node_stats, deadline)
-                rows_in = (self._cardinality(left), self._cardinality(right))
-                result = self._join(plan, left, right, deadline)
-            count = self._cardinality(result)
-            if count > self._max_rows:
-                raise ExecutionAborted(
-                    f"intermediate result of {count} rows exceeds budget {self._max_rows}"
-                )
+            columns, count, rows_in = self._evaluate(plan, keep, node_rows, node_stats, deadline)
             elapsed = time.perf_counter() - started
-            node_rows[plan.tables] = count
             node_stats[plan.tables] = NodeRuntimeStats(
                 tables=plan.tables,
                 method=plan.method,
@@ -287,11 +264,35 @@ class Executor:
             sp.set(rows_out=count, elapsed_ms=round(elapsed * 1000.0, 3))
             obs_metrics.registry().counter(f"executor.rows.{plan.method}").inc(count)
             obs_metrics.registry().counter(f"executor.nodes.{plan.method}").inc()
-        return result
+        return columns, count
 
-    @staticmethod
-    def _cardinality(rows: dict[str, np.ndarray]) -> int:
-        return len(next(iter(rows.values())))
+    def _evaluate(
+        self,
+        plan: PlanNode,
+        keep: frozenset[str],
+        node_rows: dict[frozenset[str], int],
+        node_stats: dict[frozenset[str], NodeRuntimeStats] | None,
+        deadline: float | None,
+    ) -> tuple[dict[str, np.ndarray], int, tuple[int, ...]]:
+        """One node of the walk: children, operator, row budget."""
+        rows_in: tuple[int, ...] = ()
+        if isinstance(plan, ScanNode):
+            columns = self._scan(plan)
+            count = len(columns[plan.table])
+        else:
+            assert isinstance(plan, JoinNode)
+            # Each child must also deliver this join's own key column.
+            child_keep = keep.union((plan.edge.left, plan.edge.right))
+            left, left_count = self._run(plan.left, child_keep, node_rows, node_stats, deadline)
+            right, right_count = self._run(plan.right, child_keep, node_rows, node_stats, deadline)
+            rows_in = (left_count, right_count)
+            columns, count = self._join(plan, left, right, keep, deadline)
+        if count > self._max_rows:
+            raise ExecutionAborted(
+                f"intermediate result of {count} rows exceeds budget {self._max_rows}"
+            )
+        node_rows[plan.tables] = count
+        return columns, count, rows_in
 
     def _check_budget(self, counts: np.ndarray) -> int:
         """Abort *before* materializing a join whose output would blow
@@ -319,13 +320,19 @@ class Executor:
         node: JoinNode,
         left: dict[str, np.ndarray],
         right: dict[str, np.ndarray],
+        keep: frozenset[str],
         deadline: float | None,
-    ) -> dict[str, np.ndarray]:
+    ) -> tuple[dict[str, np.ndarray], int]:
+        """The one join kernel: keys from the full inputs, then only the
+        ``keep`` columns reach the operator, which emits what it is given
+        and returns ``(columns, count)``."""
         edge = node.edge
         left_keys, left_valid = self._key_values(left, edge.left, edge.left_column)
+        left = {name: ids for name, ids in left.items() if name in keep}
         if node.method == JOIN_INDEX_NL:
-            return self._index_nl_join(node, left, left_keys, left_valid, deadline)
+            return self._index_nl_join(node, left, left_keys, left_valid, keep, deadline)
         right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
+        right = {name: ids for name, ids in right.items() if name in keep}
         if node.method == JOIN_HASH:
             build = self._join_build(node, right_keys, right_valid, len(left_keys))
             return self._hash_join(left, left_keys, left_valid, right, build)
@@ -370,14 +377,20 @@ class Executor:
     def _hash_join(self, left, left_keys, left_valid, right, build: JoinBuild):
         probe_ids = np.nonzero(left_valid)[0]
         starts, counts = build.match(left_keys[probe_ids])
-        self._check_budget(counts)
+        total = self._check_budget(counts)
 
-        probe_take = np.repeat(probe_ids, counts)
-        build_take = build.positions[_expand_ranges(starts, counts)]
-        return _combine(left, probe_take, right, build_take)
+        # Expand a side's matches only when one of its columns is kept.
+        columns = {}
+        if left:
+            probe_take = np.repeat(probe_ids, counts)
+            columns.update((name, ids[probe_take]) for name, ids in left.items())
+        if right:
+            build_take = build.positions[_expand_ranges(starts, counts)]
+            columns.update((name, ids[build_take]) for name, ids in right.items())
+        return columns, total
 
     def _merge_join(self, left, left_keys, left_valid, right, right_keys, right_valid):
-        # Sort both inputs entirely (all row-id columns), then match.
+        # Sort both inputs entirely (keys and kept columns), then match.
         left_ids = np.nonzero(left_valid)[0]
         right_ids = np.nonzero(right_valid)[0]
         left_order = left_ids[np.argsort(left_keys[left_ids], kind="stable")]
@@ -390,16 +403,18 @@ class Executor:
         starts = np.searchsorted(right_sorted_keys, left_sorted_keys, side="left")
         ends = np.searchsorted(right_sorted_keys, left_sorted_keys, side="right")
         counts = ends - starts
-        self._check_budget(counts)
+        total = self._check_budget(counts)
 
-        probe_take = np.repeat(np.arange(len(left_sorted_keys)), counts)
-        build_take = _expand_ranges(starts, counts)
-        combined = {name: ids[probe_take] for name, ids in left_sorted.items()}
-        for name, ids in right_sorted.items():
-            combined[name] = ids[build_take]
-        return combined
+        columns = {}
+        if left_sorted:
+            probe_take = np.repeat(np.arange(len(left_sorted_keys)), counts)
+            columns.update((name, ids[probe_take]) for name, ids in left_sorted.items())
+        if right_sorted:
+            build_take = _expand_ranges(starts, counts)
+            columns.update((name, ids[build_take]) for name, ids in right_sorted.items())
+        return columns, total
 
-    def _index_nl_join(self, node: JoinNode, left, left_keys, left_valid, deadline):
+    def _index_nl_join(self, node: JoinNode, left, left_keys, left_valid, keep, deadline):
         # Genuinely per-probe: each outer row performs its own index
         # descent (a Python-level loop), mirroring how a real nested
         # loop pays a per-tuple cost that batch hash/merge joins do
@@ -436,17 +451,18 @@ class Executor:
                 raise ExecutionAborted("execution timed out (nested loop)")
         counts = ends - starts
 
-        probe_take = np.repeat(probe_ids, counts)
         fetched = index.sorted_row_ids[_expand_ranges(starts, counts)]
 
         # Inner filters run per fetched tuple, after the index fetch.
-        keep = self._subset_mask(inner_table, fetched, node.right.predicates)
-        probe_take = probe_take[keep]
-        fetched = fetched[keep]
+        passed = self._subset_mask(inner_table, fetched, node.right.predicates)
 
-        combined = {name: ids[probe_take] for name, ids in left.items()}
-        combined[inner_table] = fetched
-        return combined
+        columns = {}
+        if left:
+            probe_take = np.repeat(probe_ids, counts)[passed]
+            columns.update((name, ids[probe_take]) for name, ids in left.items())
+        if inner_table in keep:
+            columns[inner_table] = fetched[passed]
+        return columns, int(np.count_nonzero(passed))
 
     def _subset_mask(
         self,
@@ -454,11 +470,15 @@ class Executor:
         row_ids: np.ndarray,
         predicates: tuple[Predicate, ...],
     ) -> np.ndarray:
-        """Predicate mask evaluated only on the given rows."""
-        table = self._database.tables[table_name]
+        """Predicate mask evaluated only on the given rows; gathers just
+        the columns the predicates name, not the whole table."""
         if not predicates:
             return np.ones(len(row_ids), dtype=bool)
-        subset = table.take(row_ids)
+        table = self._database.tables[table_name]
+        names = {predicate.column for predicate in predicates}
+        metas = tuple(meta for meta in table.schema.columns if meta.name in names)
+        columns = {name: table.column(name).take(row_ids) for name in names}
+        subset = Table(TableSchema(table_name, metas), columns)
         return conjunction_mask(subset, list(predicates))
 
 
@@ -473,15 +493,3 @@ def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     begins = np.cumsum(counts) - counts
     offsets = np.arange(total, dtype=np.int64) - np.repeat(begins, counts)
     return np.repeat(starts.astype(np.int64), counts) + offsets
-
-
-def _combine(
-    left: dict[str, np.ndarray],
-    left_take: np.ndarray,
-    right: dict[str, np.ndarray],
-    right_take: np.ndarray,
-) -> dict[str, np.ndarray]:
-    combined = {name: ids[left_take] for name, ids in left.items()}
-    for name, ids in right.items():
-        combined[name] = ids[right_take]
-    return combined

@@ -83,7 +83,7 @@ def measure_overhead(
     # ``bare`` deliberately reaches into the executor's uninstrumented
     # walk: it is the seed-equivalent code path with even the
     # execute() dispatch branch removed.
-    bare = _best_of(lambda: executor._run(plan, {}, None), repeats)
+    bare = _best_of(lambda: executor._run(plan, frozenset(), {}, None, None), repeats)
     disabled = _best_of(lambda: executor.execute(plan), repeats)
     with obs_trace.use_tracer():
         enabled = _best_of(

@@ -17,6 +17,7 @@ from repro.check.invariants import (
 )
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.cost import CostModel
+from repro.engine.executor import Executor
 
 
 class TestHealthyCases:
@@ -92,6 +93,28 @@ class TestDetection:
         discrepancies = check_cache(case)
         assert discrepancies
         assert discrepancies[0].invariant == "cache"
+
+    def test_plans_detects_a_wrong_inner_count(self, monkeypatch):
+        # Root count right, inner join counts off by one: only the
+        # per-node comparison against the labels can see it.
+        case = next(
+            case
+            for case in (build_case(2, index) for index in range(40))
+            if any(len(q.tables) >= 3 for q in case.queries)
+        )
+        original = Executor.execute
+
+        def inner_off_by_one(self, plan, *args, **kwargs):
+            result = original(self, plan, *args, **kwargs)
+            for tables in result.node_rows:
+                if 1 < len(tables) < len(plan.tables):
+                    result.node_rows[tables] += 1
+            return result
+
+        monkeypatch.setattr(Executor, "execute", inner_off_by_one)
+        discrepancies = check_plans(case)
+        assert discrepancies
+        assert discrepancies[0].invariant == "plans"
 
     def test_planner_vectorised_detects_kernel_drift(self, monkeypatch):
         # A level kernel whose costs drift by even one part in 10^9

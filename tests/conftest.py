@@ -145,6 +145,32 @@ def make_tiny_db() -> Database:
     )
 
 
+def make_key_db(left_keys, left_valid, right_keys, right_valid) -> Database:
+    """Two single-column tables ``l`` and ``r`` joined FK-FK on ``k``.
+
+    Row ``i`` of a table holds key ``keys[i]``, NULL where ``valid[i]``
+    is False — for driving one join operator with hand-made key arrays.
+    """
+    schemas = {
+        name: TableSchema(name, (ColumnMeta("k", is_key=True, filterable=False),))
+        for name in ("l", "r")
+    }
+    graph = JoinGraph()
+    graph.add(JoinEdge("l", "k", "r", "k", one_to_many=False))
+    return Database(
+        name="keys",
+        tables={
+            "l": Table.from_arrays(
+                schemas["l"], {"k": left_keys}, {"k": ~np.asarray(left_valid)}
+            ),
+            "r": Table.from_arrays(
+                schemas["r"], {"k": right_keys}, {"k": ~np.asarray(right_valid)}
+            ),
+        },
+        join_graph=graph,
+    )
+
+
 @pytest.fixture(scope="session")
 def tiny_db() -> Database:
     """A hand-built 3-table database with known contents."""

@@ -141,6 +141,34 @@ class TestCachePolicyEquivalence:
             )
 
 
+class TestMaterializedIntermediates:
+    def test_hold_exactly_the_boundary_columns(self, stats_db, stats_workload):
+        """A shared intermediate carries a row-id column per table a
+        query edge leaves the subset through — no interior column — and
+        as many rows as the unshared service counts for the subset."""
+        query = max((q.query for q in stats_workload.queries), key=lambda q: len(q.tables))
+        assert len(query.tables) >= 4
+        shared = TrueCardinalityService(stats_db)
+        unshared = TrueCardinalityService(
+            stats_db, use_exec_cache=False, share_intermediates=False
+        ).sub_plan_cards(query)
+        interior = 0
+        for subset in sub_plan_sets(query):
+            if subset == query.tables:
+                continue
+            rows = shared._materialize(query, subset, {}, [0])
+            boundary = {
+                table
+                for edge in query.join_edges
+                for table in (edge.left, edge.right)
+                if table in subset and edge.other(table) not in subset
+            }
+            assert set(rows) == boundary
+            assert {len(ids) for ids in rows.values()} == {unshared[subset]}
+            interior += len(subset) - len(boundary)
+        assert interior > 0  # some intermediate really shed a column
+
+
 class TestBoundedCache:
     def test_count_cache_is_byte_bounded(self, tiny_db, query):
         # Budget of 3 nominal entries (160 bytes each): the full

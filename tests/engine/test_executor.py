@@ -3,7 +3,9 @@
 All three join implementations must produce identical results (the
 cardinality of the join is operator-independent); the index-NL join
 must apply inner filters after the fetch; the row and pre-expansion
-budgets must abort oversized executions.
+budgets must abort oversized executions; a join emits exactly the
+row-id columns an ancestor still reads, the root none, with every count
+equal to a walk that materialises everything.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.catalog import JoinEdge
+from repro.engine.catalog import ColumnMeta, JoinEdge, TableSchema
 from repro.engine.executor import ExecutionAborted, Executor, _expand_ranges
 from repro.engine.plans import (
     JOIN_HASH,
@@ -20,8 +22,11 @@ from repro.engine.plans import (
     JoinNode,
     ScanNode,
 )
-from repro.engine.predicates import Predicate
+from repro.engine.predicates import Predicate, conjunction_mask
+from repro.engine.table import Column, Table
 from repro.obs import metrics as obs_metrics
+
+from tests.conftest import make_key_db, make_tiny_db
 
 
 def scan(table, predicates=()):
@@ -232,6 +237,263 @@ class TestBudgets:
                 plan, collect_stats=collect_stats
             )
         assert obs_metrics.registry().counter("executor.aborts").value == before + 1
+
+
+def make_wide_db():
+    """``tiny_db`` plus ``badges`` (on users) and ``votes`` (on posts, with
+    NULL keys): wide enough for 4-table chains, stars and bushy plans."""
+    db = make_tiny_db()
+    rng = np.random.default_rng(7)
+    n_users, n_posts = db.tables["users"].num_rows, db.tables["posts"].num_rows
+    for name, column, parent, size in (
+        ("badges", "UserId", n_users, 1_200),
+        ("votes", "PostId", n_posts, 5_000),
+    ):
+        schema = TableSchema(
+            name,
+            (
+                ColumnMeta("Id", is_key=True, filterable=False),
+                ColumnMeta(column, is_key=True, filterable=False),
+            ),
+            primary_key="Id",
+        )
+        db.tables[name] = Table.from_arrays(
+            schema,
+            {"Id": np.arange(size), column: rng.integers(0, parent, size)},
+            {column: rng.random(size) < 0.1} if name == "votes" else None,
+        )
+    db.join_graph.add(JoinEdge("users", "Id", "badges", "UserId"))
+    db.join_graph.add(JoinEdge("posts", "Id", "votes", "PostId"))
+    return db
+
+
+@pytest.fixture(scope="module")
+def wide_db():
+    return make_wide_db()
+
+
+def shaped_plan(db, shape, method):
+    """A 4-table plan of the given shape joining with ``method``."""
+
+    def edge(left, right):
+        (found,) = db.join_graph.edges_between(left, right)
+        return found if found.left == left else found.reversed()
+
+    def extend(plan, anchor, table):
+        return join(plan, scan(table), edge(anchor, table), method)
+
+    if shape == "chain":  # badges - users - posts - comments, left-deep
+        plan = extend(scan("badges"), "badges", "users")
+        return extend(extend(plan, "users", "posts"), "posts", "comments")
+    if shape == "star":  # posts at the centre
+        plan = extend(scan("posts", [Predicate("posts", "Score", ">=", 5)]), "posts", "users")
+        return extend(extend(plan, "posts", "comments"), "posts", "votes")
+    assert shape == "bushy"  # (badges, users) with (posts, comments)
+    # An index-NL join needs a base-table inner: the top join hashes then.
+    top = JOIN_HASH if method == JOIN_INDEX_NL else method
+    return join(
+        extend(scan("badges"), "badges", "users"),
+        extend(scan("posts"), "posts", "comments"),
+        edge("users", "posts"),
+        top,
+    )
+
+
+def expected_keeps(plan, above=frozenset()):
+    """Per join node: its tables some ancestor's join edge names."""
+    if isinstance(plan, ScanNode):
+        return {}
+    keeps = {plan.tables: above & plan.tables}
+    below = above | {plan.edge.left, plan.edge.right}
+    keeps.update(expected_keeps(plan.left, below))
+    keeps.update(expected_keeps(plan.right, below))
+    return keeps
+
+
+def materialise_everything(executor, plan, counts):
+    """Reference walk: ``join_rows`` keeping every column, bottom-up."""
+    if isinstance(plan, ScanNode):
+        rows = executor.scan_rows(plan)
+    else:
+        left = materialise_everything(executor, plan.left, counts)
+        right = materialise_everything(executor, plan.right, counts)
+        rows = executor.join_rows(plan, left, right)
+        assert set(rows) == plan.tables
+    (counts[plan.tables],) = {len(ids) for ids in rows.values()}
+    return rows
+
+
+class RecordingExecutor(Executor):
+    """Records what every join of a plan walk emitted."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.emitted = {}
+
+    def _join(self, node, left, right, keep, deadline):
+        columns, count = super()._join(node, left, right, keep, deadline)
+        self.emitted[node.tables] = (columns, count)
+        return columns, count
+
+
+SHAPES = ["chain", "star", "bushy"]
+METHODS = [JOIN_HASH, JOIN_MERGE, JOIN_INDEX_NL]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", SHAPES)
+class TestLateMaterialisation:
+    def test_joins_emit_exactly_their_keep_columns(self, wide_db, shape, method):
+        plan = shaped_plan(wide_db, shape, method)
+        executor = RecordingExecutor(wide_db)
+        result = executor.execute(plan)
+        keeps = expected_keeps(plan)
+        assert set(executor.emitted) == set(keeps)
+        for tables, (columns, count) in executor.emitted.items():
+            assert set(columns) == keeps[tables]
+            assert all(len(ids) == count for ids in columns.values())
+            assert count == result.node_rows[tables]
+        assert executor.emitted[plan.tables][0] == {}
+        # Not vacuous: some inner join of every shape drops a column.
+        assert any(keeps[tables] < tables for tables in keeps if tables != plan.tables)
+
+    def test_both_walks_equal_the_all_columns_reference(self, wide_db, shape, method):
+        plan = shaped_plan(wide_db, shape, method)
+        executor = Executor(wide_db)
+        reference = {}
+        materialise_everything(executor, plan, reference)
+        plain = executor.execute(plan)
+        traced = executor.execute(plan, collect_stats=True)
+        assert plain.node_rows == traced.node_rows == reference
+        assert plain.cardinality == traced.cardinality == reference[plan.tables] > 0
+        for node in plan.walk():
+            stats = traced.node_stats[node.tables]
+            assert stats.rows_out == reference[node.tables]
+            expected_in = (
+                (reference[node.left.tables], reference[node.right.tables])
+                if isinstance(node, JoinNode)
+                else ()
+            )
+            assert stats.rows_in == expected_in
+
+
+class TestBudgetBeforeMaterialising:
+    """The row budget aborts on the summed match counts, before any
+    ``np.repeat`` could allocate the oversized output."""
+
+    @pytest.mark.parametrize("method", [JOIN_HASH, JOIN_MERGE])
+    @pytest.mark.parametrize("at_root", [False, True])
+    def test_abort_never_expands_the_oversized_join(
+        self, wide_db, monkeypatch, method, at_root
+    ):
+        plan = shaped_plan(wide_db, "star", method)
+        rows = Executor(wide_db).execute(plan).node_rows
+        inner = plan.left.tables
+        # The fan-out makes the root the largest node, so a budget just
+        # below it lets every inner join through.
+        assert rows[plan.tables] > rows[inner] > rows[plan.left.left.tables]
+        over = rows[plan.tables] if at_root else rows[inner]
+
+        expanded = []
+        repeat = np.repeat
+
+        def spy(values, repeats, *args, **kwargs):
+            expanded.append(int(np.sum(repeats)))
+            return repeat(values, repeats, *args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", spy)
+        with pytest.raises(ExecutionAborted):
+            Executor(wide_db, max_intermediate_rows=over - 1).execute(plan)
+        assert over not in expanded
+        assert at_root == (rows[inner] in expanded)
+
+
+def key_arrays(max_size):
+    return st.lists(
+        st.one_of(st.none(), st.integers(0, 6)), min_size=0, max_size=max_size
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=key_arrays(30),
+    right=key_arrays(30),
+    picks=st.lists(st.integers(0, 29), max_size=40),
+    method=st.sampled_from(METHODS),
+)
+def test_join_count_equals_join_rows_length(left, right, picks, method):
+    """Property: counting and materialising agree on FK-FK inputs with
+    NULL keys and duplicate outer rows, for every join method."""
+
+    def column(keys):
+        values = np.asarray([0 if k is None else k for k in keys], dtype=np.int64)
+        return values, np.asarray([k is not None for k in keys], dtype=bool)
+
+    db = make_key_db(*column(left), *column(right))
+    outer = {"l": np.asarray([p for p in picks if p < len(left)], dtype=np.int64)}
+    inner = {"r": np.arange(len(right))}
+    node = join(
+        ScanNode(tables=frozenset("l"), table="l"),
+        scan("r"),
+        db.join_graph.edges[0],
+        method,
+    )
+    executor = Executor(db)
+    rows = executor.join_rows(node, outer, inner)
+    expected = sum(
+        left[i] is not None and left[i] == key for i in outer["l"] for key in right
+    )
+    assert executor.join_count(node, outer, inner) == expected
+    assert {len(ids) for ids in rows.values()} == {expected}
+    assert executor.join_rows(node, outer, inner, keep=frozenset()) == {}
+
+
+class TestIndexNestedLoop:
+    def test_inner_predicates_with_nothing_kept(self, tiny_db, edges):
+        """The filter still decides the count when no column is emitted."""
+        users_posts, _ = edges
+        predicates = [
+            Predicate("posts", "Score", ">=", 20),
+            Predicate("posts", "Score", "<=", 40),
+        ]
+        executor = Executor(tiny_db)
+        users = executor.scan_rows(scan("users", [Predicate("users", "Reputation", ">", 1)]))
+        posts = executor.scan_rows(scan("posts", predicates))
+        counts = {
+            method: executor.join_count(
+                join(scan("users"), scan("posts", predicates), users_posts, method),
+                users,
+                posts,
+            )
+            for method in (JOIN_HASH, JOIN_INDEX_NL)
+        }
+        assert counts[JOIN_INDEX_NL] == counts[JOIN_HASH] > 0
+
+    def test_subset_mask_gathers_only_predicate_columns(self, tiny_db, monkeypatch):
+        posts = tiny_db.tables["posts"]
+        row_ids = np.random.default_rng(3).integers(0, posts.num_rows, 700)
+        predicates = (
+            Predicate("posts", "Score", ">=", 3),
+            Predicate("posts", "Score", "<", 30),
+        )
+        expected = conjunction_mask(posts.take(row_ids), list(predicates))
+
+        gathered = []
+        take = Column.take
+
+        def spy(column, indices):
+            gathered.append(column)
+            return take(column, indices)
+
+        monkeypatch.setattr(Column, "take", spy)
+        executor = Executor(tiny_db)
+        np.testing.assert_array_equal(
+            executor._subset_mask("posts", row_ids, predicates), expected
+        )
+        assert len(gathered) == 1 and gathered[0] is posts.column("Score")
+        # No predicates: all true, and the table is not touched at all.
+        assert executor._subset_mask("posts", row_ids, ()).all()
+        assert len(gathered) == 1
 
 
 class TestScan:

@@ -2,7 +2,7 @@
 
 ``JoinBuild.match`` is checked against a brute-force dict join and
 against its own binary-search branch (forced by building for the same
-input with the directory disabled), ``Executor._hash_join`` against the
+input with the directory disabled), ``Executor.join_rows`` against the
 argsort + double-``searchsorted`` join it replaced, and the exec
 cache's ``hash_build`` against recomputation.
 """
@@ -14,8 +14,9 @@ from repro.engine import join_build
 from repro.engine.cache import ExecutionContext
 from repro.engine.executor import Executor, _expand_ranges
 from repro.engine.join_build import JoinBuild
+from repro.engine.plans import JOIN_HASH, JoinNode, PlanNode
 
-from tests.conftest import make_tiny_db
+from tests.conftest import make_key_db, make_tiny_db
 
 INT64 = np.iinfo(np.int64)
 
@@ -189,20 +190,39 @@ class TestHashJoin:
         right_keys = rng.zipf(1.3, 2_500).clip(max=400).astype(np.int64) - 20
         left_valid = rng.random(len(left_keys)) < 0.9
         right_valid = rng.random(len(right_keys)) < 0.9
-        left = {"a": rng.permutation(len(left_keys)), "b": np.arange(len(left_keys))}
-        right = {"c": rng.permutation(len(right_keys))}
+        # Row ids are shuffled, so keys are looked up through them;
+        # ``b`` is a passenger column of an earlier join.
+        left = {"l": rng.permutation(len(left_keys)), "b": np.arange(len(left_keys))}
+        right = {"r": rng.permutation(len(right_keys))}
 
-        build = JoinBuild(right_keys, right_valid, probe_rows=len(left_keys))
-        assert build.direct
-        executor = Executor(make_tiny_db())
-        ours = executor._hash_join(left, left_keys, left_valid, right, build)
+        def stored(ids, array):
+            out = np.empty_like(array)
+            out[ids] = array
+            return out
+
+        db = make_key_db(
+            stored(left["l"], left_keys),
+            stored(left["l"], left_valid),
+            stored(right["r"], right_keys),
+            stored(right["r"], right_valid),
+        )
+
+        assert JoinBuild(right_keys, right_valid, probe_rows=len(left_keys)).direct
+        node = JoinNode(
+            tables=frozenset("lbr"),
+            left=PlanNode(tables=frozenset("lb")),
+            right=PlanNode(tables=frozenset("r")),
+            edge=db.join_graph.edges[0],
+            method=JOIN_HASH,
+        )
+        ours = Executor(db).join_rows(node, left, right)
         theirs = parent_hash_join(
             left, left_keys, left_valid, right, right_keys, right_valid
         )
         assert list(ours) == list(theirs)
         for name in theirs:
             np.testing.assert_array_equal(ours[name], theirs[name])
-        assert len(ours["a"]) > len(left_keys)  # the skew really fans out
+        assert len(ours["l"]) > len(left_keys)  # the skew really fans out
 
 
 class TestCachedBuild:
