@@ -12,10 +12,21 @@ from __future__ import annotations
 
 import abc
 import time
+import zlib
 
 from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.table import Table
+
+
+def stable_hash(value: object) -> int:
+    """A ``hash`` that is the same in every process.
+
+    ``hash`` of a ``str`` is salted per process (``PYTHONHASHSEED``), so a
+    random seed derived from it makes two runs fit or sample differently;
+    seeds are derived from this CRC-32 of ``repr(value)`` instead.
+    """
+    return zlib.crc32(repr(value).encode())
 
 
 class EstimationError(RuntimeError):

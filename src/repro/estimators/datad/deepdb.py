@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.estimators.base import stable_hash
 from repro.estimators.datad.fanout import FanoutJoinEstimator, TableDensityModel
 from repro.estimators.ml.clustering import kmeans
 from repro.estimators.ml.rdc import rdc
@@ -340,5 +341,5 @@ class DeepDBEstimator(FanoutJoinEstimator):
             num_bins,
             rdc_threshold=self._rdc_threshold,
             min_rows_fraction=self._min_rows_fraction,
-            seed=self._seed + hash(table_name) % 1000,
+            seed=self._seed + stable_hash(table_name) % 1000,
         )

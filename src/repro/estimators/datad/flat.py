@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.estimators.base import stable_hash
 from repro.estimators.datad.deepdb import ProductNode, SumProductNetwork
 from repro.estimators.datad.fanout import FanoutJoinEstimator
 from repro.estimators.ml.rdc import rdc
@@ -313,5 +314,5 @@ class FlatEstimator(FanoutJoinEstimator):
             min_rows_fraction=self._min_rows_fraction,
             max_leaf_columns=self._max_leaf_columns,
             min_factorize_depth=self._min_factorize_depth,
-            seed=self._seed + hash(table_name) % 1000,
+            seed=self._seed + stable_hash(table_name) % 1000,
         )

@@ -30,7 +30,7 @@ from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.table import Table
-from repro.estimators.base import CardinalityEstimator
+from repro.estimators.base import CardinalityEstimator, stable_hash
 from repro.estimators.datad.discretize import AttributeBinner, FanoutBinner
 from repro.estimators.ml.made import MadeModel
 
@@ -414,7 +414,7 @@ class NeuroCardEstimator(CardinalityEstimator):
             )
 
     def estimate(self, query: Query) -> float:
-        rng = np.random.default_rng(self._seed + hash(query.key()) % 65536)
+        rng = np.random.default_rng(self._seed + stable_hash(query.key()) % 65536)
         # Prefer the tree covering the most query edges; uncovered
         # edges within the same key class are implied transitively by
         # the tree path between their endpoints.

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.engine.database import Database
 from repro.engine.query import Query
-from repro.estimators.base import QueryDrivenEstimator
+from repro.estimators.base import QueryDrivenEstimator, stable_hash
 from repro.estimators.ml.nn import MLP, train_regressor
 from repro.estimators.queryd.features import QueryFeaturizer, from_log, log_cardinality
 
@@ -65,7 +65,7 @@ class UAEQEstimator(QueryDrivenEstimator):
 
     def estimate(self, query: Query) -> float:
         assert self._featurizer is not None and self._model is not None
-        rng = np.random.default_rng(self._seed + hash(query.key()) % 65536)
+        rng = np.random.default_rng(self._seed + stable_hash(query.key()) % 65536)
         base = self._featurizer.flat(query)
         # Monte-Carlo ensemble: many forward passes with jittered
         # predicate bounds, averaged in log space (the numpy stand-in

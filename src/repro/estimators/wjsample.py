@@ -16,7 +16,7 @@ from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
 from repro.engine.predicates import conjunction_mask
 from repro.engine.query import Query
-from repro.estimators.base import CardinalityEstimator
+from repro.estimators.base import CardinalityEstimator, stable_hash
 
 
 class WanderJoinEstimator(CardinalityEstimator):
@@ -56,7 +56,7 @@ class WanderJoinEstimator(CardinalityEstimator):
         assert self._database is not None, "estimate() before fit()"
         if query.num_tables == 1:
             return self._single_table(query)
-        rng = np.random.default_rng(self._seed + hash(query.key()) % 65536)
+        rng = np.random.default_rng(self._seed + stable_hash(query.key()) % 65536)
         order = self._walk_order(query)
         root = order[0][0]
         root_rows = self._filtered_rows(query, root)

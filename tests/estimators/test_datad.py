@@ -1,5 +1,10 @@
 """Per-method tests for the data-driven estimators."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -204,3 +209,48 @@ class TestNeuroCard:
         estimator.update(new)  # must not raise; retrains internally
         query = Query(tables=frozenset({"posts"}), name="posts")
         assert estimator.estimate(query) > 0
+
+
+_FIT_AND_ESTIMATE = """
+import json
+from repro.datasets.stats_db import StatsConfig, build_stats
+from repro.engine.predicates import Predicate
+from repro.engine.query import Query
+from repro.estimators.datad.deepdb import DeepDBEstimator
+
+db = build_stats(StatsConfig().scaled(0.03))
+model = DeepDBEstimator().fit(db)
+predicates = {
+    "badges": Predicate("users", "Reputation", ">", 5),
+    "comments": Predicate("comments", "Score", "<=", 2),
+    "posts": Predicate("posts", "Score", ">=", 1),
+}
+queries = [
+    Query(tables=edge.tables, join_edges=(edge,), predicates=(predicates[edge.right],))
+    for edge in db.join_graph.edges[:3]
+]
+print(json.dumps([model.estimate(query) for query in queries]))
+"""
+
+
+class TestProcessIndependence:
+    def test_deepdb_fit_and_estimates_ignore_the_hash_seed(self):
+        """Structure learning is seeded per table name; the seed must not
+        go through ``hash(str)``, which is salted per process."""
+        import repro
+
+        def estimates(hash_seed):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _FIT_AND_ESTIMATE],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            return json.loads(done.stdout)
+
+        first, second = estimates("1"), estimates("2")
+        assert len(first) == 3 and all(value > 0 for value in first)
+        assert first == second
