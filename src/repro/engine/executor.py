@@ -375,14 +375,13 @@ class Executor:
         return JoinBuild(right_keys, right_valid, probe_rows)
 
     def _hash_join(self, left, left_keys, left_valid, right, build: JoinBuild):
-        probe_ids = np.nonzero(left_valid)[0]
-        starts, counts = build.match(left_keys[probe_ids])
+        starts, counts = build.match(left_keys[left_valid])
         total = self._check_budget(counts)
 
         # Expand a side's matches only when one of its columns is kept.
         columns = {}
         if left:
-            probe_take = np.repeat(probe_ids, counts)
+            probe_take = np.repeat(np.nonzero(left_valid)[0], counts)
             columns.update((name, ids[probe_take]) for name, ids in left.items())
         if right:
             build_take = build.positions[_expand_ranges(starts, counts)]

@@ -151,21 +151,18 @@ def make_key_db(left_keys, left_valid, right_keys, right_valid) -> Database:
     Row ``i`` of a table holds key ``keys[i]``, NULL where ``valid[i]``
     is False — for driving one join operator with hand-made key arrays.
     """
-    schemas = {
-        name: TableSchema(name, (ColumnMeta("k", is_key=True, filterable=False),))
-        for name in ("l", "r")
-    }
+    sides = {"l": (left_keys, left_valid), "r": (right_keys, right_valid)}
     graph = JoinGraph()
     graph.add(JoinEdge("l", "k", "r", "k", one_to_many=False))
     return Database(
         name="keys",
         tables={
-            "l": Table.from_arrays(
-                schemas["l"], {"k": left_keys}, {"k": ~np.asarray(left_valid)}
-            ),
-            "r": Table.from_arrays(
-                schemas["r"], {"k": right_keys}, {"k": ~np.asarray(right_valid)}
-            ),
+            name: Table.from_arrays(
+                TableSchema(name, (ColumnMeta("k", is_key=True, filterable=False),)),
+                {"k": keys},
+                {"k": ~np.asarray(valid)},
+            )
+            for name, (keys, valid) in sides.items()
         },
         join_graph=graph,
     )

@@ -239,7 +239,8 @@ class TestBudgets:
         assert obs_metrics.registry().counter("executor.aborts").value == before + 1
 
 
-def make_wide_db():
+@pytest.fixture(scope="module")
+def wide_db():
     """``tiny_db`` plus ``badges`` (on users) and ``votes`` (on posts, with
     NULL keys): wide enough for 4-table chains, stars and bushy plans."""
     db = make_tiny_db()
@@ -265,11 +266,6 @@ def make_wide_db():
     db.join_graph.add(JoinEdge("users", "Id", "badges", "UserId"))
     db.join_graph.add(JoinEdge("posts", "Id", "votes", "PostId"))
     return db
-
-
-@pytest.fixture(scope="module")
-def wide_db():
-    return make_wide_db()
 
 
 def shaped_plan(db, shape, method):
@@ -432,12 +428,7 @@ def test_join_count_equals_join_rows_length(left, right, picks, method):
     db = make_key_db(*column(left), *column(right))
     outer = {"l": np.asarray([p for p in picks if p < len(left)], dtype=np.int64)}
     inner = {"r": np.arange(len(right))}
-    node = join(
-        ScanNode(tables=frozenset("l"), table="l"),
-        scan("r"),
-        db.join_graph.edges[0],
-        method,
-    )
+    node = join(scan("l"), scan("r"), db.join_graph.edges[0], method)
     executor = Executor(db)
     rows = executor.join_rows(node, outer, inner)
     expected = sum(
