@@ -7,7 +7,12 @@ live ``repro serve`` stacks and written to
 - **Overhead**: per-request latency with the full observability
   pipeline on (per-request JSONL traces, access log, SLO accounting,
   drift bookkeeping) versus an identical dark stack, interleaved
-  best-of rounds over persistent connections.  Must stay under **2%**.
+  best-of rounds over persistent connections, reported as the
+  **absolute** cost added per request.  The former "under 2 %" was a
+  ratio over a request padded by the 2 ms batch window; a lone request
+  no longer waits that window out (0.5 ms instead of 2.9 ms), so the
+  same ~80 us reads as 16 % of it.  The gate is now: not above what the
+  commit before demand-driven batching added, plus 20 %.
 - **Drift detection**: a workload shift injected through ``POST
   /feedback`` (actuals 50x the served estimates) must trip the drift
   monitor — an emitted event *and* the ``serve.drift.degraded_windows``
@@ -39,7 +44,15 @@ from repro.serve.tracing import AccessLog, TraceSink
 REPORT_PATH = Path(__file__).parent / "BENCH_serve_obs.json"
 
 ESTIMATOR = "LW-XGB"
-MAX_SERVE_OVERHEAD = 0.02
+#: What observability added per request at the commit before demand-driven
+#: batching: median of 26 stack pairs measured with this file's procedure
+#: on the 2-CPU box (0-172 us, quartiles 54-107; 0-5.9 % of a 2.9 ms
+#: request, so the parent crossed the 2 % gate this replaces both ways).
+PARENT_ADDED_US = 80.0
+MAX_ADDED_OVER_PARENT = 1.2
+#: Fresh stack pairs measured; the median reading is reported, since one
+#: pair reads anywhere in 28-183 us depending on where its threads landed.
+OVERHEAD_REPEATS = 5
 DRIFT_SHIFT_FACTOR = 50.0
 #: Feedback pairs per scenario — comfortably past DriftConfig.min_count.
 DRIFT_FEEDBACK_PAIRS = 12
@@ -117,8 +130,10 @@ def measure_serve_overhead(
     Rounds are *interleaved* (one baseline round, one instrumented
     round, repeated) and each stack keeps its best round's mean
     request latency, for the same drift-suppression reasons as
-    :func:`repro.obs.overhead.measure_live_overhead`.  ``overhead_serve``
-    is the number the < 2% budget in ``BENCH_serve_obs.json`` applies to.
+    :func:`repro.obs.overhead.measure_live_overhead`.
+    ``added_us_per_request`` is the number the budget in
+    ``BENCH_serve_obs.json`` applies to; ``overhead_serve`` is the same
+    cost as a share of the dark request.
     """
 
     def connect(address: tuple[str, int]) -> HTTPConnection:
@@ -164,14 +179,30 @@ def measure_serve_overhead(
         "payloads": len(payloads),
         "baseline_seconds_per_request": baseline,
         "instrumented_seconds_per_request": instrumented,
+        "added_us_per_request": (instrumented - baseline) * 1e6,
         "overhead_serve": instrumented / baseline - 1.0,
     }
 
 
 def _measure_overhead(database, estimator, payloads, tmp_path):
+    """The median of ``OVERHEAD_REPEATS`` readings, each on fresh stacks."""
+    runs = sorted(
+        (
+            _measure_overhead_once(database, estimator, payloads, tmp_path / str(index))
+            for index in range(OVERHEAD_REPEATS)
+        ),
+        key=lambda run: run["added_us_per_request"],
+    )
+    return {
+        **runs[len(runs) // 2],
+        "added_us_runs": [run["added_us_per_request"] for run in runs],
+        "parent_added_us_per_request": PARENT_ADDED_US,
+    }
+
+
+def _measure_overhead_once(database, estimator, payloads, tmp_path):
     # The canonical serving configuration from bench_serve: batched
-    # with the 2ms coalescing window.  Overhead is relative to what a
-    # production-shaped request actually costs end to end.
+    # with the 2ms cap on the coalescing wait.
     baseline_service, baseline_server = _serving_stack(
         database, estimator, batch_window=0.002
     )
@@ -323,6 +354,8 @@ def test_emit_serve_obs_report(context, tmp_path):
 
     print(
         f"\nserve obs ({ESTIMATOR}): overhead "
+        f"{overhead['added_us_per_request']:.0f}us/request "
+        f"(parent {PARENT_ADDED_US:.0f}us), "
         f"{overhead['overhead_serve'] * 100:.2f}% "
         f"(baseline {overhead['baseline_seconds_per_request'] * 1000:.2f}ms, "
         f"traced {overhead['instrumented_seconds_per_request'] * 1000:.2f}ms); "
@@ -334,8 +367,11 @@ def test_emit_serve_obs_report(context, tmp_path):
         f"{fidelity['bucketed_p99_ms']:.2f}ms ({fidelity['ratio']:.2f}x)"
     )
 
-    # Contract 1: full tracing + drift bookkeeping costs under 2%.
-    assert overhead["overhead_serve"] < MAX_SERVE_OVERHEAD, overhead
+    # Contract 1: full tracing + drift bookkeeping adds no more per
+    # request than it did at the parent commit, plus 20 %.
+    assert (
+        overhead["added_us_per_request"] <= PARENT_ADDED_US * MAX_ADDED_OVER_PARENT
+    ), overhead
     # Contract 2: the injected shift trips the monitor (event + gauge),
     # the faithful control stays quiet.
     assert shifted["events"] >= 1, shifted

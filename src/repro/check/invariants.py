@@ -42,6 +42,16 @@ checks are:
     relative tolerance — the contract the batched inference hot path
     (:func:`repro.core.injection.estimate_sub_plans`) relies on.
 
+``serve``
+    Served answers are the offline answers: an in-process
+    :class:`~repro.serve.service.EstimationService` under a seeded
+    schedule of concurrent ``estimate_many`` / ``sub_plans`` calls with
+    one promotion fired mid-schedule must answer every request exactly
+    once, never from the fallback, and with ``max(1, estimate_batch)``
+    of the estimator whose version the response names (within
+    ``BATCH_RTOL``: the micro-batcher may price a query beside other
+    clients' queries).  HTTP and injected faults are not covered yet.
+
 ``parallel`` and ``resume`` run the full benchmark harness per case,
 so the runner only samples them on a fraction of cases.
 """
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +87,7 @@ from repro.engine.plans import (
     ScanNode,
 )
 from repro.engine.query import LabeledQuery, Query
+from repro.engine.sql import query_to_sql
 from repro.engine.subsets import space_of
 from repro.estimators.datad.bayescard import BayesCardEstimator
 from repro.estimators.multihist import MultiHistEstimator
@@ -83,6 +95,8 @@ from repro.estimators.pessest import PessimisticEstimator
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.serve.registry import ModelRegistry
+from repro.serve.service import EstimationService
 from repro.workloads.generator import Workload
 
 #: Relative tolerance for batch-vs-loop equivalence.  Vectorised
@@ -97,6 +111,13 @@ BATCH_RTOL = 1e-9
 #: runner logs nothing because the *chosen* plan is always included.
 MAX_PLANS_PER_MASK = 8
 MAX_PLANS_PER_QUERY = 48
+
+#: The ``serve`` schedule: concurrent in-process clients and requests per
+#: client.  A request on a fuzz database takes ~50 us, about what waking
+#: a thread does, so a client needs this many for the schedules to
+#: overlap and some requests to be coalesced into one round.
+SERVE_CLIENTS = 4
+SERVE_REQUESTS_PER_CLIENT = 24
 
 
 @dataclass(frozen=True)
@@ -548,6 +569,140 @@ def check_resume(case: CheckCase) -> list[Discrepancy]:
     return []
 
 
+# -- serve --------------------------------------------------------------------
+
+
+def _serve_schedule(case: CheckCase) -> list[list[tuple[str, list[int]]]]:
+    """Per client, ``(endpoint, query indices)`` requests in issue order."""
+    rng = np.random.default_rng(np.random.SeedSequence([case.seed, case.index, 2]))
+    schedule = []
+    for _ in range(SERVE_CLIENTS):
+        requests = []
+        for _ in range(SERVE_REQUESTS_PER_CLIENT):
+            kind = ("estimate", "estimate_batch", "sub_plans")[rng.integers(3)]
+            count = int(rng.integers(2, 5)) if kind == "estimate_batch" else 1
+            picks = rng.integers(len(case.queries), size=count)
+            requests.append((kind, [int(pick) for pick in picks]))
+        schedule.append(requests)
+    return schedule
+
+
+def _serve_mismatch(served: list, wanted: list, degraded, version: int) -> str:
+    """Why labelled ``served`` estimates are not the ``wanted`` ones, or ''."""
+    if degraded:
+        return "answered from the fallback"
+    if len(served) == len(wanted) and all(
+        got_label == want_label
+        and math.isclose(got, want, rel_tol=BATCH_RTOL, abs_tol=1e-12)
+        for (got_label, got), (want_label, want) in zip(served, wanted)
+    ):
+        return ""
+    return f"served {served} as version {version}, offline {wanted}"
+
+
+def check_serve(case: CheckCase) -> list[Discrepancy]:
+    """Served estimates equal the offline ones of the version they name.
+
+    PostgreSQL serves as version 1; client 0 promotes MultiHist halfway
+    through its requests, so answers of both versions interleave and a
+    job queued before the promotion may be priced after it.
+    """
+    if not case.queries:
+        return []
+    estimators = {
+        1: PostgresEstimator().fit(case.database),
+        2: MultiHistEstimator().fit(case.database),
+    }
+    sqls = [query_to_sql(query) for query in case.queries]
+    schedule = _serve_schedule(case)
+    registry = ModelRegistry()
+    registry.promote(estimators[1], source="check:PostgreSQL")
+    service = EstimationService(case.database, registry=registry).start()
+    answers: list[list] = [[] for _ in schedule]
+    barrier = threading.Barrier(len(schedule))
+
+    def client(index: int) -> None:
+        barrier.wait(timeout=60.0)
+        for step, (kind, picks) in enumerate(schedule[index]):
+            if index == 0 and step == SERVE_REQUESTS_PER_CLIENT // 2:
+                registry.promote(estimators[2], source="check:MultiHist")
+            try:
+                if kind == "sub_plans":
+                    answers[index].append(service.sub_plans(sqls[picks[0]]))
+                else:
+                    answers[index].append(
+                        service.estimate_many([sqls[pick] for pick in picks])
+                    )
+            except Exception as error:  # noqa: BLE001 — reported below
+                answers[index].append(error)
+
+    threads = [
+        threading.Thread(target=client, args=(index,), name=f"check-serve-{index}")
+        for index in range(len(schedule))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        service.close()
+
+    discrepancies: list[Discrepancy] = []
+    memo: dict[tuple, float] = {}
+
+    def offline(version: int, query: Query) -> float:
+        key = (version, query.key())
+        if key not in memo:
+            estimate = estimators[version].estimate_batch([query])[0]
+            memo[key] = max(1.0, float(estimate))
+        return memo[key]
+
+    for index, requests in enumerate(schedule):
+        if len(answers[index]) != len(requests):
+            discrepancies.append(
+                Discrepancy(
+                    "serve",
+                    case.name,
+                    f"client {index} sent {len(requests)} requests and got "
+                    f"{len(answers[index])} answers",
+                )
+            )
+        for step, ((kind, picks), answer) in enumerate(zip(requests, answers[index])):
+            queries = [case.queries[pick] for pick in picks]
+            if isinstance(answer, Exception):
+                detail = f"raised {type(answer).__name__}: {answer}"
+            elif (version := answer["version"]) not in estimators:
+                detail = f"names unknown version {version}"
+            elif kind == "sub_plans":
+                served = sorted(
+                    (entry["tables"], entry["estimate"])
+                    for entry in answer["sub_plans"]
+                )
+                wanted = sorted(
+                    (sorted(subset), offline(version, sub_query))
+                    for subset, sub_query in sub_plan_queries(queries[0]).items()
+                )
+                degraded = answer["failed_sub_plans"] or answer["fallback_estimates"]
+                detail = _serve_mismatch(served, wanted, degraded, version)
+            else:
+                served = list(enumerate(answer["estimates"]))
+                wanted = [
+                    (position, offline(version, query))
+                    for position, query in enumerate(queries)
+                ]
+                detail = _serve_mismatch(served, wanted, answer["fallback"], version)
+            if detail:
+                discrepancies.append(
+                    Discrepancy(
+                        "serve",
+                        ", ".join(query.name for query in queries),
+                        f"client {index} request {step} ({kind}): {detail}",
+                    )
+                )
+    return discrepancies
+
+
 #: The metamorphic invariants by name, in the order the runner applies
 #: them.  The SQLite oracle comparison is controlled separately
 #: (``--no-oracle``).
@@ -558,6 +713,7 @@ CHECKERS = {
     "planner-vectorised": check_planner_vectorised,
     "parallel": check_parallel,
     "resume": check_resume,
+    "serve": check_serve,
 }
 ALL_INVARIANTS = tuple(CHECKERS)
 

@@ -610,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="MS",
-        help="max extra wait for micro-batch stragglers (default 1ms)",
+        help="max extra wait for the requests a micro-batch expects; a "
+        "lone request never waits (default 1ms)",
     )
     serve.add_argument(
         "--max-queue",

@@ -6,9 +6,10 @@ long-lived process answering estimation requests over HTTP:
 
 - :mod:`repro.serve.registry` — named estimator versions with atomic
   hot-swap (train offline, promote under a lock);
-- :mod:`repro.serve.batching` — cross-client micro-batching: a
-  collector thread drains a bounded request queue into one
-  ``estimate_batch`` call, with admission control (429 on overflow);
+- :mod:`repro.serve.batching` — cross-client micro-batching: requests
+  that arrive while one is being priced share the next
+  ``estimate_batch`` call, a lone one is priced on its own thread;
+  bounded queue with admission control (429 on overflow);
 - :mod:`repro.serve.service` — the transport-free service core:
   parse-cached SQL, per-request retry/timeout/fallback via the
   :mod:`repro.resilience` policies, sub-plan-space pricing through the

@@ -2,36 +2,45 @@
 
 The estimation hot path is batched (`estimate_batch` prices a whole
 list of queries in one vectorised pass), but HTTP clients arrive one
-request at a time.  The :class:`MicroBatcher` closes that gap: handler
-threads enqueue their queries on a **bounded** queue (overflow is an
-:class:`AdmissionError` — the app layer's 429) and block on a
-per-request event; a single collector thread drains the queue, waits
-up to ``window_seconds`` for stragglers, groups the drained jobs by
-model name and prices each group with **one** ``estimate_batch``
-call, then distributes the slices back to the waiting handlers.
+request at a time.  The :class:`MicroBatcher` closes that gap without
+a thread of its own.  Requests are priced in **rounds**, one at a time,
+each led by one of the submitting handler threads: the leader gathers
+the round's jobs, groups them by model name, prices each group with
+**one** ``estimate_batch`` call, hands every job its slice and passes
+leadership to the oldest job still queued, whose thread wakes and
+leads the next round.  Jobs that arrive meanwhile wait on a **bounded**
+queue (overflow is an :class:`AdmissionError` — the app layer's 429),
+each blocked on its own event.
 
-Under load the window barely matters: while one batch is being priced
-the next requests pile up, so batches form naturally.  At low
-concurrency the window *is* the cost of micro-batching — up to
-``window_seconds`` of added latency per request — which is exactly the
-trade-off ``benchmarks/bench_serve.py`` measures at 1/8/64 clients.
+One rule decides when a round leaves: *as soon as every request it can
+expect is in hand; ``window_seconds`` only caps that wait*.  What a
+round expects is one integer: the jobs the previous round served plus
+the jobs already queued when it finished.  A lone client expects 1, so
+its request is priced at once **on its own thread** with no hand-off
+and no wait; two closed-loop clients expect 2 and ride one call per
+round, leaving the moment both are in; under saturation the number
+climbs towards the connected clients, and a wait that ran into the cap
+brings it back to what was actually collected.
+``benchmarks/bench_serve.py`` measures the result against
+request-at-a-time serving at 1/8/64 clients.
 
 When a :class:`~repro.serve.tracing.TraceSink` is attached, each
-drained group gets its own trace: a ``batch`` span whose ``links``
+executed group gets its own trace: a ``batch`` span whose ``links``
 attribute names the ``queue_wait`` span of every member request, plus
-a backdated ``batch_assembly`` span for the collection window and the
-service's ``inference`` span nested under it (the collector installs
-the batch tracer thread-locally around ``run_batch``).  The member
-requests' :class:`~repro.serve.tracing.TraceLink` handles are filled
-with the batch span id before their events fire, so each request trace
-can point back at the batch that served it.
+a backdated ``batch_assembly`` span for the time spent gathering and
+the service's ``inference`` span nested under it (the leader installs
+the batch tracer thread-locally around ``run_batch``; its own request
+tracer is back in place afterwards).  The member requests'
+:class:`~repro.serve.tracing.TraceLink` handles are filled with the
+batch span id before their events fire, so each request trace can
+point back at the batch that served it.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer
@@ -47,9 +56,13 @@ class BatcherClosedError(RuntimeError):
 
 
 class _Job:
-    """One submitted request: queries in, values (or an error) out."""
+    """One submitted request: queries in, values (or an error) out.
 
-    __slots__ = ("model", "queries", "event", "values", "error", "version", "link")
+    ``event`` fires when the job is resolved or failed, or — with
+    ``leads`` set — when its thread has been handed the next round.
+    """
+
+    __slots__ = ("model", "queries", "event", "values", "error", "version", "link", "leads")
 
     def __init__(
         self, model: str | None, queries: list, link: TraceLink | None = None
@@ -61,6 +74,7 @@ class _Job:
         self.error: BaseException | None = None
         self.version: int | None = None
         self.link = link
+        self.leads = False
 
     def resolve(self, values: list[float], version: int | None) -> None:
         self.values = values
@@ -73,11 +87,13 @@ class _Job:
 
 
 class MicroBatcher:
-    """A collector thread turning concurrent requests into one batch call.
+    """Turns concurrent requests into one batch call per round.
 
     ``run_batch(model_name, queries) -> (values, version)`` is the
-    execution hook — the service resolves the model name at *drain*
-    time, so a promotion applies atomically to every queued request.
+    execution hook — the service resolves the model name when the round
+    *executes*, so a promotion applies atomically to every queued
+    request.  A round runs on the thread of one of its own submitters;
+    one lock guards the closed flag, the queue and who leads.
     """
 
     def __init__(
@@ -93,20 +109,27 @@ class MicroBatcher:
         self.window_seconds = window_seconds
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self._queue: queue.Queue[_Job | None] = queue.Queue(maxsize=max_queue)
+        self._lock = threading.Lock()
+        # Tells a gathering leader its round is complete (or closed), and
+        # close() that the last round is over.
+        self._changed = threading.Condition(self._lock)
+        self._pending: deque[_Job] = deque()
+        self._started = False
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._collect, name="repro-serve-batcher", daemon=True
-        )
+        self._leading = False  # a thread owns the current round
+        self._expected = 1  # jobs the next round waits for, at most the cap
 
     def start(self) -> "MicroBatcher":
-        self._thread.start()
+        with self._lock:
+            self._started = True
+            if not self._leading:
+                self._hand_off()
         return self
 
     @property
     def depth(self) -> int:
-        """Approximate queued jobs (the /healthz ``queue_depth`` gauge)."""
-        return self._queue.qsize()
+        """Jobs waiting for a round, not those being priced (/healthz ``queue_depth``)."""
+        return len(self._pending)
 
     def submit(
         self,
@@ -115,66 +138,82 @@ class MicroBatcher:
         timeout_seconds: float | None = 30.0,
         link: TraceLink | None = None,
     ) -> tuple[list[float], int | None]:
-        """Enqueue ``queries`` and wait for the batched result.
+        """Have ``queries`` priced in the next round and return its slice.
 
-        Raises :class:`AdmissionError` when the queue is full (callers
-        map it to 429), :class:`BatcherClosedError` on shutdown, and
-        re-raises whatever the estimator raised for this job's group.
-        A ``link`` rides along to the collector, which fills in the
-        batch span id that served this job before the event fires.
+        With nothing executing and nothing more to expect, that round is
+        this job alone, run on the calling thread.  Raises
+        :class:`AdmissionError` when ``max_queue`` jobs are already
+        waiting (callers map it to 429), :class:`BatcherClosedError` on
+        shutdown, :class:`TimeoutError` after ``timeout_seconds`` behind
+        other rounds, and re-raises whatever the estimator raised for
+        this job's group.  A ``link`` rides along to the round's leader,
+        which fills in the batch span id before the event fires.
         """
-        if self._closed:
-            raise BatcherClosedError("estimation service is shutting down")
         job = _Job(model, list(queries), link=link)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            obs_metrics.registry().counter("serve.admission_rejected").inc()
-            raise AdmissionError(
-                f"request queue full ({self.max_queue} pending)"
-            ) from None
-        if not job.event.wait(timeout_seconds):
-            raise TimeoutError(
-                f"batched estimate not served within {timeout_seconds}s"
-            )
+        with self._lock:
+            if self._closed:
+                raise BatcherClosedError("estimation service is shutting down")
+            if len(self._pending) >= self.max_queue:
+                obs_metrics.registry().counter("serve.admission_rejected").inc()
+                raise AdmissionError(f"request queue full ({self.max_queue} pending)")
+            self._pending.append(job)
+            if self._started and not self._leading:
+                self._leading = job.leads = True
+            elif self._round_complete():
+                self._changed.notify()
+        if not job.leads and not job.event.wait(timeout_seconds):
+            self._abandon(job)
+            raise TimeoutError(f"batched estimate not served within {timeout_seconds}s")
+        if job.leads:
+            self._lead()
         if job.error is not None:
             raise job.error
         return job.values or [], job.version
 
-    # -- collector ---------------------------------------------------------
+    # -- rounds ------------------------------------------------------------
 
-    def _collect(self) -> None:
-        while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._closed:
-                    return
-                continue
-            if first is None:  # shutdown sentinel
-                self._drain_on_close()
-                return
-            assembly_started = time.perf_counter()
-            jobs = [first]
-            size = len(first.queries)
-            deadline = time.monotonic() + self.window_seconds
-            while size < self.max_batch:
-                remaining = deadline - time.monotonic()
-                try:
-                    job = (
-                        self._queue.get_nowait()
-                        if remaining <= 0
-                        else self._queue.get(timeout=remaining)
-                    )
-                except queue.Empty:
-                    break
-                if job is None:
-                    self._execute(jobs, time.perf_counter() - assembly_started)
-                    self._drain_on_close()
-                    return
-                jobs.append(job)
-                size += len(job.queries)
-            self._execute(jobs, time.perf_counter() - assembly_started)
+    def _round_complete(self) -> bool:
+        """Lock held: the queue holds all a round waits for."""
+        return (
+            len(self._pending) >= self._expected
+            or sum(len(job.queries) for job in self._pending) >= self.max_batch
+        )
+
+    def _lead(self) -> None:
+        """One round on this thread; the caller's job heads the queue."""
+        gathering_started = time.perf_counter()
+        with self._lock:
+            self._changed.wait_for(
+                lambda: self._closed or self._round_complete(), self.window_seconds
+            )
+            jobs, size = [], 0
+            while self._pending and size < self.max_batch:
+                jobs.append(self._pending.popleft())
+                size += len(jobs[-1].queries)
+        try:
+            self._execute(jobs, time.perf_counter() - gathering_started)
+        finally:
+            with self._lock:
+                self._expected = len(jobs) + len(self._pending)
+                self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Lock held: the oldest waiting job's thread leads the next round."""
+        self._leading = bool(self._pending)
+        if self._leading:
+            self._pending[0].leads = True
+            self._pending[0].event.set()
+        else:
+            self._changed.notify_all()
+
+    def _abandon(self, job: _Job) -> None:
+        """A timed-out ``job`` leaves the queue and passes on a round just handed to it."""
+        with self._lock:
+            if job in self._pending:
+                self._pending.remove(job)
+            if job.leads:
+                job.leads = False
+                self._hand_off()
 
     def _execute(self, jobs: list[_Job], assembly_seconds: float = 0.0) -> None:
         registry = obs_metrics.registry()
@@ -233,28 +272,15 @@ class MicroBatcher:
                 job.resolve(values[offset : offset + len(job.queries)], version)
                 offset += len(job.queries)
 
-    def _drain_on_close(self) -> None:
-        while True:
-            try:
-                job = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if job is not None:
-                job.fail(BatcherClosedError("estimation service shut down"))
-
     def close(self, timeout: float = 5.0) -> bool:
-        """Stop the collector; idempotent.  Pending jobs are failed with
-        :class:`BatcherClosedError`, never silently dropped."""
-        already_closed = self._closed
-        self._closed = True
-        if self._thread.ident is None:  # never started
-            self._drain_on_close()
-            return True
-        if not already_closed:
-            try:
-                self._queue.put_nowait(None)  # wake the collector now
-            except queue.Full:
-                pass  # collector is draining; the timeout poll exits it
-        self._thread.join(timeout=timeout)
-        self._drain_on_close()
-        return not self._thread.is_alive()
+        """Refuse new jobs and fail the waiting ones with
+        :class:`BatcherClosedError` (never silently dropped); idempotent.
+        Returns whether the round in flight, if any, ended in ``timeout``."""
+        with self._lock:
+            self._closed = True
+            while self._pending:
+                self._pending.popleft().fail(
+                    BatcherClosedError("estimation service shut down")
+                )
+            self._changed.notify_all()
+            return self._changed.wait_for(lambda: not self._leading, timeout)

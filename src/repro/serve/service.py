@@ -209,7 +209,7 @@ class EstimationService:
     def _run_batch(
         self, model: str | None, queries: list[Query]
     ) -> tuple[list[float], int]:
-        """Batch execution hook (collector thread *and* direct path).
+        """Batch execution hook (a batcher round *and* the direct path).
 
         Resolves the model at call time — so promotions apply to queued
         requests — and clamps estimates to >= 1 row like the injection
@@ -244,10 +244,10 @@ class EstimationService:
     ) -> dict:
         """Price ``sqls`` (the /estimate and /estimate_batch core).
 
-        With micro-batching the queries ride the collector thread and
-        may share an ``estimate_batch`` call with other clients'
-        requests; without it they run directly under the in-flight
-        semaphore.  Either way the request is wrapped in the service's
+        With micro-batching the queries may share an ``estimate_batch``
+        call with other clients' requests (a request nothing contends
+        with is priced at once on this thread); without it they run
+        directly under the in-flight semaphore.  Either way the request is wrapped in the service's
         retry policy, and a final failure degrades to the
         PostgreSQL-default fallback (flagged in the response) instead
         of erroring — the serving analogue of campaign failure
@@ -352,7 +352,7 @@ class EstimationService:
             if tracer is None:
                 return self.batcher.submit(model_name, queries, timeout)
             # The queue_wait span covers enqueue->resolve; the link the
-            # collector fills lets this trace name the batch span (and
+            # round's leader fills lets this trace name the batch span (and
             # registry version) that actually served it.
             with tracer.span("queue_wait", queries=len(queries)) as wait_span:
                 link = TraceLink(tracer.trace_id, wait_span.span_id)

@@ -8,7 +8,7 @@ request gets its own :class:`~repro.obs.trace.Tracer` whose trace id
 handler thread installs it for the duration of the request.  Spans
 cross the micro-batcher's queue boundary by **links**: the request's
 ``queue_wait`` span hands a :class:`TraceLink` to the batcher, and the
-collector thread's ``batch`` span records every member link (and hands
+executing round's ``batch`` span records every member link (and hands
 its own span id back), so one drained batch is navigable from each of
 the client requests it coalesced — and vice versa.
 
@@ -85,7 +85,7 @@ class TraceLink:
     """Mutable cross-thread handle tying a request span to its batch.
 
     The submitting handler thread fills ``trace_id``/``span_id`` (its
-    ``queue_wait`` span); the collector thread fills ``batch_span_id``
+    ``queue_wait`` span); the round's leader fills ``batch_span_id``
     and ``version`` when it resolves the job, so both sides can record
     the other's identity without sharing a tracer.
     """

@@ -22,6 +22,7 @@ class TestFixedSeedSweep:
         assert report.invariants_run["oracle"] == 15
         assert report.invariants_run["cache"] == 15
         assert report.invariants_run["plans"] == 15
+        assert report.invariants_run["serve"] == 15
         # The harness invariants are sampled, never silently absent.
         assert report.invariants_run.get("resume", 0) >= 1
         assert elapsed < 10, f"smoke took {elapsed:.1f}s (budget 10s)"

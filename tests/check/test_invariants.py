@@ -1,6 +1,8 @@
 """The metamorphic invariants: they pass on healthy cases and, just as
 importantly, they actually detect injected disagreements."""
 
+import time
+
 import pytest
 
 from repro.check import build_case
@@ -12,12 +14,14 @@ from repro.check.invariants import (
     check_planner_vectorised,
     check_plans,
     check_resume,
+    check_serve,
     parallel_applicable,
     run_invariants,
 )
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.cost import CostModel
 from repro.engine.executor import Executor
+from repro.serve.batching import MicroBatcher
 
 
 class TestHealthyCases:
@@ -42,6 +46,10 @@ class TestHealthyCases:
                 assert check_parallel(case) == []
                 return
         pytest.skip("no parallel-applicable case in range (fork unavailable?)")
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_serve_passes(self, index):
+        assert check_serve(build_case(0, index)) == []
 
     def test_run_invariants_runs_all(self):
         assert run_invariants(build_case(0, 1), ALL_INVARIANTS) == []
@@ -146,3 +154,32 @@ class TestDetection:
         discrepancies = check_planner_vectorised(case)
         assert discrepancies
         assert discrepancies[0].invariant == "planner-vectorised"
+
+    def test_serve_detects_swapped_slices(self, monkeypatch):
+        # A batcher that hands two coalesced jobs each other's slice: the
+        # estimates are all genuine, only their owners are wrong.
+        case = next(
+            case
+            for case in (build_case(2, index) for index in range(40))
+            if len(case.queries) >= 2
+        )
+
+        def swapped(self, jobs, assembly_seconds=0.0):
+            if not jobs:
+                return
+            time.sleep(0.001)  # other clients queue up behind this round
+            queries = [query for job in jobs for query in job.queries]
+            values, version = self._run_batch(jobs[0].model, queries)
+            slices, offset = [], 0
+            for job in jobs:
+                slices.append(values[offset : offset + len(job.queries)])
+                offset += len(job.queries)
+            if len(slices) >= 2:
+                slices[0], slices[1] = slices[1], slices[0]
+            for job, piece in zip(jobs, slices):
+                job.resolve(piece, version)
+
+        monkeypatch.setattr(MicroBatcher, "_execute", swapped)
+        discrepancies = check_serve(case)
+        assert discrepancies
+        assert discrepancies[0].invariant == "serve"
