@@ -2,20 +2,11 @@
 
 A live ``repro serve`` stack — :class:`EstimationService` behind the
 routed stdlib HTTP server — is driven by the closed-loop load
-generator at 1, 8 and 64 concurrent clients, once with cross-client
-micro-batching and once request-at-a-time (``--no-batching``), plus a
-hot-swap run where ``/admin/promote`` fires mid-load.  Written to
+generator at 1, 8 and 64 concurrent clients, plus a hot-swap run where
+``/admin/promote`` fires mid-load.  Written to
 ``benchmarks/BENCH_serve.json``:
 
-- per (mode, clients): QPS, p50/p95/p99 latency, failure counts;
-- the batched-vs-direct speedup at 64 clients, which must clear
-  **1.5x** — the whole point of micro-batching is that coalescing
-  concurrent requests into one ``estimate_batch`` call beats 64
-  threads contending to run single-query inference;
-- the same ratio at 1 and at 8 clients, which must stay at or above
-  **0.9x**: a batch leaves as soon as the requests it can expect are
-  in (a lone one at once, on its handler thread), so batching may not
-  cost more than run-to-run noise where there is little to coalesce;
+- per client count: QPS, p50/p95/p99 latency, failure counts;
 - the hot-swap run: zero dropped requests while the active model
   version advances under load.
 
@@ -45,9 +36,6 @@ ESTIMATOR = "LW-XGB"
 CLIENT_COUNTS = (1, 8, 64)
 #: Total requests per run, split across the clients.
 REQUESTS_PER_RUN = 1024
-MIN_SPEEDUP_AT_64 = 1.5
-#: Batched QPS over direct QPS must not fall below this at 1 and 8 clients.
-MIN_RATIO_AT_LOW_CONCURRENCY = 0.9
 
 
 def _summary(report) -> dict:
@@ -57,13 +45,12 @@ def _summary(report) -> dict:
     return summary
 
 
-def _serving_stack(database, estimator, batching):
+def _serving_stack(database, estimator):
     registry = ModelRegistry()
     registry.promote(estimator, source=f"trained:{ESTIMATOR}")
     service = EstimationService(
         database,
         registry=registry,
-        batching=batching,
         batch_window_seconds=0.002,
         max_queue=1024,
     ).start()
@@ -72,12 +59,11 @@ def _serving_stack(database, estimator, batching):
     return service, server
 
 
-def _measure_mode(database, estimator, payloads, batching):
+def _measure_clients(database, estimator, payloads):
     """One serving process, loaded at each client count in turn."""
-    service, server = _serving_stack(database, estimator, batching)
+    service, server = _serving_stack(database, estimator)
     try:
-        # Warm up: fill the parse cache and touch the inference path so
-        # both modes amortise identical one-time costs.
+        # Warm up: fill the parse cache and touch the inference path.
         run_load(server.address, payloads, clients=4, requests_per_client=16)
         runs = {}
         for clients in CLIENT_COUNTS:
@@ -87,7 +73,7 @@ def _measure_mode(database, estimator, payloads, batching):
                 clients=clients,
                 requests_per_client=max(1, REQUESTS_PER_RUN // clients),
             )
-            assert report.failures == 0, (batching, clients, report.as_dict())
+            assert report.failures == 0, (clients, report.as_dict())
             runs[clients] = _summary(report)
     finally:
         server.close()
@@ -97,7 +83,7 @@ def _measure_mode(database, estimator, payloads, batching):
 
 def _measure_hot_swap(database, estimator, payloads, model_path):
     """64-client load while ``/admin/promote`` fires repeatedly."""
-    service, server = _serving_stack(database, estimator, batching=True)
+    service, server = _serving_stack(database, estimator)
     try:
         host, port = server.address
         stop = threading.Event()
@@ -151,22 +137,13 @@ def test_emit_serve_report(context, tmp_path):
     model_path = tmp_path / "serve-model.bin"
     save_estimator(estimator, model_path)
 
-    batched = _measure_mode(database, estimator, payloads, batching=True)
-    direct = _measure_mode(database, estimator, payloads, batching=False)
+    runs = _measure_clients(database, estimator, payloads)
     hot_swap = _measure_hot_swap(database, estimator, payloads, model_path)
 
-    speedups = {
-        clients: batched[clients]["qps"] / direct[clients]["qps"]
-        for clients in CLIENT_COUNTS
-    }
     report = {
         "estimator": ESTIMATOR,
         "workload_queries": len(payloads),
-        "batched": {str(c): batched[c] for c in CLIENT_COUNTS},
-        "direct": {str(c): direct[c] for c in CLIENT_COUNTS},
-        "batched_vs_direct_speedup": {
-            str(clients): speedup for clients, speedup in speedups.items()
-        },
+        "clients": {str(c): runs[c] for c in CLIENT_COUNTS},
         "hot_swap": hot_swap,
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -174,13 +151,9 @@ def test_emit_serve_report(context, tmp_path):
     print(
         "\nserve ({}): ".format(ESTIMATOR)
         + "; ".join(
-            f"{clients}c batched {batched[clients]['qps']:.0f}/s "
-            f"p99={batched[clients]['p99_ms']:.1f}ms "
-            f"direct {direct[clients]['qps']:.0f}/s "
-            f"({speedups[clients]:.2f}x)"
+            f"{clients}c {runs[clients]['qps']:.0f}/s "
+            f"p99={runs[clients]['p99_ms']:.1f}ms"
             for clients in CLIENT_COUNTS
         )
         + f"; hot-swap {hot_swap['promotions']} promotions, 0 drops"
     )
-    assert speedups[64] >= MIN_SPEEDUP_AT_64, speedups
-    assert min(speedups[1], speedups[8]) >= MIN_RATIO_AT_LOW_CONCURRENCY, speedups

@@ -64,7 +64,6 @@ def _serving_stack(database, estimator, obs=None, batch_window=0.0):
     service = EstimationService(
         database,
         registry=registry,
-        batching=True,
         batch_window_seconds=batch_window,
         max_queue=1024,
         obs=obs,

@@ -39,12 +39,12 @@ def obs_session():
         yield
         return
     out_dir = Path("results") if target == "1" else Path(target)
-    tracer = obs_trace.activate()
+    tracer = obs_trace.Tracer()
     obs_manifest.enable_collection()
     try:
-        yield
+        with obs_trace.use_tracer(tracer):
+            yield
     finally:
-        obs_trace.deactivate()
         trace_path = tracer.export_jsonl(out_dir / "bench_trace.jsonl")
         config = {
             key: str(value) if isinstance(value, Path) else value

@@ -50,7 +50,12 @@ checks are:
     once, never from the fallback, and with ``max(1, estimate_batch)``
     of the estimator whose version the response names (within
     ``BATCH_RTOL``: the micro-batcher may price a query beside other
-    clients' queries).  HTTP and injected faults are not covered yet.
+    clients' queries).  Every call runs under its own tracer, and its
+    trace must be its own: every span carries the call's trace id and
+    hangs off its one ``request`` root, and an estimate's ``queue_wait``
+    span names a ``batch`` span in the trace sink that links it back
+    and served the version the answer names.  HTTP and injected faults
+    are not covered yet.
 
 ``parallel`` and ``resume`` run the full benchmark harness per case,
 so the runner only samples them on a fraction of cases.
@@ -59,6 +64,7 @@ so the runner only samples them on a fraction of cases.
 from __future__ import annotations
 
 import math
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -94,9 +100,11 @@ from repro.estimators.multihist import MultiHistEstimator
 from repro.estimators.pessest import PessimisticEstimator
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
+from repro.obs.trace import Tracer, load_trace, use_tracer
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import EstimationService
+from repro.serve.service import EstimationService, ServeObservability
+from repro.serve.tracing import TraceSink
 from repro.workloads.generator import Workload
 
 #: Relative tolerance for batch-vs-loop equivalence.  Vectorised
@@ -600,12 +608,54 @@ def _serve_mismatch(served: list, wanted: list, degraded, version: int) -> str:
     return f"served {served} as version {version}, offline {wanted}"
 
 
+def _serve_trace_problem(
+    tracer: Tracer, trace_id: str, kind: str, answer: dict, batches: dict[str, dict]
+) -> str:
+    """Why the trace of one served call is not that call's own, or ''."""
+    spans = tracer.spans
+    foreign = sum(span.trace_id != trace_id for span in spans)
+    if foreign:
+        return f"{foreign} of {len(spans)} spans of trace {trace_id} carry another trace id"
+    children: dict[str | None, list] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+    roots = children.get(None, [])
+    if [root.name for root in roots] != ["request"]:
+        return f"trace {trace_id} has roots {[root.name for root in roots]}, not one request"
+    reached, frontier = 0, list(roots)
+    while frontier:
+        reached += 1
+        frontier.extend(children.get(frontier.pop().span_id, []))
+    if reached != len(spans):
+        return f"{len(spans) - reached} spans of trace {trace_id} are not under its root"
+    if kind == "sub_plans":
+        return ""
+    waits = [span for span in spans if span.name == "queue_wait"]
+    if not waits:
+        return f"trace {trace_id} has no queue_wait span"
+    for wait in waits:
+        batch = batches.get(wait.attributes.get("batch_span_id"))
+        if batch is None:
+            return f"queue_wait of trace {trace_id} names no batch span in the sink"
+        if wait.span_id not in batch["attributes"]["links"]:
+            return f"batch {batch['span_id']} does not link queue_wait of trace {trace_id}"
+        if batch["attributes"].get("version") != answer["version"]:
+            return (
+                f"batch {batch['span_id']} served version "
+                f"{batch['attributes'].get('version')}, the answer names {answer['version']}"
+            )
+    return ""
+
+
 def check_serve(case: CheckCase) -> list[Discrepancy]:
     """Served estimates equal the offline ones of the version they name.
 
     PostgreSQL serves as version 1; client 0 promotes MultiHist halfway
     through its requests, so answers of both versions interleave and a
-    job queued before the promotion may be priced after it.
+    job queued before the promotion may be priced after it.  Call
+    ``step`` of client ``i`` runs under a tracer of trace id
+    ``c{i}-{step}`` with a ``request`` root span; batch spans go to a
+    trace sink in a temporary directory.
     """
     if not case.queries:
         return []
@@ -617,8 +667,8 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
     schedule = _serve_schedule(case)
     registry = ModelRegistry()
     registry.promote(estimators[1], source="check:PostgreSQL")
-    service = EstimationService(case.database, registry=registry).start()
     answers: list[list] = [[] for _ in schedule]
+    tracers: list[list[Tracer]] = [[] for _ in schedule]
     barrier = threading.Barrier(len(schedule))
 
     def client(index: int) -> None:
@@ -626,27 +676,46 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
         for step, (kind, picks) in enumerate(schedule[index]):
             if index == 0 and step == SERVE_REQUESTS_PER_CLIENT // 2:
                 registry.promote(estimators[2], source="check:MultiHist")
+            tracer = Tracer(trace_id=f"c{index}-{step}")
+            tracers[index].append(tracer)
             try:
-                if kind == "sub_plans":
-                    answers[index].append(service.sub_plans(sqls[picks[0]]))
-                else:
-                    answers[index].append(
-                        service.estimate_many([sqls[pick] for pick in picks])
-                    )
+                with use_tracer(tracer), tracer.span("request"):
+                    if kind == "sub_plans":
+                        answers[index].append(service.sub_plans(sqls[picks[0]]))
+                    else:
+                        answers[index].append(
+                            service.estimate_many([sqls[pick] for pick in picks])
+                        )
             except Exception as error:  # noqa: BLE001 — reported below
                 answers[index].append(error)
 
-    threads = [
-        threading.Thread(target=client, args=(index,), name=f"check-serve-{index}")
-        for index in range(len(schedule))
-    ]
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-    finally:
-        service.close()
+    with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
+        sink = TraceSink(Path(tmp) / "traces.jsonl")
+        service = EstimationService(
+            case.database, registry=registry, obs=ServeObservability(trace_sink=sink)
+        ).start()
+        threads = [
+            threading.Thread(target=client, args=(index,), name=f"check-serve-{index}")
+            for index in range(len(schedule))
+        ]
+        # A request takes about one default switch interval, so without a
+        # short one the clients rarely interleave inside a request and a
+        # tracer that leaked between threads would go unseen.
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous_interval)
+            service.close()  # drains the sink
+        batches = {
+            record["span_id"]: record
+            for record in load_trace(sink.path)
+            if record["name"] == "batch"
+        }
 
     discrepancies: list[Discrepancy] = []
     memo: dict[tuple, float] = {}
@@ -668,7 +737,9 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
                     f"{len(answers[index])} answers",
                 )
             )
-        for step, ((kind, picks), answer) in enumerate(zip(requests, answers[index])):
+        for step, ((kind, picks), answer, tracer) in enumerate(
+            zip(requests, answers[index], tracers[index])
+        ):
             queries = [case.queries[pick] for pick in picks]
             if isinstance(answer, Exception):
                 detail = f"raised {type(answer).__name__}: {answer}"
@@ -692,6 +763,9 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
                     for position, query in enumerate(queries)
                 ]
                 detail = _serve_mismatch(served, wanted, answer["fallback"], version)
+            detail = detail or _serve_trace_problem(
+                tracer, f"c{index}-{step}", kind, answer, batches
+            )
             if detail:
                 discrepancies.append(
                     Discrepancy(

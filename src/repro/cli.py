@@ -74,14 +74,12 @@ def cmd_run_query(args) -> int:
     context = _context(args)
     database, query = _parse_cli_query(context, args)
     estimator = context.fitted_estimator(args.estimator, _workload_for(args.database))
-    tracer = obs_trace.activate() if args.trace_out else None
-    try:
+    with obs_trace.use_tracer(
+        obs_trace.Tracer() if args.trace_out else None
+    ) as tracer:
         with obs_trace.span("query", sql=args.sql, estimator=args.estimator):
             cards = estimate_sub_plans(estimator, query)
             result = explain(database, query, cards, analyze=True)
-    finally:
-        if tracer is not None:
-            obs_trace.deactivate()
     print(result.text)
     if args.truth and result.actual_rows is not None:
         truth = TrueCardinalityService(
@@ -277,10 +275,8 @@ def cmd_serve(args) -> int:
         trainer=lambda name: context.fitted_estimator(name, workload_name),
         retry=context.retry_policy(),
         request_timeout_seconds=args.request_timeout,
-        batching=not args.no_batching,
         batch_window_seconds=args.batch_window_ms / 1000.0,
         max_queue=args.max_queue,
-        max_in_flight=args.max_in_flight,
         run_id=run_id,
         obs=obs,
         self_execute_every=args.self_execute_every,
@@ -293,8 +289,7 @@ def cmd_serve(args) -> int:
     service.start()
     server.start()
     host, port = server.address
-    mode = "micro-batched" if service.batching else "request-at-a-time"
-    print(f"Serving estimates at http://{host}:{port} ({mode}, run {run_id})")
+    print(f"Serving estimates at http://{host}:{port} (run {run_id})")
     print(
         "  POST /estimate | /estimate_batch | /subplans | /feedback "
         "| /admin/promote"
@@ -600,12 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="address to serve on (:0 picks a free port)",
     )
     serve.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="serve request-at-a-time instead of micro-batching "
-        "concurrent requests into one estimate_batch call",
-    )
-    serve.add_argument(
         "--batch-window-ms",
         type=float,
         default=1.0,
@@ -619,14 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         metavar="N",
         help="admission control: queued requests beyond N get 429",
-    )
-    serve.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=256,
-        metavar="N",
-        help="admission control without batching: concurrent "
-        "requests beyond N get 429",
     )
     serve.add_argument(
         "--max-retries",

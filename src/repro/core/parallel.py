@@ -217,14 +217,11 @@ def dispatch_chunks(
 
 
 def _worker_init() -> None:
-    # Tracing is process-local: spans recorded in a forked worker
-    # would be lost (and cost time), so switch any inherited tracer
-    # off and start from a clean metrics slate.  The event log and the
-    # progress tracker are parent-side too: drop the inherited log
-    # *without closing it* (the fd belongs to the parent) so the parent
-    # stays the file's only writer and emits completion events from the
-    # streamed worker messages instead.
-    obs_trace.deactivate()
+    # Start from a clean metrics slate.  The event log and the progress
+    # tracker are parent-side: drop the inherited log *without closing
+    # it* (the fd belongs to the parent) so the parent stays the file's
+    # only writer and emits completion events from the streamed worker
+    # messages instead.
     obs_events.deactivate(close=False)
     obs_progress.deactivate()
     obs_metrics.reset()
@@ -246,20 +243,24 @@ def _worker_loop(task_queue, result_pipe) -> None:
     _worker_init()
     benchmark, estimator, queries = _FORK_STATE
     pid = os.getpid()
-    while True:
-        chunk = task_queue.get()
-        if chunk is None:  # sentinel: run is over
-            break
-        result_pipe.send(("chunk", list(chunk), pid))
-        for index in chunk:
-            result_pipe.send(("start", index, pid))
-            obs_metrics.reset()
-            try:
-                run = benchmark._run_query(estimator, queries[index])
-            except BaseException as exc:  # noqa: BLE001 — must reach the parent
-                result_pipe.send(("error", index, f"{type(exc).__name__}: {exc}"))
-            else:
-                result_pipe.send(("done", index, run, obs_metrics.registry().dump()))
+    # Tracing is process-local: spans recorded in a forked worker would
+    # be lost (and cost time), so the tracer inherited from the forking
+    # thread is switched off.
+    with obs_trace.use_tracer(None):
+        while True:
+            chunk = task_queue.get()
+            if chunk is None:  # sentinel: run is over
+                break
+            result_pipe.send(("chunk", list(chunk), pid))
+            for index in chunk:
+                result_pipe.send(("start", index, pid))
+                obs_metrics.reset()
+                try:
+                    run = benchmark._run_query(estimator, queries[index])
+                except BaseException as exc:  # noqa: BLE001 — must reach the parent
+                    result_pipe.send(("error", index, f"{type(exc).__name__}: {exc}"))
+                else:
+                    result_pipe.send(("done", index, run, obs_metrics.registry().dump()))
     result_pipe.close()
 
 

@@ -177,31 +177,31 @@ def main(argv=None) -> int:
     if manifest_path is None and args.trace_out:
         manifest_path = Path(args.trace_out).with_name("run_manifest.json")
 
-    tracer = obs_trace.activate() if args.trace_out else None
+    tracer = obs_trace.Tracer() if args.trace_out else None
     event_log = obs_events.activate(args.events_out) if args.events_out else None
     if manifest_path is not None:
         obs_manifest.enable_collection()
 
     experiment_timings: dict[str, float] = {}
     try:
-        for name, experiment in selected.items():
-            started = time.perf_counter()
-            obs_events.emit("experiment.begin", experiment=name)
-            with obs_trace.span("experiment", name=name):
-                output = experiment(context)
-            elapsed = time.perf_counter() - started
-            experiment_timings[name] = elapsed
-            obs_events.emit(
-                "experiment.end", experiment=name, seconds=round(elapsed, 3)
-            )
-            print(output)
-            print(f"\n[{name} finished in {elapsed:.1f}s]\n")
-            if save_dir is not None:
-                (save_dir / f"{name}.txt").write_text(output + "\n")
+        with obs_trace.use_tracer(tracer):
+            for name, experiment in selected.items():
+                started = time.perf_counter()
+                obs_events.emit("experiment.begin", experiment=name)
+                with obs_trace.span("experiment", name=name):
+                    output = experiment(context)
+                elapsed = time.perf_counter() - started
+                experiment_timings[name] = elapsed
+                obs_events.emit(
+                    "experiment.end", experiment=name, seconds=round(elapsed, 3)
+                )
+                print(output)
+                print(f"\n[{name} finished in {elapsed:.1f}s]\n")
+                if save_dir is not None:
+                    (save_dir / f"{name}.txt").write_text(output + "\n")
     finally:
         context.close_checkpoint()
         if tracer is not None:
-            obs_trace.deactivate()
             tracer.export_jsonl(args.trace_out)
             print(f"[trace: {len(tracer.spans)} spans -> {args.trace_out}]")
         if event_log is not None:

@@ -23,17 +23,15 @@ under ``python -m cProfile``.
 
 Everything is **off by default**: :func:`repro.obs.trace.span`,
 :func:`repro.obs.events.emit` and the progress hooks are shared no-ops
-until activated, so instrumented hot paths cost one global read when
-disabled.
+until activated, so instrumented hot paths cost one context-variable
+read (tracing) or one global read (events, progress) when disabled.
 """
 
 from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.trace import (
     Span,
     Tracer,
-    activate,
     active_tracer,
-    deactivate,
     is_active,
     load_trace,
     render_trace,
@@ -45,9 +43,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "activate",
     "active_tracer",
-    "deactivate",
     "is_active",
     "load_trace",
     "registry",

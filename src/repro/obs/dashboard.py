@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.obs import blame as obs_blame
 from repro.obs import events as obs_events
+from repro.obs.jsonl import read_jsonl
 from repro.obs.manifest import load_run_manifest
 from repro.resilience.checkpoint import CampaignCheckpoint
 
@@ -427,16 +428,8 @@ def render_dashboard(
         if blame_path is not None and Path(blame_path).exists()
         else {}
     )
-    access_records: list[dict] = []
-    drift_pairs: list[dict] = []
-    if serve_access_path is not None:
-        from repro.serve.tracing import load_access_log
-
-        access_records = load_access_log(serve_access_path)
-    if serve_drift_path is not None:
-        from repro.serve.drift import load_drift_pairs
-
-        drift_pairs = load_drift_pairs(serve_drift_path)
+    access_records = read_jsonl(serve_access_path) if serve_access_path is not None else []
+    drift_pairs = read_jsonl(serve_drift_path) if serve_drift_path is not None else []
 
     sources = [
         ("checkpoint", checkpoint_path),

@@ -45,8 +45,11 @@ def read_jsonl(path: str | Path, *, missing_ok: bool = True) -> list[dict]:
     Blank lines and unparseable lines — the torn tail of a killed
     writer, or one a later :func:`open_append` terminated — are
     skipped; everything else is intact because records are flushed
-    whole.  A missing file reads as empty unless ``missing_ok`` is
-    false, in which case ``FileNotFoundError`` propagates.
+    whole.  Reading stops at a final line without its newline: it is
+    torn, or a live writer is still writing it, and reading on would
+    split that record in two and lose it.  A missing file reads as
+    empty unless ``missing_ok`` is false, in which case
+    ``FileNotFoundError`` propagates.
     """
     records: list[dict] = []
     try:
@@ -57,6 +60,8 @@ def read_jsonl(path: str | Path, *, missing_ok: bool = True) -> list[dict]:
         raise
     with handle:
         for line in handle:
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue

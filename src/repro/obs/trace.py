@@ -17,10 +17,13 @@ be decomposed exactly the way the paper decomposes end-to-end time:
 
 Instrumented code never talks to a tracer directly; it calls the
 module-level :func:`span` context manager, which is a shared no-op
-unless a tracer has been activated (:func:`use_tracer` /
-:func:`activate`).  The disabled path is a single global read plus a
-constant context-manager enter/exit, so leaving instrumentation in hot
-call sites is safe.
+unless a tracer has been installed with :func:`use_tracer`.  The
+current tracer lives in a :class:`~contextvars.ContextVar`, so it is
+scoped per thread: a campaign installs one for its whole run, and a
+serving process installs one per request on the handler thread while
+other requests trace into their own.  The disabled path is a single
+context-variable read plus a constant context-manager enter/exit, so
+leaving instrumentation in hot call sites is safe.
 
 Traces serialize one span per line as JSON (:meth:`Tracer.export_jsonl`)
 and can be reloaded and pretty-printed with :func:`load_trace` /
@@ -33,6 +36,7 @@ import json
 import time
 import uuid
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,50 +166,46 @@ def _span_sort_key(span: Span) -> tuple:
     return (span.started_unix, int(span.span_id.rsplit(".", 1)[-1]))
 
 
-# -- module-level recorder ----------------------------------------------------
+# -- the current tracer -------------------------------------------------------
 
-_ACTIVE: Tracer | None = None
+_CURRENT: ContextVar[Tracer | None] = ContextVar("repro_tracer", default=None)
+_FRESH = object()
 
 
 def active_tracer() -> Tracer | None:
-    """The currently installed tracer, or ``None`` when disabled."""
-    return _ACTIVE
+    """The tracer installed in this context, or ``None`` when disabled."""
+    return _CURRENT.get()
 
 
 def is_active() -> bool:
-    return _ACTIVE is not None
-
-
-def activate(tracer: Tracer | None = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the process recorder."""
-    global _ACTIVE
-    _ACTIVE = tracer or Tracer()
-    return _ACTIVE
-
-
-def deactivate() -> None:
-    global _ACTIVE
-    _ACTIVE = None
+    return _CURRENT.get() is not None
 
 
 @contextmanager
-def use_tracer(tracer: Tracer | None = None):
-    """Scoped activation: ``with use_tracer() as t: ... t.export_jsonl(p)``."""
-    installed = activate(tracer)
+def use_tracer(tracer: Tracer | None = _FRESH):
+    """Install ``tracer`` for the enclosed block; the previous one returns after.
+
+    ``with use_tracer() as t: ... t.export_jsonl(p)`` records onto a
+    fresh :class:`Tracer`; ``use_tracer(None)`` turns tracing off for
+    the block.  The tracer is scoped to the calling thread: a thread
+    started inside the block begins with no tracer.
+    """
+    installed = Tracer() if tracer is _FRESH else tracer
+    token = _CURRENT.set(installed)
     try:
         yield installed
     finally:
-        deactivate()
+        _CURRENT.reset(token)
 
 
 def span(name: str, /, **attributes):
-    """Record a span on the active tracer; no-op when tracing is off.
+    """Record a span on the current tracer; no-op when tracing is off.
 
     The returned object is a context manager whose ``as`` target
     supports ``.set(**attrs)`` either way, so call sites need no
     enabled/disabled branches of their own.
     """
-    tracer = _ACTIVE
+    tracer = _CURRENT.get()
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, **attributes)

@@ -20,8 +20,9 @@ long-lived process answering estimation requests over HTTP:
   :mod:`repro.obs.httpd` machinery;
 - :mod:`repro.serve.loadgen` — the closed-loop load generator behind
   ``benchmarks/bench_serve.py`` (QPS, p50/p99 at 1/8/64 clients);
-- :mod:`repro.serve.tracing` — request-scoped (thread-local) tracing,
-  the append-only span sink and the structured access log;
+- :mod:`repro.serve.tracing` — the append-only span sink, the
+  batch links between request and batch traces, and the structured
+  access log (request tracers are :mod:`repro.obs.trace`'s);
 - :mod:`repro.serve.slo` — sliding-window burn-rate SLO accounting;
 - :mod:`repro.serve.drift` — windowed est-vs-actual q-error
   monitoring fed by ``POST /feedback`` or self-execution sampling.
@@ -29,7 +30,7 @@ long-lived process answering estimation requests over HTTP:
 
 from repro.serve.app import build_server
 from repro.serve.batching import AdmissionError, MicroBatcher
-from repro.serve.drift import DriftConfig, DriftMonitor, load_drift_pairs
+from repro.serve.drift import DriftConfig, DriftMonitor
 from repro.serve.loadgen import LoadReport, RequestSample, run_load
 from repro.serve.registry import ModelRegistry, ModelVersion, UnknownModelError
 from repro.serve.service import (
@@ -39,7 +40,7 @@ from repro.serve.service import (
     ServiceError,
 )
 from repro.serve.slo import SLOConfig, SLOMonitor
-from repro.serve.tracing import AccessLog, TraceLink, TraceSink, load_access_log
+from repro.serve.tracing import AccessLog, TraceLink, TraceSink
 
 __all__ = [
     "AccessLog",
@@ -61,7 +62,5 @@ __all__ = [
     "TraceSink",
     "UnknownModelError",
     "build_server",
-    "load_access_log",
-    "load_drift_pairs",
     "run_load",
 ]

@@ -3,7 +3,7 @@
 Routes (all JSON bodies/responses):
 
 - ``POST /estimate``        — ``{"sql": "...", "model": "name"?}`` ->
-  one estimate (micro-batched across clients when batching is on);
+  one estimate (micro-batched across clients);
 - ``POST /estimate_batch``  — ``{"sql": ["...", ...], "model": ...}``;
 - ``POST /subplans``        — the whole connected-sub-plan space of
   one query, priced through the batched injection path;
@@ -38,6 +38,7 @@ from __future__ import annotations
 import time
 
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.obs.httpd import (
     PROMETHEUS_CONTENT_TYPE,
     HTTPError,
@@ -48,8 +49,6 @@ from repro.obs.httpd import (
     text_response,
 )
 from repro.obs.progress import active_tracker, prometheus_text
-from repro.obs.trace import Tracer
-from repro.serve import tracing as request_tracing
 from repro.serve.batching import AdmissionError, BatcherClosedError
 from repro.serve.registry import UnknownModelError
 from repro.serve.service import BadRequestError, EstimationService
@@ -80,13 +79,13 @@ def _instrumented(route_name: str, fn, service: EstimationService):
         registry.counter(f"serve.requests.{route_name}").inc()
         started = time.perf_counter()
         tracer = (
-            Tracer(trace_id=request.request_id)
+            obs_trace.Tracer(trace_id=request.request_id)
             if obs.trace_sink is not None
             else None
         )
         status = 200
         try:
-            with request_tracing.use_tracer(tracer):
+            with obs_trace.use_tracer(tracer):
                 if tracer is None:
                     response = fn(request)
                 else:

@@ -21,19 +21,18 @@ and no wait; two closed-loop clients expect 2 and ride one call per
 round, leaving the moment both are in; under saturation the number
 climbs towards the connected clients, and a wait that ran into the cap
 brings it back to what was actually collected.
-``benchmarks/bench_serve.py`` measures the result against
-request-at-a-time serving at 1/8/64 clients.
+``benchmarks/bench_serve.py`` measures the result at 1/8/64 clients.
 
 When a :class:`~repro.serve.tracing.TraceSink` is attached, each
 executed group gets its own trace: a ``batch`` span whose ``links``
 attribute names the ``queue_wait`` span of every member request, plus
 a backdated ``batch_assembly`` span for the time spent gathering and
 the service's ``inference`` span nested under it (the leader installs
-the batch tracer thread-locally around ``run_batch``; its own request
-tracer is back in place afterwards).  The member requests'
-:class:`~repro.serve.tracing.TraceLink` handles are filled with the
-batch span id before their events fire, so each request trace can
-point back at the batch that served it.
+the batch tracer with :func:`~repro.obs.trace.use_tracer` around
+``run_batch``; its own request tracer is back in place afterwards).
+The member requests' :class:`~repro.serve.tracing.TraceLink` handles
+are filled with the batch span id before their events fire, so each
+request trace can point back at the batch that served it.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ import time
 from collections import deque
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import Tracer
-from repro.serve.tracing import TraceLink, TraceSink, use_tracer
+from repro.obs.trace import Tracer, use_tracer
+from repro.serve.tracing import TraceLink, TraceSink
 
 
 class AdmissionError(RuntimeError):

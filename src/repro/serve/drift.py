@@ -35,7 +35,7 @@ from pathlib import Path
 from repro.core.metrics import q_error
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.obs.jsonl import open_append, read_jsonl
+from repro.obs.jsonl import open_append
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,3 @@ class DriftMonitor:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-
-def load_drift_pairs(path: str | Path) -> list[dict]:
-    """Read persisted est-vs-actual pairs, skipping a torn tail."""
-    return read_jsonl(path)

@@ -11,15 +11,21 @@ One :class:`EstimationService` owns everything a request needs:
   retries, a per-request deadline, and the PostgreSQL-default
   fallback so an estimator failure degrades a response instead of
   erroring it;
-- an optional :class:`~repro.serve.batching.MicroBatcher` coalescing
-  concurrent single-query requests into one ``estimate_batch`` call
-  (admission control included); without it, a bounded in-flight
-  semaphore provides the same 429 semantics for direct execution.
+- the :class:`~repro.serve.batching.MicroBatcher` every estimate
+  request goes through, coalescing concurrent requests into one
+  ``estimate_batch`` call (its bounded queue is the admission
+  control behind 429).
 
 Sub-plan-space requests go through
 :func:`repro.core.injection.price_sub_plans`, i.e. the same batched
 injection path the benchmark uses, so a serving deployment prices a
 planner's whole sub-plan space in one call.
+
+Requests trace through :mod:`repro.obs.trace`: whatever tracer the
+calling thread installed (the HTTP layer installs one per request)
+receives the ``parse`` and ``queue_wait`` spans here and every span
+the shared code records on the way — ``retry`` from the retry policy,
+``inference`` from ``price_sub_plans``.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from repro.engine.query import Query
 from repro.engine.sql import parse_query
 from repro.estimators.base import EstimationError
 from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.resilience.fallback import PostgresDefaultFallback
 from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
-from repro.serve import tracing as request_tracing
 from repro.serve.batching import AdmissionError, MicroBatcher
 from repro.serve.drift import DriftMonitor
 from repro.serve.registry import ModelRegistry
@@ -102,11 +108,9 @@ class EstimationService:
         fallback=None,
         retry: RetryPolicy | None = None,
         request_timeout_seconds: float | None = None,
-        batching: bool = True,
         batch_window_seconds: float = 0.001,
         max_queue: int = 256,
         max_batch: int = 1024,
-        max_in_flight: int = 256,
         parse_cache_size: int = 2048,
         run_id: str = "",
         obs: ServeObservability | None = None,
@@ -126,20 +130,14 @@ class EstimationService:
         self._parse_cache_size = parse_cache_size
         self._parse_lock = threading.Lock()
         self._promote_lock = threading.Lock()
-        self._max_in_flight = max_in_flight
-        self._in_flight = threading.BoundedSemaphore(max_in_flight)
         self._started_monotonic = time.monotonic()
         self.shutdown_requested = threading.Event()
-        self.batcher: MicroBatcher | None = (
-            MicroBatcher(
-                self._run_batch,
-                max_queue=max_queue,
-                window_seconds=batch_window_seconds,
-                max_batch=max_batch,
-                trace_sink=self.obs.trace_sink,
-            )
-            if batching
-            else None
+        self.batcher = MicroBatcher(
+            self._run_batch,
+            max_queue=max_queue,
+            window_seconds=batch_window_seconds,
+            max_batch=max_batch,
+            trace_sink=self.obs.trace_sink,
         )
         # Recently served requests, for /feedback request_id resolution.
         self._recent: OrderedDict[str, dict] = OrderedDict()
@@ -161,15 +159,13 @@ class EstimationService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "EstimationService":
-        if self.batcher is not None:
-            self.batcher.start()
+        self.batcher.start()
         if self._self_exec_thread is not None:
             self._self_exec_thread.start()
         return self
 
     def close(self) -> None:
-        if self.batcher is not None:
-            self.batcher.close()
+        self.batcher.close()
         if self._self_exec_thread is not None and self._self_exec_thread.is_alive():
             try:
                 self._self_exec_queue.put_nowait(None)  # wake + stop
@@ -177,10 +173,6 @@ class EstimationService:
                 pass
             self._self_exec_thread.join(timeout=5.0)
         self.obs.close()
-
-    @property
-    def batching(self) -> bool:
-        return self.batcher is not None
 
     def uptime_seconds(self) -> float:
         return time.monotonic() - self._started_monotonic
@@ -209,7 +201,7 @@ class EstimationService:
     def _run_batch(
         self, model: str | None, queries: list[Query]
     ) -> tuple[list[float], int]:
-        """Batch execution hook (a batcher round *and* the direct path).
+        """Batch execution hook: one batcher round of one model.
 
         Resolves the model at call time — so promotions apply to queued
         requests — and clamps estimates to >= 1 row like the injection
@@ -218,7 +210,7 @@ class EstimationService:
         """
         active = self.registry.get(model)
         started = time.perf_counter()
-        with request_tracing.span(
+        with obs_trace.span(
             "inference",
             estimator=active.estimator_name,
             queries=len(queries),
@@ -244,10 +236,9 @@ class EstimationService:
     ) -> dict:
         """Price ``sqls`` (the /estimate and /estimate_batch core).
 
-        With micro-batching the queries may share an ``estimate_batch``
-        call with other clients' requests (a request nothing contends
-        with is priced at once on this thread); without it they run
-        directly under the in-flight semaphore.  Either way the request is wrapped in the service's
+        The queries may share an ``estimate_batch`` call with other
+        clients' requests (a request nothing contends with is priced at
+        once on this thread).  The request is wrapped in the service's
         retry policy, and a final failure degrades to the
         PostgreSQL-default fallback (flagged in the response) instead
         of erroring — the serving analogue of campaign failure
@@ -255,7 +246,7 @@ class EstimationService:
         """
         if not isinstance(sqls, list) or not sqls:
             raise BadRequestError("'sql' must be a non-empty string or list")
-        with request_tracing.span("parse", queries=len(sqls)):
+        with obs_trace.span("parse", queries=len(sqls)):
             queries = [self.parse(sql) for sql in sqls]
         model_name = self.registry.get(model).name  # 404 before queueing
         deadline = Deadline.after(self._request_timeout)
@@ -287,7 +278,6 @@ class EstimationService:
             "model": model_name,
             "version": version,
             "estimates": values,
-            "batched": self.batching,
             "fallback": fallback_used,
         }
         if fallback_used:
@@ -346,33 +336,19 @@ class EstimationService:
     def _submit(
         self, model_name: str, queries: list[Query], deadline: Deadline
     ) -> tuple[list[float], int]:
-        if self.batcher is not None:
-            timeout = deadline.tightest(30.0)
-            tracer = request_tracing.current_tracer()
-            if tracer is None:
-                return self.batcher.submit(model_name, queries, timeout)
-            # The queue_wait span covers enqueue->resolve; the link the
-            # round's leader fills lets this trace name the batch span (and
-            # registry version) that actually served it.
-            with tracer.span("queue_wait", queries=len(queries)) as wait_span:
-                link = TraceLink(tracer.trace_id, wait_span.span_id)
-                outcome = self.batcher.submit(
-                    model_name, queries, timeout, link=link
-                )
-                if link.batch_span_id is not None:
-                    wait_span.set(
-                        batch_span_id=link.batch_span_id, version=link.version
-                    )
-            return outcome
-        if not self._in_flight.acquire(blocking=False):
-            obs_metrics.registry().counter("serve.admission_rejected").inc()
-            raise AdmissionError(
-                f"too many requests in flight ({self._max_in_flight})"
-            )
-        try:
-            return self._run_batch(model_name, queries)
-        finally:
-            self._in_flight.release()
+        timeout = deadline.tightest(30.0)
+        tracer = obs_trace.active_tracer()
+        if tracer is None:
+            return self.batcher.submit(model_name, queries, timeout)
+        # The queue_wait span covers enqueue->resolve; the link the
+        # round's leader fills lets this trace name the batch span (and
+        # registry version) that actually served it.
+        with tracer.span("queue_wait", queries=len(queries)) as wait_span:
+            link = TraceLink(tracer.trace_id, wait_span.span_id)
+            outcome = self.batcher.submit(model_name, queries, timeout, link=link)
+            if link.batch_span_id is not None:
+                wait_span.set(batch_span_id=link.batch_span_id, version=link.version)
+        return outcome
 
     def sub_plans(
         self, sql: str, model: str | None = None, request_id: str = ""
@@ -385,22 +361,16 @@ class EstimationService:
         retry/fallback when the estimator misbehaves or a per-request
         deadline needs cooperative checking.
         """
-        with request_tracing.span("parse", queries=1):
+        with obs_trace.span("parse", queries=1):
             query = self.parse(sql)
         active = self.registry.get(model)
-        with request_tracing.span(
-            "inference",
-            estimator=active.estimator_name,
-            version=active.version,
-            mode="sub_plans",
-        ):
-            outcome = price_sub_plans(
-                active.estimator,
-                query,
-                fallback=self._fallback,
-                retry=self._retry,
-                deadline=Deadline.after(self._request_timeout),
-            )
+        outcome = price_sub_plans(
+            active.estimator,
+            query,
+            fallback=self._fallback,
+            retry=self._retry,
+            deadline=Deadline.after(self._request_timeout),
+        )
         sub_plans = [
             {"tables": sorted(subset), "estimate": estimate}
             for subset, estimate in sorted(
@@ -592,8 +562,7 @@ class EstimationService:
             "status": "ok",
             "run_id": self.run_id,
             "uptime_seconds": round(self.uptime_seconds(), 3),
-            "batching": self.batching,
-            "queue_depth": self.batcher.depth if self.batcher else 0,
+            "queue_depth": self.batcher.depth,
             "models": {
                 name: self.registry.get(name).version
                 for name in self.registry.names()

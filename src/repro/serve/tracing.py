@@ -1,16 +1,18 @@
-"""Request-scoped tracing and the structured access log for serving.
+"""Where serving traces and access records go: sinks and batch links.
 
-The campaign tracer (:mod:`repro.obs.trace`) is process-global — one
-benchmark run, one span tree.  A serving process handles many requests
-concurrently, so request tracing here is **thread-local**: every HTTP
-request gets its own :class:`~repro.obs.trace.Tracer` whose trace id
-*is* the request id (minted or adopted from ``X-Request-ID``), and the
-handler thread installs it for the duration of the request.  Spans
-cross the micro-batcher's queue boundary by **links**: the request's
-``queue_wait`` span hands a :class:`TraceLink` to the batcher, and the
-executing round's ``batch`` span records every member link (and hands
-its own span id back), so one drained batch is navigable from each of
-the client requests it coalesced — and vice versa.
+Request tracing itself is :mod:`repro.obs.trace`: every HTTP request
+gets its own :class:`~repro.obs.trace.Tracer` whose trace id *is* the
+request id (minted or adopted from ``X-Request-ID``), installed with
+:func:`~repro.obs.trace.use_tracer` on the handler thread for the
+duration of the request, so what the request runs on that thread —
+parse, retries, ``/subplans`` inference — records into it and into no
+other request's trace.  Spans cross the micro-batcher's queue boundary
+by **links**:
+the request's ``queue_wait`` span hands a :class:`TraceLink` to the
+batcher, and the executing round's ``batch`` span records every member
+link (and hands its own span id back), so one drained batch is
+navigable from each of the client requests it coalesced — and vice
+versa.
 
 Durability follows the event-log rules: spans are appended to one
 JSONL file (:class:`TraceSink`, one whole-trace write + flush per
@@ -34,51 +36,10 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from repro.obs.jsonl import open_append, read_jsonl
-from repro.obs.trace import Span, Tracer
-
-_LOCAL = threading.local()
-
-
-def current_tracer() -> Tracer | None:
-    """The tracer installed on *this* thread, or None when untraced."""
-    return getattr(_LOCAL, "tracer", None)
-
-
-@contextmanager
-def use_tracer(tracer: Tracer | None):
-    """Install ``tracer`` thread-locally for the enclosed block.
-
-    ``None`` is allowed and leaves tracing off — call sites wrap
-    unconditionally and stay branch-free.
-    """
-    previous = getattr(_LOCAL, "tracer", None)
-    _LOCAL.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _LOCAL.tracer = previous
-
-
-def span(name: str, /, **attributes):
-    """A span on this thread's tracer; shared no-op when untraced."""
-    tracer = getattr(_LOCAL, "tracer", None)
-    if tracer is None:
-        return nullcontext(_NULL_SPAN)
-    return tracer.span(name, **attributes)
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def set(self, **attributes) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
+from repro.obs.jsonl import open_append
+from repro.obs.trace import Span
 
 
 class TraceLink:
@@ -269,8 +230,3 @@ class AccessLog:
 
     def close(self) -> None:
         self._writer.close()
-
-
-def load_access_log(path: str | Path) -> list[dict]:
-    """Read an access log back, skipping blank and torn-tail lines."""
-    return read_jsonl(path)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.check import build_case
+from repro.check import build_case, invariants
 from repro.check.invariants import (
     ALL_INVARIANTS,
     check_cache,
@@ -21,6 +21,7 @@ from repro.check.invariants import (
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.cost import CostModel
 from repro.engine.executor import Executor
+from repro.obs.trace import Tracer
 from repro.serve.batching import MicroBatcher
 
 
@@ -183,3 +184,14 @@ class TestDetection:
         discrepancies = check_serve(case)
         assert discrepancies
         assert discrepancies[0].invariant == "serve"
+
+    def test_serve_detects_a_tracer_shared_by_all_clients(self, monkeypatch):
+        # What a process-global tracer amounts to: every client's calls
+        # record into one tracer, so no call's trace is its own.
+        case = build_case(0, 0)
+        shared = Tracer(trace_id="shared")
+        monkeypatch.setattr(invariants, "Tracer", lambda trace_id=None: shared)
+        discrepancies = check_serve(case)
+        assert discrepancies
+        assert all(d.invariant == "serve" for d in discrepancies)
+        assert "trace" in discrepancies[0].detail

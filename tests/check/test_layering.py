@@ -1,9 +1,14 @@
-"""``repro.check`` holds oracles; production code must not reach into it.
+"""Import layering, checked on source that is parsed, never executed.
 
+``repro.check`` holds oracles; production code must not reach into it.
 The scalar reference planner lives in ``repro.check`` so the hot
 modules carry one path each.  This guard keeps it (and every other
 oracle) from drifting back: only ``repro/check/`` itself and the CLI
-entry point may import the package.  Source is parsed, never executed.
+entry point may import the package.
+
+``repro.obs`` is the instrumentation every layer imports, so it must not
+import a layer above it: nothing under ``repro/obs/`` imports
+``repro.serve``.
 """
 
 import ast
@@ -14,7 +19,7 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).parent
 
 
-def _imports_check(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, package: str) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -25,11 +30,15 @@ def _imports_check(tree: ast.AST) -> bool:
         else:
             continue
         if any(
-            name == "repro.check" or name.startswith("repro.check.")
+            name == package or name.startswith(f"{package}.")
             for name in names
         ):
             return True
     return False
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_only_check_and_cli_import_repro_check():
@@ -38,8 +47,19 @@ def test_only_check_and_cli_import_repro_check():
         relative = path.relative_to(PACKAGE_ROOT)
         if relative.parts[0] == "check" or relative == Path("cli.py"):
             continue
-        if _imports_check(ast.parse(path.read_text(), filename=str(path))):
+        if _imports(_parse(path), "repro.check"):
             offenders.append(str(relative))
     assert offenders == []
     # The walk must be able to fire: the CLI is a known importer.
-    assert _imports_check(ast.parse((PACKAGE_ROOT / "cli.py").read_text()))
+    assert _imports(_parse(PACKAGE_ROOT / "cli.py"), "repro.check")
+
+
+def test_obs_does_not_import_repro_serve():
+    offenders = [
+        str(path.relative_to(PACKAGE_ROOT))
+        for path in sorted((PACKAGE_ROOT / "obs").rglob("*.py"))
+        if _imports(_parse(path), "repro.serve")
+    ]
+    assert offenders == []
+    # The walk must be able to fire: the CLI imports the serving package.
+    assert _imports(_parse(PACKAGE_ROOT / "cli.py"), "repro.serve")

@@ -42,9 +42,8 @@ def multi_query(stats_workload):
 @pytest.fixture()
 def traced():
     obs_metrics.reset()
-    obs_trace.activate()
-    yield
-    obs_trace.deactivate()
+    with obs_trace.use_tracer():
+        yield
     obs_metrics.reset()
 
 
@@ -115,7 +114,7 @@ class TestMetricNames:
         assert "resilience.batch_inference_degraded" not in snapshot["counters"]
 
     def test_untraced_pass_records_no_metrics(self, postgres, multi_query):
-        obs_trace.deactivate()
+        assert not obs_trace.is_active()
         obs_metrics.reset()
         estimate_sub_plans(postgres, multi_query)
         snapshot = _snapshot()

@@ -12,8 +12,8 @@ from repro.core.benchmark import QueryRun
 from repro.obs.events import EventLog, load_events
 from repro.obs.jsonl import open_append, read_jsonl
 from repro.resilience.checkpoint import CampaignCheckpoint
-from repro.serve.drift import DriftMonitor, load_drift_pairs
-from repro.serve.tracing import AccessLog, load_access_log
+from repro.serve.drift import DriftMonitor
+from repro.serve.tracing import AccessLog
 
 
 def _events(path, tags):
@@ -30,7 +30,7 @@ def _drift_pairs(path, tags):
             model=tag, version=1, template=("posts",), estimate=1.0, actual=1.0
         )
     monitor.close()
-    return [pair["model"] for pair in load_drift_pairs(path)]
+    return [pair["model"] for pair in read_jsonl(path)]
 
 
 def _access_log(path, tags):
@@ -41,7 +41,7 @@ def _access_log(path, tags):
             latency_seconds=0.001,
         )
     log.close()
-    return [record["request_id"] for record in load_access_log(path)]
+    return [record["request_id"] for record in read_jsonl(path)]
 
 
 def _checkpoint(path, tags):

@@ -1,16 +1,19 @@
 """Tests for the hierarchical tracer and its JSONL round-trip."""
 
+import threading
+
 import pytest
 
 from repro.obs import trace as obs_trace
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, span, use_tracer
+from repro.obs.trace import active_tracer as current_tracer
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_tracer():
     assert obs_trace.active_tracer() is None
     yield
-    obs_trace.deactivate()
+    assert obs_trace.active_tracer() is None
 
 
 class TestTracer:
@@ -79,10 +82,11 @@ class TestModuleRecorder:
         assert obs_trace.active_tracer() is None
 
     def test_activate_routes_spans(self):
-        tracer = obs_trace.activate()
-        with obs_trace.span("recorded"):
-            pass
-        obs_trace.deactivate()
+        tracer = Tracer()
+        with obs_trace.use_tracer(tracer) as installed:
+            assert installed is tracer
+            with obs_trace.span("recorded"):
+                pass
         with obs_trace.span("dropped"):
             pass
         assert [span.name for span in tracer.spans] == ["recorded"]
@@ -94,3 +98,52 @@ class TestModuleRecorder:
                 pass
         assert not obs_trace.is_active()
         assert tracer.spans[0].name == "inside"
+
+    def test_nested_use_tracer_restores_the_outer_one(self):
+        outer, inner = Tracer(), Tracer()
+        with obs_trace.use_tracer(outer):
+            with obs_trace.use_tracer(inner):
+                with obs_trace.span("inner-work"):
+                    pass
+            with obs_trace.use_tracer(None):
+                assert not obs_trace.is_active()
+                with obs_trace.span("dropped"):
+                    pass
+            assert obs_trace.active_tracer() is outer
+            with obs_trace.span("outer-work"):
+                pass
+        assert [span.name for span in inner.spans] == ["inner-work"]
+        assert [span.name for span in outer.spans] == ["outer-work"]
+
+
+class TestThreadLocalTracing:
+    def test_span_is_noop_without_tracer(self):
+        assert current_tracer() is None
+        with span("anything", key=1) as recorded:
+            recorded.set(more=2)  # must not raise
+        assert current_tracer() is None
+
+    def test_use_tracer_is_thread_local(self):
+        tracer = Tracer(trace_id="local-1")
+        seen = {}
+
+        def other_thread():
+            seen["other"] = current_tracer()
+
+        with use_tracer(tracer):
+            assert current_tracer() is tracer
+            with span("work") as recorded:
+                recorded.set(ok=True)
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        assert seen["other"] is None
+        assert current_tracer() is None
+        assert [s.name for s in tracer.spans] == ["work"]
+        assert tracer.spans[0].attributes["ok"] is True
+
+    def test_nested_none_tracer_is_allowed(self):
+        with use_tracer(None):
+            with span("ignored"):
+                pass
+        assert current_tracer() is None

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import threading
+import time
 
 import pytest
 
@@ -134,7 +136,6 @@ class TestAdminRoutes:
         assert status == 200
         assert health["status"] == "ok"
         assert health["run_id"] == "test-run-42"
-        assert health["batching"] is True
 
     def test_healthz_with_query_string(self, serving):
         address, _ = serving
@@ -182,24 +183,54 @@ class TestAdminRoutes:
         service.shutdown_requested.clear()
 
 
+class _StuckEstimator:
+    """PostgreSQL whose ``estimate_batch`` blocks until released."""
+
+    name = "stuck"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def estimate_batch(self, queries):
+        self.entered.set()
+        self.release.wait(timeout=10.0)
+        return self.inner.estimate_batch(queries)
+
+
 class TestAdmissionOverHTTP:
-    def test_saturated_direct_service_returns_429(self, tiny_db):
+    def test_full_queue_returns_429(self, tiny_db):
+        estimator = _StuckEstimator(PostgresEstimator().fit(tiny_db))
         registry = ModelRegistry()
-        registry.promote(PostgresEstimator().fit(tiny_db))
-        service = EstimationService(
-            tiny_db, registry=registry, batching=False, max_in_flight=1
-        )
-        # Hold the only in-flight slot so the HTTP request is rejected.
-        assert service._in_flight.acquire(blocking=False)
+        registry.promote(estimator)
+        service = EstimationService(tiny_db, registry=registry, max_queue=1).start()
         server = build_server(service, "127.0.0.1:0")
         server.start()
+        statuses = []
+
+        def client():
+            statuses.append(_post_json(server.address, "/estimate", {"sql": SINGLE})[0])
+
+        # One request holds the round in the stuck model, a second fills
+        # the one-slot queue, so a third is turned away.
+        threads = [threading.Thread(target=client) for _ in range(2)]
         try:
-            status, body = _post_json(
-                server.address, "/estimate", {"sql": SINGLE}
-            )
+            threads[0].start()
+            assert estimator.entered.wait(timeout=10.0)
+            threads[1].start()
+            deadline = time.monotonic() + 10.0
+            while service.batcher.depth < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.batcher.depth == 1
+            status, body = _post_json(server.address, "/estimate", {"sql": SINGLE})
             assert status == 429
-            assert "in flight" in body["error"]
+            assert "queue full" in body["error"]
         finally:
-            service._in_flight.release()
+            estimator.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
             server.close()
             service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == [200, 200]

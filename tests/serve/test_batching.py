@@ -7,15 +7,10 @@ import time
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import Tracer, load_trace
+from repro.obs.trace import Tracer, load_trace, span, use_tracer
+from repro.obs.trace import active_tracer as current_tracer
 from repro.serve.batching import AdmissionError, BatcherClosedError, MicroBatcher
-from repro.serve.tracing import (
-    TraceLink,
-    TraceSink,
-    current_tracer,
-    span,
-    use_tracer,
-)
+from repro.serve.tracing import TraceLink, TraceSink
 
 
 def _echo_batch(model, queries):

@@ -9,8 +9,9 @@ import pytest
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs.jsonl import read_jsonl
 from repro.serve.app import build_server
-from repro.serve.drift import DriftConfig, DriftMonitor, load_drift_pairs
+from repro.serve.drift import DriftConfig, DriftMonitor
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import EstimationService, ServeObservability
 
@@ -116,7 +117,7 @@ class TestDriftMonitor:
             sql=JOIN,
         )
         monitor.close()
-        pairs = load_drift_pairs(path)
+        pairs = read_jsonl(path)
         assert len(pairs) == 1
         pair = pairs[0]
         # The blame-attribution dict shape plus serving context.
@@ -138,7 +139,7 @@ class TestDriftMonitor:
         monitor.close()
         with path.open("a") as handle:
             handle.write('{"torn":')
-        assert len(load_drift_pairs(path)) == 1
+        assert len(read_jsonl(path)) == 1
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +198,7 @@ class TestFeedbackRoute:
         assert status == 200
         assert reply["accepted"] == 1
         assert reply["q_errors"] == [2.0]
-        pair = load_drift_pairs(pairs_path)[-1]
+        pair = read_jsonl(pairs_path)[-1]
         assert pair["request_id"] == request_id
         assert pair["estimated_rows"] == body["estimate"]
         assert pair["source"] == "feedback"
@@ -242,7 +243,7 @@ class TestFeedbackRoute:
         assert status == 200
         assert reply["accepted"] == 1
         assert reply["q_errors"] == [4.0]
-        pair = load_drift_pairs(pairs_path)[-1]
+        pair = read_jsonl(pairs_path)[-1]
         assert pair["tables"] == ["posts", "users"]
         assert pair["direction"] == "under"
 
@@ -253,7 +254,7 @@ class TestFeedbackRoute:
         )
         assert status == 200
         assert reply["accepted"] == 1
-        assert load_drift_pairs(pairs_path)[-1]["estimated_rows"] >= 1.0
+        assert read_jsonl(pairs_path)[-1]["estimated_rows"] >= 1.0
 
     def test_bad_payloads_are_400(self, drift_serving):
         address, _, _ = drift_serving
@@ -335,7 +336,7 @@ class TestSelfExecution:
             service.estimate_many([JOIN], request_id="self-2")
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                pairs = load_drift_pairs(tmp_path / "pairs.jsonl")
+                pairs = read_jsonl(tmp_path / "pairs.jsonl")
                 if len(pairs) >= 2:
                     break
                 time.sleep(0.05)

@@ -1,4 +1,4 @@
-"""EstimationService: parse cache, batched/direct estimation, fallback,
+"""EstimationService: parse cache, batched estimation, fallback,
 sub-plan pricing, and hot-swap promotion."""
 
 import pytest
@@ -61,20 +61,7 @@ class TestEstimate:
         assert result["estimates"] == pytest.approx(expected)
         assert result["model"] == "default"
         assert result["version"] == 1
-        assert result["batched"] is True
         assert result["fallback"] is False
-
-    def test_direct_mode_matches_batched(self, tiny_db, fitted, service):
-        registry = ModelRegistry()
-        registry.promote(fitted)
-        direct = EstimationService(tiny_db, registry=registry, batching=False)
-        try:
-            assert direct.batching is False
-            batched = service.estimate_many([SINGLE])["estimates"]
-            unbatched = direct.estimate_many([SINGLE])["estimates"]
-            assert unbatched == pytest.approx(batched)
-        finally:
-            direct.close()
 
     def test_unknown_model_raises_before_queueing(self, service):
         with pytest.raises(UnknownModelError):
@@ -94,8 +81,8 @@ class TestParseCache:
         registry = ModelRegistry()
         registry.promote(fitted)
         svc = EstimationService(
-            tiny_db, registry=registry, batching=False, parse_cache_size=2
-        )
+            tiny_db, registry=registry, parse_cache_size=2
+        ).start()
         first = svc.parse(SINGLE)
         assert svc.parse(SINGLE) is first  # cache hit
         svc.parse(JOIN)
@@ -155,9 +142,7 @@ class TestPromote:
                 raise KeyError(name)
             return PostgresEstimator().fit(tiny_db)
 
-        svc = EstimationService(
-            tiny_db, registry=registry, trainer=trainer, batching=False
-        )
+        svc = EstimationService(tiny_db, registry=registry, trainer=trainer).start()
         outcome = svc.promote(estimator_name="PostgreSQL")
         assert outcome["promoted"]["version"] == 2
         assert outcome["promoted"]["source"] == "trained:PostgreSQL"
@@ -168,7 +153,7 @@ class TestPromote:
     def test_promote_via_saved_model(self, tiny_db, fitted, tmp_path):
         path = tmp_path / "model.bin"
         save_estimator(fitted, path)
-        svc = EstimationService(tiny_db, batching=False)
+        svc = EstimationService(tiny_db).start()
         outcome = svc.promote(path=str(path))
         assert outcome["promoted"]["version"] == 1
         assert outcome["promoted"]["source"] == f"loaded:{path}"
@@ -177,7 +162,7 @@ class TestPromote:
             svc.promote(path=str(tmp_path / "missing.bin"))
 
     def test_promote_needs_exactly_one_source(self, tiny_db):
-        svc = EstimationService(tiny_db, batching=False)
+        svc = EstimationService(tiny_db).start()
         with pytest.raises(BadRequestError, match="exactly one"):
             svc.promote()
         with pytest.raises(BadRequestError, match="exactly one"):
@@ -197,7 +182,6 @@ class TestHealth:
     def test_healthz_shape(self, service):
         health = service.healthz()
         assert health["status"] == "ok"
-        assert health["batching"] is True
         assert health["queue_depth"] == 0
         assert health["models"] == {"default": 1}
         assert health["uptime_seconds"] >= 0.0

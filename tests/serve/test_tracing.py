@@ -17,20 +17,15 @@ import pytest
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs import metrics as obs_metrics
 from repro.obs.httpd import sanitize_request_id
+from repro.obs.jsonl import read_jsonl
 from repro.obs.trace import Tracer, load_trace
+from repro.resilience.policy import RetryPolicy
 from repro.serve.app import build_server
 from repro.serve.loadgen import run_load
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import EstimationService, ServeObservability
 from repro.serve.slo import SLOConfig, SLOMonitor
-from repro.serve.tracing import (
-    AccessLog,
-    TraceSink,
-    current_tracer,
-    load_access_log,
-    span,
-    use_tracer,
-)
+from repro.serve.tracing import AccessLog, TraceSink
 
 SINGLE = "SELECT COUNT(*) FROM posts WHERE posts.Score > 10;"
 JOIN = (
@@ -105,7 +100,7 @@ def _spans_by_trace(path):
     return by_trace
 
 
-def _assert_linked_chain(trace_path, request_id, batched=True):
+def _assert_linked_chain(trace_path, request_id):
     """The full chain behind one 2xx: request -> queue_wait -> batch -> inference."""
     by_trace = _spans_by_trace(trace_path)
     assert request_id in by_trace, f"no trace exported for {request_id}"
@@ -115,8 +110,6 @@ def _assert_linked_chain(trace_path, request_id, batched=True):
     assert root["attributes"]["request_id"] == request_id
     assert root["attributes"]["status"] == 200
     assert request_spans["parse"]["parent_id"] == root["span_id"]
-    if not batched:
-        return request_spans
     wait = request_spans["queue_wait"]
     assert wait["parent_id"] == root["span_id"]
     batch_span_id = wait["attributes"]["batch_span_id"]
@@ -132,39 +125,6 @@ def _assert_linked_chain(trace_path, request_id, batched=True):
     ]
     assert len(inference) == 1
     return request_spans
-
-
-class TestThreadLocalTracing:
-    def test_span_is_noop_without_tracer(self):
-        assert current_tracer() is None
-        with span("anything", key=1) as recorded:
-            recorded.set(more=2)  # must not raise
-        assert current_tracer() is None
-
-    def test_use_tracer_is_thread_local(self):
-        tracer = Tracer(trace_id="local-1")
-        seen = {}
-
-        def other_thread():
-            seen["other"] = current_tracer()
-
-        with use_tracer(tracer):
-            assert current_tracer() is tracer
-            with span("work") as recorded:
-                recorded.set(ok=True)
-            worker = threading.Thread(target=other_thread)
-            worker.start()
-            worker.join()
-        assert seen["other"] is None
-        assert current_tracer() is None
-        assert [s.name for s in tracer.spans] == ["work"]
-        assert tracer.spans[0].attributes["ok"] is True
-
-    def test_nested_none_tracer_is_allowed(self):
-        with use_tracer(None):
-            with span("ignored"):
-                pass
-        assert current_tracer() is None
 
 
 class TestTraceSinkAndAccessLog:
@@ -196,7 +156,7 @@ class TestTraceSinkAndAccessLog:
         log.close()
         with path.open("a") as handle:
             handle.write('{"half')
-        records = load_access_log(path)
+        records = read_jsonl(path)
         assert len(records) == 1
         assert records[0]["request_id"] == "r1"
         assert records[0]["status"] == 200
@@ -205,7 +165,7 @@ class TestTraceSinkAndAccessLog:
         assert log.count == 1
 
     def test_load_access_log_missing_file(self, tmp_path):
-        assert load_access_log(tmp_path / "nope.jsonl") == []
+        assert read_jsonl(tmp_path / "nope.jsonl") == []
 
 
 class TestRequestIdHeader:
@@ -288,11 +248,14 @@ class TestExportedTraces:
         assert status == 200
         _sync(obs)
         by_trace = _spans_by_trace(obs_dir / "traces.jsonl")
-        spans = {r["name"]: r for r in by_trace[headers["X-Request-ID"]]}
+        trace = by_trace[headers["X-Request-ID"]]
+        spans = {r["name"]: r for r in trace}
         root = spans["request"]
         assert root["attributes"]["route"] == "subplans"
-        assert spans["inference"]["parent_id"] == root["span_id"]
-        assert spans["inference"]["attributes"]["mode"] == "sub_plans"
+        (inference,) = [r for r in trace if r["name"] == "inference"]
+        assert inference["parent_id"] == root["span_id"]
+        assert inference["attributes"]["estimator"] == "PostgreSQL"
+        assert inference["attributes"]["sub_plans"] == 3
 
     def test_error_request_trace_is_exported(self, serving, obs_dir):
         address, _, obs = serving
@@ -307,6 +270,63 @@ class TestExportedTraces:
         assert root["status"].startswith("error:")
 
 
+class _FailsFirstBatch:
+    """PostgreSQL whose first ``estimate_batch`` call raises."""
+
+    name = "flaky"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def estimate_batch(self, queries):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("transient model failure")
+        return self.inner.estimate_batch(queries)
+
+
+class TestRetriesInRequestTraces:
+    def test_retried_estimate_records_retry_span_in_its_own_trace(
+        self, tiny_db, tmp_path
+    ):
+        registry = ModelRegistry()
+        registry.promote(_FailsFirstBatch(PostgresEstimator().fit(tiny_db)))
+        obs = ServeObservability(trace_sink=TraceSink(tmp_path / "traces.jsonl"))
+        service = EstimationService(
+            tiny_db,
+            registry=registry,
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0, jitter_fraction=0),
+            obs=obs,
+        ).start()
+        server = build_server(service, "127.0.0.1:0")
+        server.start()
+        try:
+            status, raw, headers = _request(
+                server.address,
+                "POST",
+                "/estimate",
+                {"sql": SINGLE},
+                headers={"X-Request-ID": "retried-1"},
+            )
+        finally:
+            server.close()
+            service.close()
+        assert status == 200
+        assert json.loads(raw)["fallback"] is False
+        assert headers["X-Request-ID"] == "retried-1"
+        trace = _spans_by_trace(tmp_path / "traces.jsonl")["retried-1"]
+        by_id = {record["span_id"]: record for record in trace}
+        (retry,) = [r for r in trace if r["name"] == "retry"]
+        assert retry["trace_id"] == "retried-1"
+        assert retry["attributes"]["attempt"] == 2
+        root = retry
+        while root["parent_id"] is not None:
+            root = by_id[root["parent_id"]]
+        assert root["name"] == "request"
+        assert root["attributes"]["request_id"] == "retried-1"
+
+
 class TestAccessLogAndSLOOverHTTP:
     def test_access_log_records_successes_and_errors(self, serving, obs_dir):
         address, _, obs = serving
@@ -319,7 +339,7 @@ class TestAccessLogAndSLOOverHTTP:
         _sync(obs)
         records = {
             record["request_id"]: record
-            for record in load_access_log(obs_dir / "access.jsonl")
+            for record in read_jsonl(obs_dir / "access.jsonl")
         }
         ok = records[ok_headers["X-Request-ID"]]
         assert ok["route"] == "estimate" and ok["status"] == 200

@@ -27,7 +27,6 @@ class TestParser:
         assert args.database == "stats"
         assert args.estimator == "LW-XGB"
         assert args.serve_addr == "127.0.0.1:9570"
-        assert args.no_batching is False
         assert args.batch_window_ms == pytest.approx(1.0)
         assert args.max_queue == 256
         assert args.max_retries == 0
@@ -40,7 +39,6 @@ class TestParser:
                 "--database", "imdb",
                 "--estimator", "PostgreSQL",
                 "--serve-addr", "0.0.0.0:8080",
-                "--no-batching",
                 "--batch-window-ms", "2.5",
                 "--max-queue", "64",
                 "--max-retries", "2",
@@ -49,7 +47,6 @@ class TestParser:
             ]
         )
         assert args.database == "imdb"
-        assert args.no_batching is True
         assert args.batch_window_ms == pytest.approx(2.5)
         assert args.request_timeout == pytest.approx(1.5)
         assert args.max_seconds == pytest.approx(30.0)
