@@ -218,7 +218,6 @@ class EndToEndBenchmark:
         use_exec_cache: bool = False,
         retry_policy: RetryPolicy | None = None,
         timeout_policy: TimeoutPolicy | None = None,
-        max_crash_retries: int = 1,
     ):
         self._database = database
         self.workload = workload
@@ -232,9 +231,6 @@ class EndToEndBenchmark:
             execution_seconds=timeout_seconds
         )
         self._fallback = PostgresDefaultFallback(database)
-        #: How many times a query lost to a *worker crash* is requeued
-        #: in parallel runs before being recorded as failed.
-        self._max_crash_retries = max(0, max_crash_retries)
         # Measurement-fidelity policy: timed executions pay the real
         # cost of every scan and hash build, so the benchmark executor
         # runs without result-reuse caches unless explicitly opted in
@@ -279,12 +275,11 @@ class EndToEndBenchmark:
         self,
         estimator: CardinalityEstimator,
         queries: list[LabeledQuery] | None = None,
-        workers: int | None = None,
         checkpoint=None,
     ) -> EstimatorRun:
         """Benchmark ``estimator`` over the workload (or a subset).
 
-        With ``workers > 1`` (here or in the constructor) the
+        With ``workers > 1`` (set in the constructor) the
         (estimator, query) pairs are fanned across a fork-based process
         pool; results are returned in workload order and per-worker
         metrics are merged into the parent registry.  Estimator
@@ -314,7 +309,6 @@ class EndToEndBenchmark:
             workload_name=self.workload.name,
         )
         run_queries = list(queries if queries is not None else self.workload.queries)
-        workers = self._workers if workers is None else max(1, workers)
         campaign_deadline = Deadline.after(self._timeout_policy.campaign_seconds)
 
         slots: list[QueryRun | None] = [None] * len(run_queries)
@@ -342,7 +336,7 @@ class EndToEndBenchmark:
                 "campaign.begin",
                 total=len(run_queries),
                 resumed=len(run_queries) - len(fresh),
-                workers=workers,
+                workers=self._workers,
             )
             # Checkpoint-spliced pairs count toward live progress so a
             # resumed campaign's view starts where the last one stopped.
@@ -366,15 +360,14 @@ class EndToEndBenchmark:
                     error=run.error,
                 )
 
-            if workers > 1 and len(fresh) > 1 and fork_available():
+            if self._workers > 1 and len(fresh) > 1 and fork_available():
                 fresh_queries = [labeled for _, labeled in fresh]
                 runs = run_parallel(
                     self,
                     estimator,
                     fresh_queries,
-                    workers,
+                    self._workers,
                     campaign_deadline=campaign_deadline,
-                    max_crash_retries=self._max_crash_retries,
                     on_complete=lambda position, run: complete(
                         fresh[position][0], fresh[position][1], run
                     ),

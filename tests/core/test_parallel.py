@@ -2,17 +2,10 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.core.benchmark import EndToEndBenchmark
-from repro.core.parallel import (
-    SharedColumns,
-    default_workers,
-    dispatch_chunks,
-    fork_available,
-    run_parallel,
-)
+from repro.core.parallel import default_workers, fork_available
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
 from repro.obs import metrics as obs_metrics
@@ -25,6 +18,11 @@ needs_fork = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def bench(stats_db, stats_workload):
     return EndToEndBenchmark(stats_db, stats_workload)
+
+
+@pytest.fixture(scope="module")
+def pool_bench(stats_db, stats_workload):
+    return EndToEndBenchmark(stats_db, stats_workload, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -41,59 +39,8 @@ class TestHelpers:
             pytest.skip("sched_getaffinity unavailable")
         assert default_workers() == max(1, len(os.sched_getaffinity(0)))
 
-    def test_default_workers_capped_at_pending(self):
-        assert default_workers(pending=1) == 1
-        assert default_workers(pending=0) == 1  # never zero workers
-        # A huge pending count leaves the affinity-derived value alone.
-        assert default_workers(pending=10_000) == default_workers()
-
     def test_workers_clamped(self, stats_db, stats_workload):
         assert EndToEndBenchmark(stats_db, stats_workload, workers=0).workers == 1
-
-
-class TestDispatchChunks:
-    def test_covers_every_index_in_order(self):
-        for num_tasks in (1, 2, 7, 24, 100):
-            for workers in (1, 2, 8):
-                chunks = dispatch_chunks(num_tasks, workers)
-                flat = [index for chunk in chunks for index in chunk]
-                assert flat == list(range(num_tasks)), (num_tasks, workers)
-
-    def test_auto_size_amortises_round_trips(self):
-        # 100 tasks over 4 workers: ~4 round-trips per worker.
-        chunks = dispatch_chunks(100, 4)
-        assert all(len(chunk) == 6 for chunk in chunks[:-1])
-        assert len(chunks) <= 4 * 4 + 1
-
-    def test_small_workloads_stay_per_query(self):
-        # Fewer tasks than workers*4: singleton chunks, nothing starves.
-        chunks = dispatch_chunks(6, 2)
-        assert chunks == [[0], [1], [2], [3], [4], [5]]
-
-    def test_explicit_chunk_size(self):
-        assert dispatch_chunks(7, 2, chunk_size=3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert dispatch_chunks(4, 8, chunk_size=100) == [[0, 1, 2, 3]]
-
-    def test_degenerate_inputs(self):
-        assert dispatch_chunks(0, 4) == []
-        assert dispatch_chunks(3, 0) == [[0], [1], [2]]
-        assert dispatch_chunks(3, 2, chunk_size=0) == [[0], [1], [2]]
-
-
-@needs_fork
-class TestChunkedEquivalence:
-    """Multi-query chunks must not change results or their order."""
-
-    def test_chunked_run_matches_serial(self, bench, stats_db, subset):
-        estimator = PostgresEstimator().fit(stats_db)
-        serial = bench.run(estimator, queries=subset)
-        runs = run_parallel(bench, estimator, subset, 2, chunk_size=3)
-        assert [r.query_name for r in runs] == [
-            r.query_name for r in serial.query_runs
-        ]
-        for s, p in zip(serial.query_runs, runs):
-            assert s.result_cardinality == p.result_cardinality
-            assert s.q_errors == p.q_errors
 
 
 @needs_fork
@@ -101,10 +48,10 @@ class TestSerialEquivalence:
     """A parallel run must be observably identical to a serial one."""
 
     @pytest.fixture(scope="class")
-    def runs(self, bench, stats_db, subset):
+    def runs(self, bench, pool_bench, stats_db, subset):
         estimator = PostgresEstimator().fit(stats_db)
         serial = bench.run(estimator, queries=subset)
-        parallel = bench.run(estimator, queries=subset, workers=2)
+        parallel = pool_bench.run(estimator, queries=subset)
         return serial, parallel
 
     def test_query_order_preserved(self, runs, subset):
@@ -138,10 +85,10 @@ class TestSerialEquivalence:
 
 @needs_fork
 class TestMetricsMerge:
-    def test_worker_metrics_reach_parent(self, bench, stats_db, subset):
+    def test_worker_metrics_reach_parent(self, pool_bench, stats_db, subset):
         estimator = TrueCardEstimator().fit(stats_db)
         obs_metrics.reset()
-        bench.run(estimator, queries=subset, workers=2)
+        pool_bench.run(estimator, queries=subset)
         counters = obs_metrics.snapshot()["counters"]
         # Planning happens inside the workers; the merged registry must
         # carry at least one plan per query.
@@ -154,7 +101,7 @@ class TestLiveTelemetryStreaming:
     """Workers stream per-query completions; the parent owns telemetry."""
 
     def test_parallel_campaign_feeds_events_and_progress(
-        self, tmp_path, bench, stats_db, subset
+        self, tmp_path, pool_bench, stats_db, subset
     ):
         from repro.obs import events as obs_events
         from repro.obs import progress as obs_progress
@@ -166,7 +113,7 @@ class TestLiveTelemetryStreaming:
         obs_events.activate(events_path, level="debug")
         tracker = obs_progress.activate(snapshot_path=snapshot_path)
         try:
-            run = bench.run(estimator, queries=subset, workers=2)
+            run = pool_bench.run(estimator, queries=subset)
         finally:
             obs_progress.deactivate()
             obs_events.deactivate()
@@ -196,104 +143,14 @@ class TestLiveTelemetryStreaming:
         assert f"repro_campaign_queries_done {float(len(subset))!r}" in text
 
 
-class TestSharedColumns:
-    """Shared-memory column backing is value-preserving and reversible."""
-
-    def test_share_preserves_values_and_restore_reverts(self, tiny_db):
-        originals = {
-            (name, cname): (column.values, column.null_mask)
-            for name, table in tiny_db.tables.items()
-            for cname, column in table.columns.items()
-        }
-        shared = SharedColumns(tiny_db, min_table_bytes=1)
-        try:
-            shared.share()
-            assert shared.shared_bytes > 0
-            assert set(shared.shared_tables) == set(tiny_db.tables)
-            for (name, cname), (values, null_mask) in originals.items():
-                column = tiny_db.tables[name].columns[cname]
-                assert column.values is not values
-                np.testing.assert_array_equal(column.values, values)
-                np.testing.assert_array_equal(column.null_mask, null_mask)
-                # Read-only: an accidental in-place write must fail
-                # loudly instead of leaking into sibling workers.
-                assert not column.values.flags.writeable
-        finally:
-            shared.restore()
-        for (name, cname), (values, null_mask) in originals.items():
-            column = tiny_db.tables[name].columns[cname]
-            assert column.values is values
-            assert column.null_mask is null_mask
-        shared.restore()  # idempotent
-
-    def test_share_is_idempotent(self, tiny_db):
-        with SharedColumns(tiny_db, min_table_bytes=1) as shared:
-            first = shared.shared_bytes
-            shared.share()
-            assert shared.shared_bytes == first
-
-    def test_small_tables_stay_on_heap(self, tiny_db):
-        originals = {
-            name: table.columns for name, table in tiny_db.tables.items()
-        }
-        with SharedColumns(tiny_db, min_table_bytes=1 << 40) as shared:
-            assert shared.shared_bytes == 0
-            assert shared.shared_tables == ()
-            for name, columns in originals.items():
-                for cname, column in columns.items():
-                    assert tiny_db.tables[name].columns[cname] is column
-
-    def test_no_database_is_a_noop(self):
-        with SharedColumns(None, min_table_bytes=1) as shared:
-            assert shared.shared_bytes == 0
-
-    def test_object_dtype_arrays_are_skipped(self, tiny_db):
-        column = tiny_db.tables["users"].columns["Reputation"]
-        original = column.values
-        column.values = original.astype(object)
-        try:
-            with SharedColumns(tiny_db, min_table_bytes=1) as shared:
-                # The object column stays put; siblings still move.
-                assert tiny_db.tables["users"].columns[
-                    "Reputation"
-                ].values.dtype == object
-                assert shared.shared_bytes > 0
-        finally:
-            column.values = original
-
-    @needs_fork
-    def test_parallel_run_with_sharing_matches_serial(
-        self, monkeypatch, bench, stats_db, subset
-    ):
-        from repro.core import parallel as parallel_module
-
-        # The scaled-down test database is far below the production
-        # 8 MiB threshold, so force sharing on to exercise the path.
-        monkeypatch.setattr(parallel_module, "SHARE_COLUMNS_MIN_BYTES", 1)
-        estimator = PostgresEstimator().fit(stats_db)
-        serial = bench.run(estimator, queries=subset)
-        obs_metrics.reset()
-        runs = run_parallel(bench, estimator, subset, 2)
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters.get("parallel.shared_column_bytes", 0) > 0
-        obs_metrics.reset()
-        for s, p in zip(serial.query_runs, runs):
-            assert s.query_name == p.query_name
-            assert s.result_cardinality == p.result_cardinality
-            assert s.q_errors == p.q_errors
-        # The pool restored every column to its writable heap array.
-        for table in stats_db.tables.values():
-            for column in table.columns.values():
-                assert column.values.flags.writeable
-
-
 class TestSerialFallback:
     def test_single_worker_runs_serially(self, bench, stats_db, subset):
         estimator = PostgresEstimator().fit(stats_db)
-        run = bench.run(estimator, queries=subset[:2], workers=1)
+        run = bench.run(estimator, queries=subset[:2])
         assert len(run.query_runs) == 2
 
-    def test_single_query_avoids_pool(self, bench, stats_db, subset):
+    def test_single_query_avoids_pool(self, stats_db, stats_workload, subset):
         estimator = PostgresEstimator().fit(stats_db)
-        run = bench.run(estimator, queries=subset[:1], workers=4)
+        bench = EndToEndBenchmark(stats_db, stats_workload, workers=4)
+        run = bench.run(estimator, queries=subset[:1])
         assert len(run.query_runs) == 1

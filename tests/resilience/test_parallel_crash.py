@@ -6,12 +6,16 @@ query, once: the parent detects the death, requeues the query to a
 replacement worker, and the campaign still returns every result.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.benchmark import CAMPAIGN_DEADLINE_ERROR, EndToEndBenchmark
-from repro.core.parallel import fork_available
+from repro.core.parallel import fork_available, run_parallel
 from repro.estimators.postgres import PostgresEstimator
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
+from repro.obs.events import load_events
 from repro.resilience import CampaignCheckpoint, TimeoutPolicy
 from repro.resilience.faults import FailingEstimator, WorkerKillingEstimator
 
@@ -27,7 +31,7 @@ def subset(stats_workload):
 
 @pytest.fixture(scope="module")
 def bench(stats_db, stats_workload):
-    return EndToEndBenchmark(stats_db, stats_workload)
+    return EndToEndBenchmark(stats_db, stats_workload, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +46,19 @@ class TestCrashRecovery:
     ):
         """Acceptance proof: kill one worker mid-query; the query is
         requeued exactly once, the replacement completes it, and the
-        run returns all results with nothing failed."""
+        run returns all results with nothing failed.  Only the victim is
+        claimed twice: the crash redispatched nothing else."""
         victim = subset[2].query.name
         estimator = WorkerKillingEstimator(
             postgres, kill_queries={victim}, marker_path=tmp_path / "crashed-once"
         )
+        events_path = tmp_path / "crash.events.jsonl"
         obs_metrics.reset()
-        run = bench.run(estimator, queries=subset, workers=2)
+        obs_events.activate(events_path, level="debug")
+        try:
+            run = bench.run(estimator, queries=subset)
+        finally:
+            obs_events.deactivate()
 
         assert len(run.query_runs) == len(subset)
         assert run.failed_count == 0
@@ -60,6 +70,15 @@ class TestCrashRecovery:
         assert counters["benchmark.worker_crashes"] == 1
         obs_metrics.reset()
 
+        claims = [
+            record["query"]
+            for record in load_events(events_path)
+            if record["event"] == "query.claimed"
+        ]
+        for labeled in subset:
+            name = labeled.query.name
+            assert claims.count(name) == (2 if name == victim else 1), name
+
     def test_deterministic_crasher_bounded_and_recorded(
         self, bench, subset, postgres
     ):
@@ -69,7 +88,7 @@ class TestCrashRecovery:
         victim = subset[1].query.name
         estimator = WorkerKillingEstimator(postgres, kill_queries={victim})
         obs_metrics.reset()
-        run = bench.run(estimator, queries=subset, workers=2)
+        run = bench.run(estimator, queries=subset)
 
         assert len(run.query_runs) == len(subset)
         by_name = {r.query_name: r for r in run.query_runs}
@@ -93,7 +112,6 @@ class TestCrashRecovery:
         run = bench.run(
             FailingEstimator(postgres, fail_queries={victim}),
             queries=subset,
-            workers=2,
         )
         by_name = {r.query_name: r for r in run.query_runs}
         assert by_name[victim].failed is True
@@ -105,76 +123,50 @@ class TestCrashRecovery:
 
 
 @needs_fork
-class TestChunkedCrashRecovery:
-    def test_chunk_mates_requeued_without_blame(
-        self, bench, subset, postgres, stats_workload, tmp_path
-    ):
-        """A worker dying mid-chunk loses nothing: the in-flight query
-        is requeued against its crash budget, and the chunk's unstarted
-        queries are redispatched carrying no blame."""
-        from repro.core.parallel import run_parallel
-
-        victim = subset[0].query.name  # first of its chunk: mates unstarted
-        estimator = WorkerKillingEstimator(
-            postgres, kill_queries={victim}, marker_path=tmp_path / "crashed"
-        )
-        obs_metrics.reset()
-        runs = run_parallel(bench, estimator, subset, 2, chunk_size=3)
-
-        assert [r.query_name for r in runs] == [
-            labeled.query.name for labeled in subset
-        ]
-        assert all(not r.failed for r in runs)
-        labels = {q.query.name: q.true_cardinality for q in stats_workload}
-        for query_run in runs:
-            if not query_run.aborted:
-                assert query_run.result_cardinality == labels[query_run.query_name]
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["benchmark.worker_crashes"] == 1
-        obs_metrics.reset()
-
-    def test_poison_chunk_fails_only_the_poison_query(
+class TestInterruptSalvage:
+    def test_interrupted_run_salvages_completed_runs(
         self, bench, subset, postgres
     ):
-        """A query that kills every worker must not drag its chunk-mates
-        past their (unburned) crash budgets."""
-        from repro.core.parallel import run_parallel
+        """An interrupt in the parent re-raises with the completed runs
+        attached in workload order, their metrics merged, and no worker
+        left behind."""
+        completed = []
 
-        victim = subset[1].query.name  # mid-chunk: a mate is in flight
-        estimator = WorkerKillingEstimator(postgres, kill_queries={victim})
+        def interrupt_on_second(position, run):
+            completed.append(position)
+            if len(completed) == 2:
+                raise KeyboardInterrupt
+
         obs_metrics.reset()
-        runs = run_parallel(bench, estimator, subset, 2, chunk_size=3)
+        with pytest.raises(KeyboardInterrupt) as caught:
+            run_parallel(bench, postgres, subset, 2, on_complete=interrupt_on_second)
 
-        by_name = {r.query_name: r for r in runs}
-        assert by_name[victim].failed is True
-        assert "worker crashed" in by_name[victim].error
-        others = [r for r in runs if r.query_name != victim]
-        assert all(not r.failed for r in others)
+        salvaged = caught.value.salvaged_runs
+        assert [r.query_name for r in salvaged] == [
+            subset[position].query.name for position in sorted(completed)
+        ]
         counters = obs_metrics.snapshot()["counters"]
-        assert counters["benchmark.worker_crashes"] == 2
-        assert counters["benchmark.failed_queries"] == 1
+        assert counters.get("planner.plans", 0) >= len(salvaged)
+        assert multiprocessing.active_children() == []
         obs_metrics.reset()
 
 
 @needs_fork
 class TestParallelCheckpoint:
     def test_parallel_run_checkpoints_every_completion(
-        self, bench, subset, postgres, tmp_path
+        self, bench, subset, postgres, stats_db, stats_workload, tmp_path
     ):
         path = tmp_path / "campaign.jsonl"
         with CampaignCheckpoint(path) as checkpoint:
-            first = bench.run(
-                postgres, queries=subset, workers=2, checkpoint=checkpoint
-            )
+            first = bench.run(postgres, queries=subset, checkpoint=checkpoint)
         resumed = CampaignCheckpoint.resume(path)
         assert resumed.completed_queries(postgres.name) == {
             labeled.query.name for labeled in subset
         }
         # Resuming serially splices the parallel results bit-identically.
+        serial = EndToEndBenchmark(stats_db, stats_workload)
         with CampaignCheckpoint.resume(path) as checkpoint:
-            second = bench.run(
-                postgres, queries=subset, workers=1, checkpoint=checkpoint
-            )
+            second = serial.run(postgres, queries=subset, checkpoint=checkpoint)
         assert second.query_runs == first.query_runs
 
 
@@ -187,8 +179,9 @@ class TestParallelCampaignDeadline:
             stats_db,
             stats_workload,
             timeout_policy=TimeoutPolicy(campaign_seconds=0.0),
+            workers=2,
         )
-        run = bench.run(postgres, queries=subset, workers=2)
+        run = bench.run(postgres, queries=subset)
         assert len(run.query_runs) == len(subset)
         assert all(
             r.failed and r.error == CAMPAIGN_DEADLINE_ERROR for r in run.query_runs
