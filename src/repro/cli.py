@@ -33,6 +33,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ESTIMATOR_ORDER, ExperimentContext
 from repro.obs import trace as obs_trace
 from repro.obs.httpd import ServerStartError
+from repro.resilience import CampaignCheckpoint
 
 
 def _context(args) -> ExperimentContext:
@@ -115,6 +116,21 @@ def cmd_export_workload(args) -> int:
     return 0
 
 
+def _bench_checkpoint(args) -> CampaignCheckpoint | None:
+    """The ``--checkpoint`` / ``--resume`` file, opened (or None).
+
+    Without ``--resume`` a pre-existing file is deleted so the stream
+    only ever describes one campaign; with it, recorded (estimator,
+    query) pairs are loaded and skipped.
+    """
+    path = args.resume or args.checkpoint
+    if path is None:
+        return None
+    if args.resume is None:
+        Path(path).unlink(missing_ok=True)
+    return CampaignCheckpoint.resume(path)
+
+
 def cmd_bench(args) -> int:
     """Run one fault-tolerant benchmark campaign and print a summary."""
     import math
@@ -132,8 +148,6 @@ def cmd_bench(args) -> int:
         max_retries=max(0, args.max_retries),
         query_timeout_seconds=args.query_timeout,
         campaign_timeout_seconds=args.campaign_timeout,
-        checkpoint_path=Path(checkpoint_path) if checkpoint_path else None,
-        resume=args.resume is not None,
     )
     context = ExperimentContext(config)
     workload_name = _workload_for(args.database)
@@ -159,12 +173,12 @@ def cmd_bench(args) -> int:
         host, port = server.address
         print(f"  metrics endpoint:    http://{host}:{port}/metrics")
         print(f"  health endpoint:     http://{host}:{port}/healthz (run {run_id})")
+    checkpoint = _bench_checkpoint(args)
     try:
-        run = context.benchmark(workload_name).run(
-            estimator, checkpoint=context.campaign_checkpoint()
-        )
+        run = context.benchmark(workload_name).run(estimator, checkpoint=checkpoint)
     finally:
-        context.close_checkpoint()
+        if checkpoint is not None:
+            checkpoint.close()
         if server is not None:
             server.close()
         if live:

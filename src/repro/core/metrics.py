@@ -39,6 +39,16 @@ def q_error(estimate: float, true_cardinality: float) -> float:
     return max(estimate / true_cardinality, true_cardinality / estimate)
 
 
+def misestimate(estimate: float, true_cardinality: float) -> tuple[float, str]:
+    """:func:`q_error` and its direction: ``under``, ``over`` or ``exact``."""
+    estimate = max(float(estimate), 1.0)
+    true_cardinality = max(float(true_cardinality), 1.0)
+    if estimate == true_cardinality:
+        return 1.0, "exact"
+    direction = "under" if estimate < true_cardinality else "over"
+    return q_error(estimate, true_cardinality), direction
+
+
 def true_plan_cost(
     planner: Planner,
     query: Query,

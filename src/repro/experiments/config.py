@@ -43,16 +43,10 @@ class ExperimentConfig:
     #: workload), seconds; queries that cannot start in time are
     #: recorded as failed, never silently dropped.
     campaign_timeout_seconds: float | None = None
-    #: stream completed (estimator, query) runs to this JSONL
-    #: checkpoint (None = no checkpointing).
-    checkpoint_path: Path | None = None
-    #: load ``checkpoint_path`` first and skip recorded pairs.
-    #: Resumed campaigns are correctness-grade, not timing-grade.
-    resume: bool = False
     #: result-reuse caches on correctness-only paths (labelling,
     #: Q-/P-Error).  Timed executions always bypass them regardless.
     exec_cache: bool = True
-    #: where evaluation-run caches live.
+    #: where evaluation-run caches (resumable campaign checkpoints) live.
     cache_dir: Path = field(default=Path(".cache") / "experiments")
     #: where labelled-workload caches live (None = the package default,
     #: shared with direct ``build_stats_ceb``/``build_job_light`` calls).

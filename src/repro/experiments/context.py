@@ -4,19 +4,18 @@ The context lazily builds every asset an experiment needs and caches
 the expensive parts on disk:
 
 - labelled workloads (through :mod:`repro.workloads.cache`),
-- full estimator evaluation passes (:class:`EstimatorRecord` as JSON),
+- full estimator evaluation passes, one
+  :class:`~repro.resilience.checkpoint.CampaignCheckpoint` file each,
 
 so Tables 3-7 and Figure 3 all read from one evaluation campaign.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.benchmark import EndToEndBenchmark, EstimatorRun, QueryRun
+from repro.core.benchmark import EndToEndBenchmark, EstimatorRun
 from repro.datasets.imdb_light import ImdbConfig, build_imdb_light
 from repro.datasets.stats_db import StatsConfig, build_stats
 from repro.engine.database import Database
@@ -42,7 +41,7 @@ from repro.estimators.unisample import UniSampleEstimator
 from repro.estimators.wjsample import WanderJoinEstimator
 from repro.experiments.config import ExperimentConfig
 from repro.obs import manifest as obs_manifest
-from repro.resilience import RetryPolicy, TimeoutPolicy
+from repro.resilience import CampaignCheckpoint, RetryPolicy, TimeoutPolicy
 from repro.workloads import cache as workload_cache
 from repro.workloads.generator import Workload
 from repro.workloads.job_light import build_job_light
@@ -108,8 +107,6 @@ class ExperimentContext:
         self._training: dict[str, list] = {}
         self._benchmarks: dict[str, EndToEndBenchmark] = {}
         self._records: dict[tuple[str, str], EstimatorRecord] = {}
-        self._checkpoint = None
-        self._checkpoint_ready = False
 
     # -- assets -----------------------------------------------------------------
 
@@ -204,35 +201,6 @@ class ExperimentContext:
             campaign_seconds=config.campaign_timeout_seconds,
         )
 
-    def campaign_checkpoint(self):
-        """The configured campaign checkpoint, opened lazily (or None).
-
-        Without ``resume`` a pre-existing checkpoint file is truncated
-        so the stream only ever describes one campaign; with ``resume``
-        recorded (estimator, query) pairs are loaded and skipped.
-        """
-        if self._checkpoint_ready:
-            return self._checkpoint
-        self._checkpoint_ready = True
-        path = self.config.checkpoint_path
-        if path is None:
-            return None
-        from repro.resilience import CampaignCheckpoint
-
-        path = Path(path)
-        if self.config.resume:
-            self._checkpoint = CampaignCheckpoint.resume(path)
-        else:
-            path.unlink(missing_ok=True)
-            self._checkpoint = CampaignCheckpoint(path)
-        return self._checkpoint
-
-    def close_checkpoint(self) -> None:
-        if self._checkpoint is not None:
-            self._checkpoint.close()
-        self._checkpoint = None
-        self._checkpoint_ready = False
-
     # -- estimators -----------------------------------------------------------------
 
     def make_estimator(self, name: str):
@@ -277,26 +245,28 @@ class ExperimentContext:
     # -- evaluation passes ------------------------------------------------------------
 
     def evaluate(self, name: str, workload_name: str) -> EstimatorRecord:
-        """Fit + benchmark one estimator (disk-cached)."""
+        """Fit + benchmark one estimator, cached on disk as a checkpoint.
+
+        A run-cache file that records every workload query and the fit
+        is served without fitting.  A partial one (a killed pass, or
+        queries a campaign deadline skipped) is resumed: the estimator
+        is fitted and only the missing queries run.
+        """
         key = (name, workload_name)
         if key in self._records:
             return self._records[key]
-        path = self._record_path(name, workload_name)
-        record = _load_record(path)
-        if record is None:
-            estimator = self.fitted_estimator(name, workload_name)
-            run = self.benchmark(workload_name).run(
-                estimator, checkpoint=self.campaign_checkpoint()
-            )
-            record = EstimatorRecord(
-                name=name,
-                workload=workload_name,
-                training_seconds=estimator.training_seconds,
-                model_size_bytes=estimator.model_size_bytes(),
-                run=run,
-            )
-            _save_record(record, path)
-        self._records[key] = record
+        workload = self.workload(workload_name)
+        with CampaignCheckpoint.resume(self._record_path(name, workload_name)) as cache:
+            fit = cache.fit(name)
+            runs = [cache.get(name, labeled.query.name) for labeled in workload.queries]
+            if fit is None or None in runs:
+                estimator = self.fitted_estimator(name, workload_name)
+                run = self.benchmark(workload_name).run(estimator, checkpoint=cache)
+                fit = (estimator.training_seconds, estimator.model_size_bytes())
+                cache.append_fit(name, *fit)
+            else:
+                run = EstimatorRun(name, workload.name, runs)
+        record = self._records[key] = EstimatorRecord(name, workload_name, *fit, run)
         obs_manifest.collect_run(f"{name}/{workload_name}", record.run)
         return record
 
@@ -315,70 +285,4 @@ class ExperimentContext:
                 "checksum": workload_cache.database_checksum(database),
             }
         )
-        return self.config.cache_dir / "runs" / f"{name}-{workload_name}-{key}.json"
-
-
-# -- record (de)serialization ----------------------------------------------------
-
-
-def _save_record(record: EstimatorRecord, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "name": record.name,
-        "workload": record.workload,
-        "training_seconds": record.training_seconds,
-        "model_size_bytes": record.model_size_bytes,
-        "estimator_name": record.run.estimator_name,
-        "workload_name": record.run.workload_name,
-        "query_runs": [asdict(run) for run in record.run.query_runs],
-    }
-    path.write_text(json.dumps(payload))
-
-
-def _load_record(path: Path) -> EstimatorRecord | None:
-    if not path.exists():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-        query_runs = [
-            QueryRun(
-                query_name=item["query_name"],
-                num_tables=item["num_tables"],
-                inference_seconds=item["inference_seconds"],
-                planning_seconds=item["planning_seconds"],
-                execution_seconds=item["execution_seconds"],
-                aborted=item["aborted"],
-                result_cardinality=item["result_cardinality"],
-                p_error=item["p_error"],
-                q_errors=item["q_errors"],
-                join_order=_as_tuple(item["join_order"]),
-                methods=item["methods"],
-                trace_id=item.get("trace_id"),
-                # Resilience fields; absent in records cached before
-                # the fault-tolerance layer existed.
-                failed=item.get("failed", False),
-                error=item.get("error"),
-                attempts=item.get("attempts", 1),
-                fallback_estimates=item.get("fallback_estimates", 0),
-            )
-            for item in payload["query_runs"]
-        ]
-        return EstimatorRecord(
-            name=payload["name"],
-            workload=payload["workload"],
-            training_seconds=payload["training_seconds"],
-            model_size_bytes=payload["model_size_bytes"],
-            run=EstimatorRun(
-                estimator_name=payload["estimator_name"],
-                workload_name=payload["workload_name"],
-                query_runs=query_runs,
-            ),
-        )
-    except (json.JSONDecodeError, KeyError):
-        return None
-
-
-def _as_tuple(value):
-    if isinstance(value, list):
-        return tuple(_as_tuple(item) for item in value)
-    return value
+        return self.config.cache_dir / "runs" / f"{name}-{workload_name}-{key}.jsonl"

@@ -9,6 +9,8 @@ Usage::
 
 ``quick`` runs at reduced scale (CI-friendly); ``full`` reproduces
 the repository's headline numbers recorded in EXPERIMENTS.md.
+Every (estimator, workload) pass is cached under ``.cache/experiments/runs``
+one query at a time, so re-running a killed invocation resumes it.
 
 With ``--trace-out`` the whole run executes under an active
 :mod:`repro.obs` tracer and the span tree is exported as JSONL.
@@ -105,21 +107,6 @@ def main(argv=None) -> int:
         "that cannot start in time are recorded as failed",
     )
     parser.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help="stream completed query runs to FILE (JSONL) so an "
-        "interrupted campaign can be resumed",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="FILE",
-        default=None,
-        help="resume from a checkpoint FILE: completed (estimator, query) "
-        "pairs are skipped and new completions appended; resumed runs are "
-        "correctness-grade, not timing-grade",
-    )
-    parser.add_argument(
         "--no-exec-cache",
         action="store_true",
         help="disable result-reuse caches on correctness-only paths "
@@ -152,7 +139,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    checkpoint_path = args.resume or args.checkpoint
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode),
         workers=max(1, args.workers),
@@ -160,8 +146,6 @@ def main(argv=None) -> int:
         max_retries=max(0, args.max_retries),
         query_timeout_seconds=args.query_timeout,
         campaign_timeout_seconds=args.campaign_timeout,
-        checkpoint_path=Path(checkpoint_path) if checkpoint_path else None,
-        resume=args.resume is not None,
     )
     context = ExperimentContext(config)
     selected = EXPERIMENTS if args.experiment == "all" else {
@@ -200,7 +184,6 @@ def main(argv=None) -> int:
                 if save_dir is not None:
                     (save_dir / f"{name}.txt").write_text(output + "\n")
     finally:
-        context.close_checkpoint()
         if tracer is not None:
             tracer.export_jsonl(args.trace_out)
             print(f"[trace: {len(tracer.spans)} spans -> {args.trace_out}]")
@@ -216,7 +199,6 @@ def main(argv=None) -> int:
                 manifest_path,
                 config,
                 trace_file=args.trace_out,
-                checkpoint_file=str(checkpoint_path) if checkpoint_path else None,
                 events_file=args.events_out,
                 extra={"experiment_timings_seconds": experiment_timings},
             )

@@ -32,6 +32,7 @@ from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import metrics
 from repro.core.injection import estimate_sub_plans
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted, Executor, NodeRuntimeStats
@@ -230,16 +231,6 @@ def plan_subsets(plan: PlanNode) -> dict[frozenset[str], PlanNode]:
     return nodes
 
 
-def _ratio(estimated: float, true: float) -> tuple[float, str]:
-    estimated = max(float(estimated), 1.0)
-    true = max(float(true), 1.0)
-    if estimated == true:
-        return 1.0, "exact"
-    if estimated < true:
-        return true / estimated, "under"
-    return estimated / true, "over"
-
-
 def blame_query(
     database: Database,
     query: Query,
@@ -263,10 +254,14 @@ def blame_query(
     planner = planner or Planner(database)
     est_planned = planner.plan(query, estimates)
     true_planned = planner.plan(query, true_cards)
-    cost_model = planner.cost_model
-    cost_est = cost_model.plan_cost(est_planned.plan, true_cards)
-    cost_true = cost_model.plan_cost(true_planned.plan, true_cards)
-    p_error = max(cost_est / max(cost_true, 1e-12), 1.0)
+    p_error = metrics.p_error(
+        planner,
+        query,
+        estimates,
+        true_cards,
+        estimated_plan=est_planned.plan,
+        true_cost=planner.cost_model.plan_cost(true_planned.plan, true_cards),
+    )
 
     est_order = join_order_signature(est_planned.plan)
     true_order = join_order_signature(true_planned.plan)
@@ -308,7 +303,7 @@ def blame_query(
         true = true_cards.get(subset, float("nan"))
         if not (math.isfinite(estimated) and math.isfinite(true)):
             continue
-        ratio, direction = _ratio(estimated, true)
+        ratio, direction = metrics.misestimate(estimated, true)
         stats = node_stats.get(subset)
         est_node = est_nodes.get(subset)
         attributions.append(

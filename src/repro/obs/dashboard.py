@@ -82,9 +82,11 @@ def _status(run: dict) -> str:
 
 def _load_checkpoint_runs(path) -> list[dict]:
     """Completed (estimator, query) pairs as plain dicts."""
-    checkpoint = CampaignCheckpoint.resume(path)
     runs = []
-    for (estimator, _), run in sorted(checkpoint._completed.items()):
+    for estimator, run in sorted(
+        CampaignCheckpoint.resume(path).runs(),
+        key=lambda pair: (pair[0], pair[1].query_name),
+    ):
         runs.append(
             {
                 "estimator": estimator,

@@ -77,12 +77,10 @@ def _query_entry(query_run) -> dict:
         "aborted": query_run.aborted,
         "p_error": query_run.p_error,
         "trace_id": query_run.trace_id,
-        # Resilience outcome (older EstimatorRun payloads loaded from
-        # disk caches may predate these fields — default to no-fault).
-        "failed": getattr(query_run, "failed", False),
-        "error": getattr(query_run, "error", None),
-        "attempts": getattr(query_run, "attempts", 1),
-        "fallback_estimates": getattr(query_run, "fallback_estimates", 0),
+        "failed": query_run.failed,
+        "error": query_run.error,
+        "attempts": query_run.attempts,
+        "fallback_estimates": query_run.fallback_estimates,
     }
 
 
@@ -92,7 +90,7 @@ def _run_entry(label: str, run) -> dict:
         "estimator": run.estimator_name,
         "workload": run.workload_name,
         "aborted_count": run.aborted_count,
-        "failed_count": getattr(run, "failed_count", 0),
+        "failed_count": run.failed_count,
         "totals": {
             "inference_seconds": run.total_inference_seconds(),
             "planning_seconds": run.total_planning_seconds(),

@@ -2,10 +2,12 @@
 
 A campaign checkpoint is an append-only JSONL file: a header line
 identifying the schema, then one ``query_run`` record per completed
-(estimator, query) pair, flushed as soon as the pair finishes.  A
-campaign killed at any point therefore loses at most the query it was
-executing; re-running with ``--resume`` loads the file, skips every
-recorded pair, and keeps appending to the same file.
+(estimator, query) pair, flushed as soon as the pair finishes, and
+optionally one ``fit`` record per estimator (training time and model
+size).  A campaign killed at any point therefore loses at most the
+query it was executing; resuming loads the file, skips every recorded
+pair, and keeps appending to the same file.  ``repro bench --resume``
+and the experiment context's per-pass run cache both work this way.
 
 Resumed runs are **correctness-grade, not timing-grade**: the recorded
 cardinalities, plans and Q-/P-Errors splice bit-identically into the
@@ -69,6 +71,7 @@ class CampaignCheckpoint:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._completed: dict[tuple[str, str], QueryRun] = {}
+        self._fits: dict[str, tuple[float, int]] = {}
         self._handle = None
 
     # -- reading ----------------------------------------------------------
@@ -99,11 +102,24 @@ class CampaignCheckpoint:
             elif kind == "query_run":
                 run = query_run_from_dict(record["run"])
                 self._completed[(record["estimator"], run.query_name)] = run
+            elif kind == "fit":
+                self._fits[record["estimator"]] = (
+                    record["training_seconds"],
+                    record["model_size_bytes"],
+                )
             # Unknown kinds are ignored for forward compatibility.
 
     def get(self, estimator_name: str, query_name: str) -> QueryRun | None:
         """The recorded run for one pair, or None if not yet completed."""
         return self._completed.get((estimator_name, query_name))
+
+    def runs(self) -> list[tuple[str, QueryRun]]:
+        """Every recorded (estimator, run) pair, in first-recorded order."""
+        return [(estimator, run) for (estimator, _), run in self._completed.items()]
+
+    def fit(self, estimator_name: str) -> tuple[float, int] | None:
+        """The last recorded (training seconds, model bytes), or None."""
+        return self._fits.get(estimator_name)
 
     def completed_queries(self, estimator_name: str) -> set[str]:
         return {
@@ -138,6 +154,21 @@ class CampaignCheckpoint:
             }
         )
         self._completed[(estimator_name, run.query_name)] = run
+
+    def append_fit(
+        self, estimator_name: str, training_seconds: float, model_size_bytes: int
+    ) -> None:
+        """Record one estimator's training time and model size, durably."""
+        self._ensure_open()
+        self._write(
+            {
+                "kind": "fit",
+                "estimator": estimator_name,
+                "training_seconds": training_seconds,
+                "model_size_bytes": model_size_bytes,
+            }
+        )
+        self._fits[estimator_name] = (training_seconds, model_size_bytes)
 
     def close(self) -> None:
         if self._handle is not None:

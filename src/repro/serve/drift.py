@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.metrics import q_error
+from repro.core.metrics import misestimate
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.jsonl import open_append
@@ -48,16 +48,6 @@ class DriftConfig:
     min_count: int = 8
     #: Median q-error above this marks the window degraded.
     threshold: float = 4.0
-
-
-def _ratio(estimated: float, true: float) -> tuple[float, str]:
-    estimated = max(float(estimated), 1.0)
-    true = max(float(true), 1.0)
-    if estimated == true:
-        return 1.0, "exact"
-    if estimated < true:
-        return true / estimated, "under"
-    return estimated / true, "over"
 
 
 @dataclass
@@ -127,8 +117,7 @@ class DriftMonitor:
         sql: str = "",
     ) -> dict:
         """Fold one est-vs-actual pair in; returns the pair record."""
-        error = q_error(estimate, actual)
-        ratio, direction = _ratio(estimate, actual)
+        error, direction = misestimate(estimate, actual)
         record = {
             "ts": time.time(),
             "model": model,
@@ -137,7 +126,7 @@ class DriftMonitor:
             "tables": list(template),
             "estimated_rows": float(estimate),
             "true_rows": float(actual),
-            "ratio": ratio,
+            "ratio": error,
             "direction": direction,
             "q_error": error,
             "request_id": request_id,

@@ -1,8 +1,6 @@
 """Tests for experiment configuration and the CLI runner plumbing."""
 
 import dataclasses
-import json
-from pathlib import Path
 
 import pytest
 
@@ -49,7 +47,6 @@ class TestResilienceWiring:
         context = ExperimentContext()
         assert context.retry_policy() is None
         assert context.timeout_policy() is None
-        assert context.campaign_checkpoint() is None
 
     def test_max_retries_maps_to_attempts(self):
         config = dataclasses.replace(ExperimentConfig.quick(), max_retries=2)
@@ -65,35 +62,6 @@ class TestResilienceWiring:
         policy = ExperimentContext(config).timeout_policy()
         assert policy.per_query_seconds == 30.0
         assert policy.campaign_seconds == 600.0
-
-    def test_checkpoint_without_resume_truncates(self, tmp_path):
-        path = tmp_path / "campaign.jsonl"
-        path.write_text('{"kind": "header", "schema_version": 1}\nstale-data\n')
-        config = dataclasses.replace(
-            ExperimentConfig.quick(), checkpoint_path=path, resume=False
-        )
-        context = ExperimentContext(config)
-        checkpoint = context.campaign_checkpoint()
-        assert len(checkpoint) == 0
-        assert not path.exists()  # truncated; recreated on first append
-        assert context.campaign_checkpoint() is checkpoint  # cached
-        context.close_checkpoint()
-
-    def test_resume_loads_existing_checkpoint(self, tmp_path):
-        from repro.resilience import CampaignCheckpoint
-
-        from tests.resilience.test_checkpoint import make_run
-
-        path = tmp_path / "campaign.jsonl"
-        with CampaignCheckpoint(path) as checkpoint:
-            checkpoint.append("PostgreSQL", make_run("q1"))
-        config = dataclasses.replace(
-            ExperimentConfig.quick(), checkpoint_path=path, resume=True
-        )
-        context = ExperimentContext(config)
-        checkpoint = context.campaign_checkpoint()
-        assert checkpoint.completed_queries("PostgreSQL") == {"q1"}
-        context.close_checkpoint()
 
 
 class TestRunnerCli:
@@ -131,7 +99,7 @@ class TestRunnerSave:
 
 
 class TestRunnerResilienceFlags:
-    def test_flags_reach_the_config(self, monkeypatch, capsys, tmp_path):
+    def test_flags_reach_the_config(self, monkeypatch, capsys):
         seen = {}
 
         def fake(context):
@@ -139,7 +107,6 @@ class TestRunnerResilienceFlags:
             return "OK"
 
         monkeypatch.setitem(EXPERIMENTS, "table1", fake)
-        checkpoint = tmp_path / "campaign.jsonl"
         assert (
             main(
                 [
@@ -151,8 +118,6 @@ class TestRunnerResilienceFlags:
                     "45",
                     "--campaign-timeout",
                     "900",
-                    "--checkpoint",
-                    str(checkpoint),
                 ]
             )
             == 0
@@ -160,38 +125,3 @@ class TestRunnerResilienceFlags:
         assert seen["max_retries"] == 2
         assert seen["query_timeout_seconds"] == 45.0
         assert seen["campaign_timeout_seconds"] == 900.0
-        assert seen["checkpoint_path"] == Path(checkpoint)
-        assert seen["resume"] is False
-
-    def test_resume_flag_implies_checkpoint_path(self, monkeypatch, capsys, tmp_path):
-        seen = {}
-
-        def fake(context):
-            seen.update(dataclasses.asdict(context.config))
-            return "OK"
-
-        monkeypatch.setitem(EXPERIMENTS, "table1", fake)
-        checkpoint = tmp_path / "campaign.jsonl"
-        assert main(["--experiment", "table1", "--resume", str(checkpoint)]) == 0
-        assert seen["checkpoint_path"] == Path(checkpoint)
-        assert seen["resume"] is True
-
-    def test_manifest_links_checkpoint_file(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setitem(EXPERIMENTS, "table1", lambda context: "OK")
-        checkpoint = tmp_path / "campaign.jsonl"
-        manifest = tmp_path / "run_manifest.json"
-        assert (
-            main(
-                [
-                    "--experiment",
-                    "table1",
-                    "--checkpoint",
-                    str(checkpoint),
-                    "--manifest",
-                    str(manifest),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(manifest.read_text())
-        assert payload["checkpoint_file"] == str(checkpoint)

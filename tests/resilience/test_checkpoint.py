@@ -154,3 +154,23 @@ class TestCheckpoint:
         with path.open("a") as handle:
             handle.write('{"kind": "future-extension", "data": 1}\n')
         assert len(CampaignCheckpoint.resume(path)) == 1
+
+    def test_runs_lists_every_pair_in_recorded_order(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        with CampaignCheckpoint(path) as checkpoint:
+            checkpoint.append("TrueCard", make_run("q2"))
+            checkpoint.append("PostgreSQL", make_run("q1"))
+        pairs = CampaignCheckpoint.resume(path).runs()
+        assert pairs == [("TrueCard", make_run("q2")), ("PostgreSQL", make_run("q1"))]
+
+    def test_fit_record_round_trips_and_last_one_wins(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        with CampaignCheckpoint(path) as checkpoint:
+            assert checkpoint.fit("PostgreSQL") is None
+            checkpoint.append_fit("PostgreSQL", 0.5, 1024)
+            checkpoint.append("PostgreSQL", make_run("q1"))
+            checkpoint.append_fit("PostgreSQL", 0.75, 2048)
+        resumed = CampaignCheckpoint.resume(path)
+        assert resumed.fit("PostgreSQL") == (0.75, 2048)
+        assert resumed.fit("TrueCard") is None
+        assert len(resumed) == 1  # a fit is not a completed query

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _bench_checkpoint, build_parser, main
 
 
 class TestParser:
@@ -123,6 +123,33 @@ class TestParser:
             build_parser().parse_args(
                 ["explain", "--sql", "SELECT COUNT(*) FROM users", "--estimator", "Magic"]
             )
+
+
+class TestBenchCheckpoint:
+    """`repro bench --checkpoint` starts fresh; `--resume` loads the file."""
+
+    def test_checkpoint_without_resume_truncates(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        path.write_text('{"kind": "header", "schema_version": 1}\nstale-data\n')
+        args = build_parser().parse_args(["bench", "--checkpoint", str(path)])
+        with _bench_checkpoint(args) as checkpoint:
+            assert len(checkpoint) == 0
+            assert not path.exists()  # truncated; recreated on first append
+
+    def test_resume_loads_existing_checkpoint(self, tmp_path):
+        from repro.resilience import CampaignCheckpoint
+
+        from tests.resilience.test_checkpoint import make_run
+
+        path = tmp_path / "campaign.jsonl"
+        with CampaignCheckpoint(path) as checkpoint:
+            checkpoint.append("PostgreSQL", make_run("q1"))
+        args = build_parser().parse_args(["bench", "--resume", str(path)])
+        with _bench_checkpoint(args) as checkpoint:
+            assert checkpoint.completed_queries("PostgreSQL") == {"q1"}
+
+    def test_no_checkpoint_flag_opens_nothing(self):
+        assert _bench_checkpoint(build_parser().parse_args(["bench"])) is None
 
 
 @pytest.mark.slow
