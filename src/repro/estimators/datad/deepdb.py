@@ -18,7 +18,7 @@ import numpy as np
 from repro.estimators.base import stable_hash
 from repro.estimators.datad.fanout import FanoutJoinEstimator, TableDensityModel
 from repro.estimators.ml.clustering import kmeans
-from repro.estimators.ml.rdc import rdc
+from repro.estimators.ml.rdc import pairwise_rdc
 
 
 def _union_scope(children: list) -> frozenset[str]:
@@ -155,16 +155,10 @@ class SumProductNetwork(TableDensityModel):
             else np.arange(n)
         )
         adjacency = {c: set() for c in columns}
-        for i in range(len(columns)):
-            for j in range(i + 1, len(columns)):
-                score = rdc(
-                    binned[columns[i]][sample],
-                    binned[columns[j]][sample],
-                    seed=i * 131 + j,
-                )
-                if score > self._rdc_threshold:
-                    adjacency[columns[i]].add(columns[j])
-                    adjacency[columns[j]].add(columns[i])
+        for (i, j), score in pairwise_rdc([binned[c][sample] for c in columns]).items():
+            if score > self._rdc_threshold:
+                adjacency[columns[i]].add(columns[j])
+                adjacency[columns[j]].add(columns[i])
         groups: list[list[str]] = []
         unvisited = set(columns)
         while unvisited:

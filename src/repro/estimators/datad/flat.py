@@ -26,7 +26,7 @@ import numpy as np
 from repro.estimators.base import stable_hash
 from repro.estimators.datad.deepdb import ProductNode, SumProductNetwork
 from repro.estimators.datad.fanout import FanoutJoinEstimator
-from repro.estimators.ml.rdc import rdc
+from repro.estimators.ml.rdc import pairwise_rdc, rdc
 
 
 @dataclass
@@ -130,16 +130,10 @@ class FactorizedSPN(SumProductNetwork):
         )
         best_pair = None
         best_score = self._factorize_threshold
-        for i in range(len(columns)):
-            for j in range(i + 1, len(columns)):
-                score = rdc(
-                    binned[columns[i]][sample],
-                    binned[columns[j]][sample],
-                    seed=i * 131 + j,
-                )
-                if score > best_score:
-                    best_score = score
-                    best_pair = (columns[i], columns[j])
+        for (i, j), score in pairwise_rdc([binned[c][sample] for c in columns]).items():
+            if score > best_score:
+                best_score = score
+                best_pair = (columns[i], columns[j])
         if best_pair is None:
             return None
         group = list(best_pair)

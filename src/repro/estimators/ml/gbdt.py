@@ -3,6 +3,13 @@
 Squared-loss boosting with depth-limited regression trees whose splits
 are searched over per-feature histogram bins — the same model family
 LW-XGB uses, sized for the benchmark's feature dimensions.
+
+A node's split search bins and scores all of its features in one pass
+over its ``(rows x features)`` block.  Every float operation is the one
+a per-feature loop (``np.linspace`` edges, ``searchsorted``, two
+``bincount``s, ``cumsum``) performs, on the same operands in the same
+order, so the forest is bit-identical to that loop's; the tests keep
+the loop as the reference.
 """
 
 from __future__ import annotations
@@ -94,39 +101,73 @@ class _RegressionTree:
         )
 
     def _best_split(self, x: np.ndarray, residuals: np.ndarray) -> tuple[int, float] | None:
-        """Variance-gain-maximizing (feature, threshold) over histogram bins."""
+        """Variance-gain-maximizing (feature, threshold) over histogram bins.
+
+        Every feature of the node is scored in one pass over the whole
+        ``(rows x features)`` block.
+        """
         n, num_features = x.shape
+        num_bins = self._num_bins
+        width = num_bins + 1
+        low, high = x.min(axis=0), x.max(axis=0)
+        # Row f is np.linspace(low[f], high[f], num_bins + 1) in linspace's
+        # own arithmetic, including its branch for a step that underflows.
+        # The last point becomes +inf: no value lies beyond it.
+        delta = high - low
+        step = delta / num_bins
+        points = np.arange(width, dtype=np.float64)
+        grid = np.where(
+            (step == 0)[:, None],
+            points / num_bins * delta[:, None],
+            points * step[:, None],
+        ) + low[:, None]
+        grid[:, -1] = np.inf
+        edges = grid.ravel()
+        # A value's bin is the number of interior edges <= it (what
+        # searchsorted(side="right") returns): a floor guess, corrected
+        # against the grid until it is exact.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = np.fmin((x - low) / step, num_bins - 1).astype(np.intp)
+        offsets = guess + np.arange(num_features) * width
+        while True:
+            up = edges.take(offsets + 1) <= x
+            down = edges.take(offsets) > x
+            if not (up.any() or down.any()):
+                break
+            offsets += up
+            offsets -= down
+        # One bincount over the feature-major offsets: each bin still sums
+        # its rows in row order.
+        offsets = offsets.ravel()
+        size = num_features * width
+        bin_counts = np.bincount(offsets, minlength=size).reshape(num_features, width)
+        bin_sums = np.bincount(
+            offsets, weights=np.repeat(residuals, num_features), minlength=size
+        ).reshape(num_features, width)
+        left_counts = np.cumsum(bin_counts[:, : num_bins - 1], axis=1)
+        left_sums = np.cumsum(bin_sums[:, : num_bins - 1], axis=1)
         total_sum = residuals.sum()
-        best_gain = 1e-9
-        best: tuple[int, float] | None = None
+        right_counts = n - left_counts
+        right_sums = total_sum - left_sums
         base_score = total_sum**2 / (n + self._l2)
-        for feature in range(num_features):
-            column = x[:, feature]
-            low, high = column.min(), column.max()
-            if high <= low:
-                continue
-            edges = np.linspace(low, high, self._num_bins + 1)[1:-1]
-            bins = np.searchsorted(edges, column, side="right")
-            bin_counts = np.bincount(bins, minlength=self._num_bins)
-            bin_sums = np.bincount(bins, weights=residuals, minlength=self._num_bins)
-            left_counts = np.cumsum(bin_counts)[:-1]
-            left_sums = np.cumsum(bin_sums)[:-1]
-            right_counts = n - left_counts
-            right_sums = total_sum - left_sums
-            valid = (left_counts >= self._min_leaf) & (right_counts >= self._min_leaf)
-            if not valid.any():
-                continue
-            gains = (
-                left_sums**2 / (left_counts + self._l2)
-                + right_sums**2 / (right_counts + self._l2)
-                - base_score
-            )
-            gains[~valid] = -np.inf
-            candidate = int(np.argmax(gains))
-            if gains[candidate] > best_gain:
-                best_gain = float(gains[candidate])
-                best = (feature, float(edges[candidate]))
-        return best
+        gains = (
+            left_sums**2 / (left_counts + self._l2)
+            + right_sums**2 / (right_counts + self._l2)
+            - base_score
+        )
+        valid = (left_counts >= self._min_leaf) & (right_counts >= self._min_leaf)
+        gains[~valid | (high <= low)[:, None]] = -np.inf
+        # Bin sums that overflow to +inf and -inf make a NaN gain; a
+        # per-feature argmax stops at it, and the feature loses.
+        gains[np.isnan(gains).any(axis=1)] = -np.inf
+        if gains.size == 0:
+            return None
+        # The first maximum in feature-major order is the earliest feature's.
+        winner = int(np.argmax(gains))
+        if not gains.flat[winner] > 1e-9:
+            return None
+        feature, edge = divmod(winner, num_bins - 1)
+        return feature, float(grid[feature, edge + 1])
 
 
 class GradientBoostedTrees:
@@ -153,6 +194,8 @@ class GradientBoostedTrees:
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("GradientBoostedTrees.fit needs finite features and targets")
         self._base = float(y.mean()) if len(y) else 0.0
         prediction = np.full(len(y), self._base)
         self._trees = []
@@ -225,7 +268,12 @@ class GradientBoostedTrees:
             observed = x[rows, np.where(active, feat, 0)]
             go_left = observed <= thresholds[idx]
             idx = np.where(active, np.where(go_left, lefts[idx], rights[idx]), idx)
-        return self._base + self._learning_rate * values[idx].sum(axis=1)
+        # Add the trees in order, as predict_one and fit do, so a row's
+        # estimate does not depend on the batch it arrives in.
+        terms = np.empty((len(x), len(roots) + 1))
+        terms[:, 0] = self._base
+        np.multiply(self._learning_rate, values[idx], out=terms[:, 1:])
+        return np.cumsum(terms, axis=1)[:, -1]
 
     def predict_one(self, row: np.ndarray) -> float:
         """Fast scalar prediction (per-sub-plan inference hot path)."""

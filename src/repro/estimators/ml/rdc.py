@@ -13,16 +13,25 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 
-def _copula_features(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    k: int,
-    s: float,
-) -> np.ndarray:
+def _copula(values: np.ndarray) -> np.ndarray | None:
+    """``[rank / n, 1]`` rows of a sample, or None for one too short or
+    constant to show any dependence."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 3 or np.ptp(values) == 0:
+        return None
     ranks = scipy_stats.rankdata(values) / len(values)
-    augmented = np.column_stack([ranks, np.ones(len(values))])
-    projection = rng.normal(0.0, s, size=(2, k))
-    return np.sin(augmented @ projection)
+    return np.column_stack([ranks, np.ones(len(values))])
+
+
+def _rdc(
+    cx: np.ndarray | None, cy: np.ndarray | None, seed: int, k: int = 10, s: float = 1.0
+) -> float:
+    if cx is None or cy is None:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    fx = np.sin(cx @ rng.normal(0.0, s, size=(2, k)))
+    fy = np.sin(cy @ rng.normal(0.0, s, size=(2, k)))
+    return _max_canonical_correlation(fx, fy)
 
 
 def rdc(
@@ -33,16 +42,23 @@ def rdc(
     seed: int = 0,
 ) -> float:
     """RDC between two 1-D samples, in ``[0, 1]``."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
         raise ValueError("samples must have equal length")
-    if len(x) < 3 or np.ptp(x) == 0 or np.ptp(y) == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    fx = _copula_features(x, rng, k, s)
-    fy = _copula_features(y, rng, k, s)
-    return _max_canonical_correlation(fx, fy)
+    return _rdc(_copula(x), _copula(y), seed, k, s)
+
+
+def pairwise_rdc(samples: list[np.ndarray]) -> dict[tuple[int, int], float]:
+    """RDC of every pair ``i < j`` of equal-length samples, in pair order.
+
+    Pair ``(i, j)`` scores ``rdc(samples[i], samples[j], seed=i * 131 + j)``;
+    each sample is ranked once, not once per pair.
+    """
+    copulas = [_copula(sample) for sample in samples]
+    return {
+        (i, j): _rdc(copulas[i], copulas[j], seed=i * 131 + j)
+        for i in range(len(samples))
+        for j in range(i + 1, len(samples))
+    }
 
 
 def _max_canonical_correlation(fx: np.ndarray, fy: np.ndarray) -> float:

@@ -1,15 +1,25 @@
 """Tests for the numpy ML substrate (nn, gbdt, made, rdc, clustering)."""
 
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.injection import sub_plan_queries
+from repro.engine.sql import parse_query
 from repro.estimators.ml.clustering import kmeans
-from repro.estimators.ml.gbdt import GradientBoostedTrees
+from repro.estimators.ml.gbdt import GradientBoostedTrees, _RegressionTree
 from repro.estimators.ml.made import MadeModel
 from repro.estimators.ml.nn import MLP, AdamOptimizer, train_regressor
-from repro.estimators.ml.rdc import rdc
+from repro.estimators.ml.rdc import pairwise_rdc, rdc
+from repro.estimators.queryd import LWXGBEstimator
+from repro.estimators.queryd.features import log_cardinality
+
+PERF = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
 
 
 class TestMLP:
@@ -88,6 +98,200 @@ class TestGBDT:
         assert large.nbytes() > small.nbytes()
 
 
+def _loop_best_split(self, x, residuals):
+    """Per-feature loop split search: the reference the one-pass
+    ``_RegressionTree._best_split`` must reproduce bit for bit."""
+    n, num_features = x.shape
+    total_sum = residuals.sum()
+    best_gain = 1e-9
+    best = None
+    base_score = total_sum**2 / (n + self._l2)
+    for feature in range(num_features):
+        column = x[:, feature]
+        low, high = column.min(), column.max()
+        if high <= low:
+            continue
+        edges = np.linspace(low, high, self._num_bins + 1)[1:-1]
+        bins = np.searchsorted(edges, column, side="right")
+        bin_counts = np.bincount(bins, minlength=self._num_bins)
+        bin_sums = np.bincount(bins, weights=residuals, minlength=self._num_bins)
+        left_counts = np.cumsum(bin_counts)[:-1]
+        left_sums = np.cumsum(bin_sums)[:-1]
+        right_counts = n - left_counts
+        right_sums = total_sum - left_sums
+        valid = (left_counts >= self._min_leaf) & (right_counts >= self._min_leaf)
+        if not valid.any():
+            continue
+        gains = (
+            left_sums**2 / (left_counts + self._l2)
+            + right_sums**2 / (right_counts + self._l2)
+            - base_score
+        )
+        gains[~valid] = -np.inf
+        candidate = int(np.argmax(gains))
+        if gains[candidate] > best_gain:
+            best_gain = float(gains[candidate])
+            best = (feature, float(edges[candidate]))
+    return best
+
+
+def _loop_forest(x, y, **params) -> GradientBoostedTrees:
+    with mock.patch.object(_RegressionTree, "_best_split", _loop_best_split):
+        return GradientBoostedTrees(**params).fit(x, y)
+
+
+def _assert_same_forest(got: GradientBoostedTrees, want: GradientBoostedTrees):
+    assert got._base == want._base
+    for got_array, want_array in zip(got._flatten(), want._flatten(), strict=True):
+        assert np.array_equal(got_array, want_array)
+
+
+@pytest.fixture(scope="module")
+def perf_stats():
+    """The perf benchmark's inputs module and its quick STATS database."""
+    spec = importlib.util.spec_from_file_location("perf_inputs", PERF / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs, inputs.build_database("stats", inputs.SetupClock())
+
+
+def _perf_lwxgb(perf_stats, seed: int) -> tuple[LWXGBEstimator, list]:
+    """LW-XGB fitted as the serving benchmark fits it, on its examples."""
+    inputs, database = perf_stats
+    examples = inputs.training_examples(database, seed, inputs.SetupClock())
+    return LWXGBEstimator().fit(database).fit_queries(examples), examples
+
+
+class TestGBDTOnePassSplit:
+    """The one-pass split search fits the same forest as the loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_perf_training_matrix(self, perf_stats, seed):
+        estimator, examples = _perf_lwxgb(perf_stats, seed)
+        features = estimator._featurizer.flat_batch([q for q, _ in examples])
+        targets = np.array([log_cardinality(c) for _, c in examples])
+        assert features.shape[0] == len(examples) and np.isfinite(features).all()
+        _assert_same_forest(estimator._model, _loop_forest(features, targets))
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 4, 10, 11])
+    def test_min_samples_leaf_boundary(self, rng, min_samples_leaf):
+        # 21 rows: a leaf of 10 leaves room for exactly two split sizes.
+        x = rng.integers(0, 5, size=(21, 3)).astype(float)
+        y = rng.normal(size=21)
+        params = dict(num_trees=4, max_depth=3, min_samples_leaf=min_samples_leaf)
+        _assert_same_forest(
+            GradientBoostedTrees(**params).fit(x, y), _loop_forest(x, y, **params)
+        )
+
+    def test_constant_column_is_skipped(self):
+        # With no leaf minimum a constant column's split would gain
+        # right_score - base_score: zero in exact arithmetic, but one
+        # ulp here, as the array square and the scalar pow round apart.
+        x = np.array([[0.5, 1.46937657], [0.5, 0.87743735], [0.5, 1.42040945]])
+        residuals = np.array(
+            [1.268407254226905e66, 1.8657701681767836e66, 5.454827935956096e65]
+        )
+        tree = _RegressionTree(min_samples_leaf=0)
+        assert _loop_best_split(tree, x, residuals) is None
+        assert tree._best_split(x, residuals) is None
+
+    def test_feature_with_a_nan_gain_loses(self):
+        # Feature 0's bins sum to +inf and -inf, so its third gain is NaN;
+        # the loop drops feature 0 and splits on feature 1.
+        big = 1e308
+        x = np.array([[0.0, 0.0], [0.5, 1.0], [0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
+        residuals = np.array([big, -big, big, -big, 0.0])
+        tree = _RegressionTree(min_samples_leaf=1, num_bins=4)
+        with np.errstate(all="ignore"):
+            want = _loop_best_split(tree, x, residuals)
+            assert want is not None and want[0] == 1
+            assert tree._best_split(x, residuals) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite(self, bad):
+        x = np.column_stack([np.arange(20.0), np.zeros(20)])
+        y = np.arange(20.0)
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[3, 1] = bad
+        y_bad[5] = bad
+        with pytest.raises(ValueError):
+            GradientBoostedTrees(num_trees=2).fit(x_bad, y)
+        with pytest.raises(ValueError):
+            GradientBoostedTrees(num_trees=2).fit(x, y_bad)
+
+    def test_predict_is_independent_of_the_batch(self, rng):
+        x = rng.normal(size=(300, 4))
+        y = x[:, 0] * 3 + np.sin(x[:, 1])
+        model = GradientBoostedTrees(num_trees=40).fit(x, y)
+        batch = model.predict(x)
+        assert [model.predict_one(row) for row in x] == list(batch)
+        assert list(model.predict(x[::-1])) == list(batch[::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(4, 60),
+    num_features=st.integers(1, 6),
+    exponent=st.integers(-300, 300),
+    target_exponent=st.sampled_from([-3, 0, 3, 160]),
+    kind=st.sampled_from(["normal", "duplicates", "constant", "subnormal", "huge"]),
+    num_bins=st.sampled_from([1, 2, 3, 32]),
+    leaf_share=st.sampled_from([0, 3, 2]),
+)
+def test_one_pass_split_matches_loop(
+    seed, rows, num_features, exponent, target_exponent, kind, num_bins, leaf_share
+):
+    """Constant columns, ties, subnormal steps, ranges that overflow,
+    gains that overflow, and leaf sizes at the split boundary."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, num_features)
+    scale = 10.0**exponent
+    if kind == "normal":
+        x = rng.normal(size=shape) * scale
+    elif kind == "duplicates":
+        x = rng.integers(0, 4, size=shape) * scale
+    elif kind == "constant":
+        x = np.full(shape, rng.normal() * scale)
+        x[:, -1] = rng.normal(size=rows)
+    elif kind == "subnormal":
+        x = np.nextafter(0.0, 1.0) * rng.integers(0, 12, size=shape)
+    else:
+        x = rng.choice([-1.7e308, 0.0, 1e300, 1.7e308], size=shape)
+    y = rng.normal(size=rows) * 10.0**target_exponent
+    params = dict(
+        num_trees=3,
+        max_depth=3,
+        num_bins=num_bins,
+        min_samples_leaf=rows // leaf_share if leaf_share else 1,
+    )
+    with np.errstate(all="ignore"):
+        fast = GradientBoostedTrees(**params).fit(x, y)
+        _assert_same_forest(fast, _loop_forest(x, y, **params))
+
+
+def test_lwxgb_estimate_is_independent_of_the_batch(perf_stats):
+    """A served estimate must not change with the request it is batched
+    with: every STATS-CEB sub-plan of the perf pool, alone and paired."""
+    inputs, database = perf_stats
+    estimator, _ = _perf_lwxgb(perf_stats, seed=0)
+    queries = [
+        sub_query
+        for _, sql in inputs.load_pool("stats-ceb")
+        for sub_query in sub_plan_queries(
+            parse_query(sql, join_graph=database.join_graph)
+        ).values()
+    ]
+    assert len(queries) == 778
+    for index, query in enumerate(queries):
+        other = queries[(index + 1) % len(queries)]
+        alone = estimator.estimate_batch([query])[0]
+        assert estimator.estimate_batch([query, other])[0] == alone, index
+    assert estimator.estimate_batch(queries) == [
+        estimator.estimate_batch([query])[0] for query in queries
+    ]
+
+
 class TestMade:
     def test_learns_joint_distribution(self):
         rng = np.random.default_rng(0)
@@ -158,6 +362,20 @@ class TestRdc:
     def test_range(self, rng):
         value = rdc(rng.normal(size=500), rng.normal(size=500))
         assert 0.0 <= value <= 1.0
+
+    def test_pairwise_matches_rdc_per_pair(self, rng):
+        base = rng.normal(size=300)
+        samples = [
+            base,
+            np.cos(base) + 0.1 * rng.normal(size=300),
+            np.zeros(300),
+            rng.integers(0, 3, 300),
+            rng.normal(size=300),
+        ]
+        scores = pairwise_rdc(samples)
+        assert list(scores) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for (i, j), score in scores.items():
+            assert score == rdc(samples[i], samples[j], seed=i * 131 + j)
 
 
 class TestKMeans:
