@@ -519,12 +519,10 @@ def check_parallel(case: CheckCase) -> list[Discrepancy]:
     if not fork_available() or len(case.queries) < 2:
         return []
     workload = _labeled_workload(case)
-    serial = EndToEndBenchmark(
-        case.database, workload, compute_p_errors=False
-    ).run(TrueCardEstimator())
-    parallel = EndToEndBenchmark(
-        case.database, workload, compute_p_errors=False, workers=2
-    ).run(TrueCardEstimator())
+    serial = EndToEndBenchmark(case.database, workload).run(TrueCardEstimator())
+    parallel = EndToEndBenchmark(case.database, workload, workers=2).run(
+        TrueCardEstimator()
+    )
     if _run_signature(serial) != _run_signature(parallel):
         return [
             Discrepancy(
@@ -550,9 +548,7 @@ def check_resume(case: CheckCase) -> list[Discrepancy]:
     workload = _labeled_workload(case)
 
     def bench() -> EndToEndBenchmark:
-        return EndToEndBenchmark(
-            case.database, workload, compute_p_errors=False
-        )
+        return EndToEndBenchmark(case.database, workload)
 
     fresh = bench().run(TrueCardEstimator())
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:

@@ -135,16 +135,6 @@ def _checks_for(
     return checks
 
 
-def _first_failure(
-    case: CheckCase, checks: list[tuple[str, object]]
-) -> Discrepancy | None:
-    for _, checker in checks:
-        found = checker(case)
-        if found:
-            return found[0]
-    return None
-
-
 def check_case(
     case: CheckCase, options: CheckOptions, report: CheckReport
 ) -> list[Discrepancy]:

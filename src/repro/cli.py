@@ -83,9 +83,7 @@ def cmd_run_query(args) -> int:
             result = explain(database, query, cards, analyze=True)
     print(result.text)
     if args.truth and result.actual_rows is not None:
-        truth = TrueCardinalityService(
-            database, use_exec_cache=not args.no_exec_cache
-        ).cardinality(query)
+        truth = TrueCardinalityService(database).cardinality(query)
         print(f"True cardinality: {truth} (estimator said {result.estimated_rows:.0f})")
     if tracer is not None:
         path = tracer.export_jsonl(args.trace_out)
@@ -235,12 +233,10 @@ def cmd_serve(args) -> int:
     from repro.obs import events as obs_events
     from repro.serve import (
         AccessLog,
-        DriftConfig,
         DriftMonitor,
         EstimationService,
         ModelRegistry,
         ServeObservability,
-        SLOConfig,
         SLOMonitor,
         TraceSink,
         build_server,
@@ -267,18 +263,8 @@ def cmd_serve(args) -> int:
         obs = ServeObservability(
             trace_sink=TraceSink(obs_dir / "traces.jsonl"),
             access_log=AccessLog(obs_dir / "access.jsonl"),
-            slo=SLOMonitor(
-                SLOConfig(
-                    target_p99_seconds=args.slo_p99_ms / 1000.0,
-                    error_budget=args.slo_error_budget,
-                )
-            ),
-            drift=DriftMonitor(
-                DriftConfig(
-                    window=args.drift_window, threshold=args.drift_threshold
-                ),
-                pairs_path=obs_dir / "drift_pairs.jsonl",
-            ),
+            slo=SLOMonitor(),
+            drift=DriftMonitor(pairs_path=obs_dir / "drift_pairs.jsonl"),
         )
         if not obs_events.is_active():
             obs_events.activate(obs_dir / "serve.events.jsonl")
@@ -477,11 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="also compute the exact cardinality",
             )
             sub.add_argument(
-                "--no-exec-cache",
-                action="store_true",
-                help="compute --truth without the result-reuse caches",
-            )
-            sub.add_argument(
                 "--trace-out",
                 metavar="FILE",
                 default=None,
@@ -653,38 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable full serving observability: per-request traces "
         "(traces.jsonl), access log (access.jsonl), drift pairs "
         "(drift_pairs.jsonl) and serve events (serve.events.jsonl) "
-        "under DIR, plus SLO burn rates and the drift monitor",
-    )
-    serve.add_argument(
-        "--slo-p99-ms",
-        type=float,
-        default=250.0,
-        metavar="MS",
-        help="latency SLO target: requests slower than this burn the "
-        "latency budget (default 250ms)",
-    )
-    serve.add_argument(
-        "--slo-error-budget",
-        type=float,
-        default=0.01,
-        metavar="FRACTION",
-        help="allowed fraction of 5xx responses (default 0.01)",
-    )
-    serve.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=4.0,
-        metavar="Q",
-        help="median windowed q-error above this raises a serve.drift "
-        "event (default 4.0)",
-    )
-    serve.add_argument(
-        "--drift-window",
-        type=int,
-        default=32,
-        metavar="N",
-        help="est-vs-actual pairs per (model, version, template) "
-        "drift window (default 32)",
+        "under DIR, plus SLO burn rates and the drift monitor at the "
+        "SLOConfig / DriftConfig defaults",
     )
     serve.add_argument(
         "--self-execute-every",

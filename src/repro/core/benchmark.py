@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from repro.core.injection import price_sub_plans
 from repro.core.metrics import p_error, q_error, true_plan_cost
 from repro.core.parallel import fork_available, run_parallel
-from repro.engine.cache import ExecutionContext
 from repro.engine.cost import MissingCardinalityError
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted, Executor
@@ -210,45 +209,25 @@ class EndToEndBenchmark:
         database: Database,
         workload: Workload,
         max_intermediate_rows: int = 20_000_000,
-        timeout_seconds: float | None = 120.0,
-        compute_q_errors: bool = True,
-        compute_p_errors: bool = True,
-        repetitions: int = 1,
         workers: int = 1,
-        use_exec_cache: bool = False,
         retry_policy: RetryPolicy | None = None,
         timeout_policy: TimeoutPolicy | None = None,
     ):
         self._database = database
         self.workload = workload
         self._planner = Planner(database)
-        #: Retry/timeout policy.  ``retry_policy=None`` (default) means
-        #: single attempts; ``timeout_policy`` defaults to the legacy
-        #: single execution timeout, keeping no-fault serial runs
-        #: byte-identical to the historical behaviour.
+        #: ``retry_policy=None`` means single attempts.  The timeout
+        #: policy is the one source of every deadline, the per-execution
+        #: one included (120 s by default).
         self._retry_policy = retry_policy
-        self._timeout_policy = timeout_policy or TimeoutPolicy(
-            execution_seconds=timeout_seconds
-        )
+        self._timeout_policy = timeout_policy or TimeoutPolicy()
         self._fallback = PostgresDefaultFallback(database)
-        # Measurement-fidelity policy: timed executions pay the real
-        # cost of every scan and hash build, so the benchmark executor
-        # runs without result-reuse caches unless explicitly opted in
-        # (``use_exec_cache=True`` — appropriate only for
-        # correctness-focused campaigns, e.g. Q-/P-Error sweeps where
-        # wall times are not reported).
-        self._context = ExecutionContext(database) if use_exec_cache else None
+        # Measurement fidelity: timed executions pay the real cost of
+        # every scan and hash build, so this executor has no result-reuse
+        # caches, and no timeout of its own (each call passes one).
         self._executor = Executor(
-            database,
-            max_intermediate_rows=max_intermediate_rows,
-            timeout_seconds=timeout_seconds,
-            context=self._context,
+            database, max_intermediate_rows=max_intermediate_rows
         )
-        self._compute_q = compute_q_errors
-        self._compute_p = compute_p_errors
-        #: execute each plan this many times and keep the fastest run —
-        #: suppresses cache/warm-up noise when comparing close methods.
-        self._repetitions = max(1, repetitions)
         self._workers = max(1, workers)
         #: id(labelled query) -> (it, PPC of its true-cardinality plan);
         #: holding the object keeps its id from being reused.
@@ -261,11 +240,6 @@ class EndToEndBenchmark:
     @property
     def planner(self) -> Planner:
         return self._planner
-
-    @property
-    def context(self) -> ExecutionContext | None:
-        """The timed executor's cache context (None under default policy)."""
-        return self._context
 
     @property
     def workers(self) -> int:
@@ -482,14 +456,12 @@ class EndToEndBenchmark:
                     errors.append(f"planning failed: {type(exc).__name__}: {exc}")
             planning_seconds = time.perf_counter() - started
 
-            q_errors = []
-            if self._compute_q:
-                q_errors = [
-                    q_error(estimates[subset], true_cards[subset])
-                    for subset in estimates
-                ]
+            q_errors = [
+                q_error(estimates[subset], true_cards[subset])
+                for subset in estimates
+            ]
             perr = float("nan")
-            if self._compute_p and planned is not None:
+            if planned is not None:
                 try:
                     perr = p_error(
                         self._planner,
@@ -515,16 +487,9 @@ class EndToEndBenchmark:
                     # since the first attempt started.
                     nonlocal attempt_started
                     attempt_started = time.perf_counter()
-                    budget = deadline.tightest(None)
-                    if budget is None:
-                        # No per-query/per-campaign deadline: the
-                        # executor's own timeout applies, on the exact
-                        # historical call path.
-                        return self._executor.execute(planned.plan)
-                    if policy.execution_seconds is not None:
-                        budget = min(budget, policy.execution_seconds)
                     return self._executor.execute(
-                        planned.plan, timeout_seconds=budget
+                        planned.plan,
+                        timeout_seconds=deadline.tightest(policy.execution_seconds),
                     )
 
                 with obs_trace.span(
@@ -543,22 +508,10 @@ class EndToEndBenchmark:
                         attempts = max(attempts, execution_attempts)
                         execution_seconds = execution.elapsed_seconds
                         cardinality = execution.cardinality
-                        for _ in range(self._repetitions - 1):
-                            execution, execution_attempts = call_with_retry(
-                                execute_once,
-                                retry,
-                                non_retryable=(ExecutionAborted,),
-                                deadline=deadline,
-                            )
-                            attempts = max(attempts, execution_attempts)
-                            execution_seconds = min(
-                                execution_seconds, execution.elapsed_seconds
-                            )
                         execution_span.set(rows=cardinality)
                     except ExecutionAborted:
                         # The paper's "> 25h" outcome: the plan blew its
-                        # row/time budget.  Flag the query aborted even
-                        # if an earlier repetition completed.
+                        # row/time budget.
                         aborted = True
                         execution_seconds = time.perf_counter() - attempt_started
                         execution_span.set(aborted=True)

@@ -36,10 +36,6 @@ class PlanNode:
 
     tables: frozenset[str]
 
-    @property
-    def is_scan(self) -> bool:
-        return isinstance(self, ScanNode)
-
     def walk(self):
         """Yield this node and all descendants, pre-order."""
         yield self

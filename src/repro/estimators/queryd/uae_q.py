@@ -87,10 +87,5 @@ class UAEQEstimator(QueryDrivenEstimator):
         predicted = from_log(float(np.mean(predictions)))
         return float(np.clip(predicted, 1.0, self._featurizer.max_cardinality(query)))
 
-    def log_estimate(self, query: Query) -> float:
-        """Mean log-cardinality prediction (used by the UAE hybrid)."""
-        assert self._model is not None and self._featurizer is not None
-        return float(self._model.forward(self._featurizer.flat(query)[None, :])[0, 0])
-
     def model_size_bytes(self) -> int:
         return self._model.nbytes() if self._model is not None else 0

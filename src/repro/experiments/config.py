@@ -43,9 +43,6 @@ class ExperimentConfig:
     #: workload), seconds; queries that cannot start in time are
     #: recorded as failed, never silently dropped.
     campaign_timeout_seconds: float | None = None
-    #: result-reuse caches on correctness-only paths (labelling,
-    #: Q-/P-Error).  Timed executions always bypass them regardless.
-    exec_cache: bool = True
     #: where evaluation-run caches (resumable campaign checkpoints) live.
     cache_dir: Path = field(default=Path(".cache") / "experiments")
     #: where labelled-workload caches live (None = the package default,

@@ -142,7 +142,6 @@ class ExperimentContext:
                     num_templates=self.config.stats_templates,
                     max_cardinality=self.config.max_cardinality,
                     cache_dir=self.config.workload_cache_dir,
-                    exec_cache=self.config.exec_cache,
                 )
             elif name == "job-light":
                 self._workloads[name] = build_job_light(
@@ -151,7 +150,6 @@ class ExperimentContext:
                     num_templates=self.config.imdb_templates,
                     max_cardinality=self.config.max_cardinality,
                     cache_dir=self.config.workload_cache_dir,
-                    exec_cache=self.config.exec_cache,
                 )
             else:
                 raise KeyError(name)
@@ -169,7 +167,6 @@ class ExperimentContext:
                 max_tables=8 if database_name == "stats" else 5,
                 max_cardinality=self.config.max_cardinality,
                 cache_dir=self.config.workload_cache_dir,
-                exec_cache=self.config.exec_cache,
             )
             self._training[database_name] = flatten_to_examples(workload)
         return self._training[database_name]

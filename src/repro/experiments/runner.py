@@ -107,12 +107,6 @@ def main(argv=None) -> int:
         "that cannot start in time are recorded as failed",
     )
     parser.add_argument(
-        "--no-exec-cache",
-        action="store_true",
-        help="disable result-reuse caches on correctness-only paths "
-        "(labelling, Q-/P-Error); timed executions always bypass them",
-    )
-    parser.add_argument(
         "--save",
         metavar="DIR",
         default=None,
@@ -142,7 +136,6 @@ def main(argv=None) -> int:
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode),
         workers=max(1, args.workers),
-        exec_cache=not args.no_exec_cache,
         max_retries=max(0, args.max_retries),
         query_timeout_seconds=args.query_timeout,
         campaign_timeout_seconds=args.campaign_timeout,

@@ -60,10 +60,6 @@ class EventLog:
         """Events written by this log instance."""
         return self._count
 
-    @property
-    def context_fields(self) -> dict:
-        return dict(self._context)
-
     def bind(self, **fields) -> None:
         """Attach context fields to every subsequent event."""
         self._context.update(fields)

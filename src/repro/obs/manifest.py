@@ -53,10 +53,6 @@ def disable_collection() -> None:
     _COLLECTED.clear()
 
 
-def collecting() -> bool:
-    return _COLLECTING
-
-
 def collect_run(label: str, run) -> None:
     """Note one :class:`EstimatorRun` if collection is enabled."""
     if _COLLECTING:

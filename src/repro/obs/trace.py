@@ -100,10 +100,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._next_id = 0
 
-    @property
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
     @contextmanager
     def span(self, name: str, /, **attributes):
         self._next_id += 1

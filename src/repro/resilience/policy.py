@@ -10,8 +10,8 @@ benchmark driver threads through inference, planning and execution:
   retry", which keeps no-fault runs byte-identical to the historical
   behaviour.
 - :class:`TimeoutPolicy` — the per-execution, per-query and
-  per-campaign deadlines that replace the benchmark's former single
-  hard-coded ``timeout_seconds=120``.
+  per-campaign deadlines; the benchmark takes every deadline, the
+  execution timeout included, from this one object.
 
 Both are frozen dataclasses so they can be shared across forked worker
 processes without synchronization.
@@ -72,7 +72,7 @@ class TimeoutPolicy:
     """Deadlines at the three campaign granularities.
 
     - ``execution_seconds`` — wall-clock budget of one plan execution
-      (the executor's abort deadline; the old ``timeout_seconds``).
+      (the executor's abort deadline).
     - ``per_query_seconds`` — budget for one (estimator, query) pair
       across inference + planning + execution.  Inference checks it
       cooperatively between sub-plan estimates; the execution deadline
@@ -129,15 +129,6 @@ class Deadline:
         if seconds is None:
             return remaining
         return min(seconds, remaining)
-
-
-class RetriesExhausted(RuntimeError):
-    """All attempts of a retried call failed; carries the attempt count."""
-
-    def __init__(self, message: str, attempts: int, last: BaseException):
-        super().__init__(message)
-        self.attempts = attempts
-        self.last = last
 
 
 def call_with_retry(

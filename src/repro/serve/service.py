@@ -56,6 +56,9 @@ from repro.serve.tracing import AccessLog, TraceLink, TraceSink
 #: (model, version, per-query estimate) that answered it.
 _RECENT_REQUEST_CAP = 4096
 
+#: Distinct SQL texts the parse cache keeps (least recently used go first).
+PARSE_CACHE_SIZE = 2048
+
 
 class ServiceError(RuntimeError):
     """Base class for request-level service failures."""
@@ -110,8 +113,6 @@ class EstimationService:
         request_timeout_seconds: float | None = None,
         batch_window_seconds: float = 0.001,
         max_queue: int = 256,
-        max_batch: int = 1024,
-        parse_cache_size: int = 2048,
         run_id: str = "",
         obs: ServeObservability | None = None,
         self_execute_every: int = 0,
@@ -127,7 +128,6 @@ class EstimationService:
         self._retry = retry
         self._request_timeout = request_timeout_seconds
         self._parse_cache: OrderedDict[str, Query] = OrderedDict()
-        self._parse_cache_size = parse_cache_size
         self._parse_lock = threading.Lock()
         self._promote_lock = threading.Lock()
         self._started_monotonic = time.monotonic()
@@ -136,7 +136,6 @@ class EstimationService:
             self._run_batch,
             max_queue=max_queue,
             window_seconds=batch_window_seconds,
-            max_batch=max_batch,
             trace_sink=self.obs.trace_sink,
         )
         # Recently served requests, for /feedback request_id resolution.
@@ -194,7 +193,7 @@ class EstimationService:
             raise BadRequestError(f"cannot parse SQL: {error}") from error
         with self._parse_lock:
             self._parse_cache[sql] = query
-            while len(self._parse_cache) > self._parse_cache_size:
+            while len(self._parse_cache) > PARSE_CACHE_SIZE:
                 self._parse_cache.popitem(last=False)
         return query
 

@@ -28,13 +28,8 @@ def build_job_light(
     min_cardinality: int = 50,
     cache_dir: Path | None = None,
     use_cache: bool = True,
-    exec_cache: bool = True,
 ) -> Workload:
-    """Build (or load from cache) the JOB-LIGHT analog workload.
-
-    ``exec_cache`` toggles the labelling service's result-reuse caches
-    (correctness-only work — counts are identical either way).
-    """
+    """Build (or load from cache) the JOB-LIGHT analog workload."""
     key = cache.fingerprint(
         {
             "database": database.name,
@@ -69,9 +64,7 @@ def build_job_light(
         max_cardinality=max_cardinality,
         seed=seed,
     )
-    service = TrueCardinalityService(
-        database, max_intermediate_rows=16_000_000, use_exec_cache=exec_cache
-    )
+    service = TrueCardinalityService(database, max_intermediate_rows=16_000_000)
     workload = build_workload(database, templates, spec, service)
     if use_cache:
         cache.save(workload, path)

@@ -29,13 +29,8 @@ def build_stats_ceb(
     min_cardinality: int = 1_000,
     cache_dir: Path | None = None,
     use_cache: bool = True,
-    exec_cache: bool = True,
 ) -> Workload:
-    """Build (or load from cache) the STATS-CEB analog workload.
-
-    ``exec_cache`` toggles the labelling service's result-reuse caches
-    (correctness-only work — counts are identical either way).
-    """
+    """Build (or load from cache) the STATS-CEB analog workload."""
     key = cache.fingerprint(
         {
             "database": database.name,
@@ -70,9 +65,7 @@ def build_stats_ceb(
         max_cardinality=max_cardinality,
         seed=seed,
     )
-    service = TrueCardinalityService(
-        database, max_intermediate_rows=16_000_000, use_exec_cache=exec_cache
-    )
+    service = TrueCardinalityService(database, max_intermediate_rows=16_000_000)
     workload = build_workload(database, templates, spec, service)
     if use_cache:
         cache.save(workload, path)

@@ -32,7 +32,6 @@ def build_training_workload(
     max_cardinality: int = 6_000_000,
     cache_dir: Path | None = None,
     use_cache: bool = True,
-    exec_cache: bool = True,
 ) -> Workload:
     """A generated (not hand-picked) workload for model training."""
     key = cache.fingerprint(
@@ -70,9 +69,7 @@ def build_training_workload(
         seed=seed,
         attempts_per_query=6,
     )
-    service = TrueCardinalityService(
-        database, max_intermediate_rows=16_000_000, use_exec_cache=exec_cache
-    )
+    service = TrueCardinalityService(database, max_intermediate_rows=16_000_000)
     workload = build_workload(database, templates, spec, service)
     if use_cache:
         cache.save(workload, path)

@@ -5,10 +5,10 @@ import time
 import pytest
 
 from repro.core.benchmark import EndToEndBenchmark, abort_penalties
-from repro.core.truecards import TrueCardinalityService
 from repro.engine.executor import ExecutionAborted
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
+from repro.resilience import RetryPolicy, TimeoutPolicy
 
 
 @pytest.fixture(scope="module")
@@ -164,20 +164,17 @@ class TestSubsetRuns:
 class TestAbortAccounting:
     def test_aborted_query_accounting(self, stats_db, stats_workload, truecard_run):
         """An execution abort must flag the run, keep a wall-clock
-        execution time, skip the repetition loop, and take its penalty
-        in the aggregation."""
+        execution time, execute once, and take its penalty in the
+        aggregation."""
         aborting = EndToEndBenchmark(
-            stats_db,
-            stats_workload,
-            max_intermediate_rows=1,
-            repetitions=3,
+            stats_db, stats_workload, max_intermediate_rows=1
         )
         execute_calls = []
         original_execute = aborting._executor.execute
 
-        def counting_execute(plan, collect_stats=False):
+        def counting_execute(plan, **kwargs):
             execute_calls.append(plan)
-            return original_execute(plan, collect_stats)
+            return original_execute(plan, **kwargs)
 
         aborting._executor.execute = counting_execute
         estimator = TrueCardEstimator().fit(stats_db)
@@ -189,7 +186,7 @@ class TestAbortAccounting:
             assert query_run.aborted is True
             assert query_run.execution_seconds > 0  # wall clock, not -1/NaN
             assert query_run.result_cardinality == -1
-        # One execute attempt per query: the repetition loop is skipped.
+        # One execute attempt per query.
         assert len(execute_calls) == len(subset)
 
         penalties = abort_penalties(truecard_run)
@@ -200,26 +197,24 @@ class TestAbortAccounting:
         # Without penalties the raw (tiny) wall-clock times are used.
         assert run.total_execution_seconds() < total
 
-
-class TestRepetitionAbortAccounting:
-    def test_abort_on_later_repetition_reports_own_elapsed(
-        self, stats_db, stats_workload
-    ):
-        """When repetition k > 1 aborts, execution_seconds must be the
-        aborted attempt's own elapsed time — not the wall time since
-        the first repetition started — and the run stays flagged
-        aborted even though an earlier repetition completed."""
-        bench = EndToEndBenchmark(stats_db, stats_workload, repetitions=2)
-        original_execute = bench._executor.execute
+    def test_aborted_retry_reports_own_elapsed(self, stats_db, stats_workload):
+        """When a retried execution aborts, execution_seconds is that
+        attempt's own elapsed time, not the wall time since the first
+        attempt started."""
+        bench = EndToEndBenchmark(
+            stats_db,
+            stats_workload,
+            retry_policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
+        )
         calls = []
-        first_rep_seconds = 0.2
+        first_attempt_seconds = 0.2
 
-        def flaky_execute(plan, collect_stats=False):
+        def flaky_execute(plan, **kwargs):
             calls.append(plan)
             if len(calls) == 1:
-                time.sleep(first_rep_seconds)
-                return original_execute(plan, collect_stats)
-            raise ExecutionAborted("flaked on repetition 2")
+                time.sleep(first_attempt_seconds)
+                raise RuntimeError("transient executor error")
+            raise ExecutionAborted("aborted on attempt 2")
 
         bench._executor.execute = flaky_execute
         estimator = TrueCardEstimator().fit(stats_db)
@@ -228,9 +223,8 @@ class TestRepetitionAbortAccounting:
         (query_run,) = run.query_runs
         assert len(calls) == 2
         assert query_run.aborted is True
-        # The aborted second attempt raised immediately; its elapsed
-        # time must not include the slow first repetition.
-        assert query_run.execution_seconds < first_rep_seconds / 2
+        assert query_run.failed is False
+        assert query_run.execution_seconds < first_attempt_seconds / 2
 
 
 class TestFailedVersusAborted:
@@ -255,7 +249,7 @@ class TestFailedVersusAborted:
     ):
         bench = EndToEndBenchmark(stats_db, stats_workload)
 
-        def broken_execute(plan, collect_stats=False):
+        def broken_execute(plan, **kwargs):
             raise RuntimeError("executor blew up")
 
         bench._executor.execute = broken_execute
@@ -268,6 +262,20 @@ class TestFailedVersusAborted:
             assert query_run.aborted is False
             assert "executor blew up" in query_run.error
 
+    def test_policy_execution_timeout_aborts(self, stats_db, stats_workload):
+        """The timeout policy is the one source of the execution
+        timeout: an already-expired ``execution_seconds``, with no
+        per-query or campaign deadline, aborts every query."""
+        bench = EndToEndBenchmark(
+            stats_db,
+            stats_workload,
+            timeout_policy=TimeoutPolicy(execution_seconds=-1.0),
+        )
+        estimator = TrueCardEstimator().fit(stats_db)
+        run = bench.run(estimator, queries=stats_workload.queries[:3])
+        assert run.aborted_count == len(run.query_runs) == 3
+        assert run.failed_count == 0
+
     def test_no_fault_runs_report_neither(self, postgres_run):
         for query_run in postgres_run.query_runs:
             assert query_run.failed is False
@@ -278,15 +286,9 @@ class TestFailedVersusAborted:
 
 class TestCachePolicy:
     def test_timed_path_bypasses_exec_cache_by_default(self, bench):
-        """Measurement fidelity: the timed executor must not reuse
-        selection vectors or build sides unless explicitly opted in."""
-        assert bench.context is None
+        """Measurement fidelity: the timed executor never reuses
+        selection vectors or build sides."""
         assert bench._executor.context is None
-
-    def test_exec_cache_opt_in(self, stats_db, stats_workload):
-        opted = EndToEndBenchmark(stats_db, stats_workload, use_exec_cache=True)
-        assert opted.context is not None
-        assert opted._executor.context is opted.context
 
 
 class TestTraceLinks:

@@ -3,6 +3,7 @@ sub-plan pricing, and hot-swap promotion."""
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.core.injection import estimate_sub_plans
 from repro.engine.sql import parse_query
 from repro.estimators.persistence import save_estimator
@@ -77,12 +78,13 @@ class TestEstimate:
 
 
 class TestParseCache:
-    def test_cache_returns_same_object_and_stays_bounded(self, tiny_db, fitted):
+    def test_cache_returns_same_object_and_stays_bounded(
+        self, tiny_db, fitted, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "PARSE_CACHE_SIZE", 2)
         registry = ModelRegistry()
         registry.promote(fitted)
-        svc = EstimationService(
-            tiny_db, registry=registry, parse_cache_size=2
-        ).start()
+        svc = EstimationService(tiny_db, registry=registry).start()
         first = svc.parse(SINGLE)
         assert svc.parse(SINGLE) is first  # cache hit
         svc.parse(JOIN)

@@ -55,6 +55,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--estimator", "nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--slo-p99-ms", "100"],
+            ["serve", "--slo-error-budget", "0.05"],
+            ["serve", "--drift-threshold", "2"],
+            ["serve", "--drift-window", "8"],
+            ["run-query", "--sql", "SELECT COUNT(*) FROM users", "--no-exec-cache"],
+        ],
+    )
+    def test_options_without_callers_are_rejected(self, argv):
+        """The SLO/drift targets are SLOConfig/DriftConfig defaults and
+        labelling always uses the result-reuse caches."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_bench_resilience_flags(self):
         args = build_parser().parse_args(
             [
