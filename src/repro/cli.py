@@ -332,6 +332,7 @@ def cmd_serve(args) -> int:
 
 def cmd_blame(args) -> int:
     """Attribute plan-quality gaps to sub-plan misestimates."""
+    from repro.experiments.blame import blame_workload
     from repro.obs import blame as obs_blame
 
     context = _context(args)
@@ -339,7 +340,7 @@ def cmd_blame(args) -> int:
     database = context.database(args.database)
     workload = context.workload(workload_name)
     estimator = context.fitted_estimator(args.estimator, workload_name)
-    report = obs_blame.blame_workload(
+    report = blame_workload(
         database,
         workload,
         estimator,

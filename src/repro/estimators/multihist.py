@@ -157,7 +157,7 @@ class MultiHistEstimator(CardinalityEstimator):
 
     def estimate(self, query: Query) -> float:
         estimate = 1.0
-        for table in query.tables:
+        for table in sorted(query.tables):
             estimate *= self._table_cardinality(table, query.predicates_on(table))
         for edge in query.join_edges:
             estimate *= self._join_selectivity(edge)
@@ -176,7 +176,7 @@ class MultiHistEstimator(CardinalityEstimator):
         estimates = []
         for query in queries:
             estimate = 1.0
-            for table in query.tables:
+            for table in sorted(query.tables):
                 predicates = query.predicates_on(table)
                 key = (table, predicates)
                 card = table_cache.get(key)

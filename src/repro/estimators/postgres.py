@@ -65,7 +65,7 @@ class PostgresEstimator(CardinalityEstimator):
     def estimate(self, query: Query) -> float:
         table_cards = {
             table: self.table_cardinality(table, query.predicates_on(table))
-            for table in query.tables
+            for table in sorted(query.tables)
         }
         estimate = 1.0
         for card in table_cards.values():
@@ -89,7 +89,7 @@ class PostgresEstimator(CardinalityEstimator):
         estimates = []
         for query in queries:
             estimate = 1.0
-            for table in query.tables:
+            for table in sorted(query.tables):
                 predicates = query.predicates_on(table)
                 key = (table, predicates)
                 card = table_cache.get(key)

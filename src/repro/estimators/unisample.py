@@ -61,7 +61,7 @@ class UniSampleEstimator(CardinalityEstimator):
 
     def estimate(self, query: Query) -> float:
         estimate = 1.0
-        for table in query.tables:
+        for table in sorted(query.tables):
             estimate *= self._table_cardinality(table, query)
         for edge in query.join_edges:
             estimate *= self._join_selectivity(edge)

@@ -10,16 +10,17 @@ Dependency-free instrumentation for the benchmark platform:
 - :mod:`repro.obs.progress` — live campaign progress, Prometheus-text
   export and an optional stdlib HTTP ``/metrics`` + ``/progress`` +
   ``/healthz`` endpoint,
-- :mod:`repro.obs.blame` — misestimation attribution: which sub-plan
-  estimates caused a bad plan,
+- :mod:`repro.obs.blame` — misestimation attribution records, roll-ups
+  and report (filled by :mod:`repro.experiments.blame`),
 - :mod:`repro.obs.dashboard` — self-contained HTML campaign report,
 - :mod:`repro.obs.manifest` — machine-readable ``run_manifest.json``
-  (per-query and per-run inference / planning / execution seconds),
-- :mod:`repro.obs.overhead` — self-measurement of instrumentation cost.
+  (per-query and per-run inference / planning / execution seconds).
 
-Speed is measured by ``benchmarks/perf/run.py`` (``BENCHMARK.json``),
-not from inside this package; for function-level stacks run the command
-under ``python -m cProfile``.
+The package imports neither ``repro.engine`` nor ``repro.core``.  Speed,
+including what tracing costs (``trace.overhead_share``), is measured by
+``benchmarks/perf/run.py`` (``BENCHMARK.json``), not from inside this
+package; for function-level stacks run the command under
+``python -m cProfile``.
 
 Everything is **off by default**: :func:`repro.obs.trace.span`,
 :func:`repro.obs.events.emit` and the progress hooks are shared no-ops

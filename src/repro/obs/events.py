@@ -192,21 +192,3 @@ def load_events(path: str | Path, min_level: str = "debug") -> list[dict]:
         for record in read_jsonl(path)
         if LEVELS.get(record.get("level", "info"), 20) >= threshold
     ]
-
-
-def render_events(events: list[dict], limit: int | None = None) -> str:
-    """Human-readable one-line-per-event rendering (newest last)."""
-    if limit is not None:
-        events = events[-limit:]
-    lines = []
-    for record in events:
-        ts = time.strftime("%H:%M:%S", time.localtime(record.get("ts", 0)))
-        level = record.get("level", "info").upper()
-        name = record.get("event", "?")
-        extras = ", ".join(
-            f"{key}={value}"
-            for key, value in sorted(record.items())
-            if key not in ("ts", "level", "event")
-        )
-        lines.append(f"{ts} {level:7s} {name}" + (f"  [{extras}]" if extras else ""))
-    return "\n".join(lines)

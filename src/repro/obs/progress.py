@@ -151,15 +151,6 @@ class ProgressTracker:
             return None
         return eta
 
-    def stale_workers(self, max_silence_seconds: float) -> list[int]:
-        """Workers silent for longer than ``max_silence_seconds``."""
-        now = self._clock()
-        return sorted(
-            worker
-            for worker, seen in self._workers.items()
-            if now - seen > max_silence_seconds
-        )
-
     def snapshot(self) -> dict:
         """JSON-serializable live view (the ``/progress`` payload)."""
         with self._lock:

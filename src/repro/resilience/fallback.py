@@ -62,7 +62,7 @@ class PostgresDefaultFallback:
 
     def estimate(self, query: Query) -> float:
         estimate = 1.0
-        for table in query.tables:
+        for table in sorted(query.tables):
             selectivity = 1.0
             for predicate in query.predicates_on(table):
                 selectivity *= default_clause_selectivity(predicate)

@@ -37,12 +37,6 @@ class Workload:
     def __iter__(self):
         return iter(self.queries)
 
-    def by_num_tables(self) -> dict[int, list[LabeledQuery]]:
-        groups: dict[int, list[LabeledQuery]] = {}
-        for labeled in self.queries:
-            groups.setdefault(labeled.query.num_tables, []).append(labeled)
-        return groups
-
     def cardinality_range(self) -> tuple[int, int]:
         cards = [labeled.true_cardinality for labeled in self.queries]
         return (min(cards), max(cards)) if cards else (0, 0)

@@ -8,7 +8,8 @@ entry point may import the package.
 
 ``repro.obs`` is the instrumentation every layer imports, so it must not
 import a layer above it: nothing under ``repro/obs/`` imports
-``repro.serve``.
+``repro.serve``, ``repro.engine`` or ``repro.core``.  Code that drives the
+engine for a report (blame attribution) lives in ``repro.experiments``.
 """
 
 import ast
@@ -63,3 +64,18 @@ def test_obs_does_not_import_repro_serve():
     assert offenders == []
     # The walk must be able to fire: the CLI imports the serving package.
     assert _imports(_parse(PACKAGE_ROOT / "cli.py"), "repro.serve")
+
+
+def test_obs_does_not_import_engine_or_core():
+    offenders = [
+        str(path.relative_to(PACKAGE_ROOT))
+        for path in sorted((PACKAGE_ROOT / "obs").rglob("*.py"))
+        for package in ("repro.engine", "repro.core")
+        if _imports(_parse(path), package)
+    ]
+    assert offenders == []
+    # The walk must be able to fire: blame attribution plans and
+    # executes queries from outside the package.
+    blame = _parse(PACKAGE_ROOT / "experiments" / "blame.py")
+    assert _imports(blame, "repro.engine")
+    assert _imports(blame, "repro.core")

@@ -233,24 +233,96 @@ print(json.dumps([model.estimate(query) for query in queries]))
 """
 
 
+_SUB_PLAN_ESTIMATES = """
+import json
+import numpy as np
+from repro.core.injection import sub_plan_queries
+from repro.datasets.stats_db import StatsConfig, build_stats
+from repro.engine.predicates import Predicate
+from repro.engine.query import Query
+from repro.estimators.multihist import MultiHistEstimator
+from repro.estimators.postgres import PostgresEstimator
+from repro.estimators.unisample import UniSampleEstimator
+from repro.resilience.fallback import PostgresDefaultFallback
+
+db = build_stats(StatsConfig().scaled(0.03))
+tables, edges = {"users"}, []
+for edge in db.join_graph.edges:  # a spanning tree over all eight tables
+    if (edge.left in tables) != (edge.right in tables):
+        tables |= edge.tables
+        edges.append(edge)
+columns = {
+    "users": "Reputation", "badges": "Date", "posts": "Score",
+    "comments": "Score", "votes": "CreationDate", "postHistory": "CreationDate",
+    "postLinks": "CreationDate", "tags": "Count",
+}
+sub_plans = []
+for shift, quantile in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
+    predicates = tuple(
+        Predicate(
+            table,
+            column,
+            ("<=", "=", ">=")[(shift + index) % 3],
+            float(np.quantile(db.tables[table].column(column).non_null_values(), quantile)),
+        )
+        for index, (table, column) in enumerate(columns.items())
+    )
+    query = Query(tables=frozenset(tables), join_edges=tuple(edges), predicates=predicates)
+    # Two factors commute exactly; a product order shows from three on.
+    sub_plans += [sub for subset, sub in sub_plan_queries(query).items() if len(subset) >= 3]
+estimators = {
+    "PostgreSQL": PostgresEstimator().fit(db),
+    "MultiHist": MultiHistEstimator().fit(db),
+    "UniSample": UniSampleEstimator().fit(db),
+    "fallback": PostgresDefaultFallback(db),
+}
+out = {}
+for name, estimator in estimators.items():
+    out[name] = [float.hex(float(estimator.estimate(sub))) for sub in sub_plans]
+    if hasattr(estimator, "estimate_batch"):
+        out[f"{name} batch"] = [
+            float.hex(float(value)) for value in estimator.estimate_batch(sub_plans)
+        ]
+print(json.dumps(out))
+"""
+
+
+def _run_under_hash_seed(script, hash_seed):
+    import repro
+
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(done.stdout)
+
+
 class TestProcessIndependence:
     def test_deepdb_fit_and_estimates_ignore_the_hash_seed(self):
         """Structure learning is seeded per table name; the seed must not
         go through ``hash(str)``, which is salted per process."""
-        import repro
-
-        def estimates(hash_seed):
-            env = dict(
-                os.environ,
-                PYTHONHASHSEED=hash_seed,
-                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
-            )
-            done = subprocess.run(
-                [sys.executable, "-c", _FIT_AND_ESTIMATE],
-                env=env, capture_output=True, text=True, check=True, timeout=300,
-            )
-            return json.loads(done.stdout)
-
-        first, second = estimates("1"), estimates("2")
+        first = _run_under_hash_seed(_FIT_AND_ESTIMATE, "1")
+        second = _run_under_hash_seed(_FIT_AND_ESTIMATE, "2")
         assert len(first) == 3 and all(value > 0 for value in first)
         assert first == second
+
+    def test_per_table_products_ignore_the_hash_seed(self):
+        """Per-table factors multiply in sorted table order, not in
+        ``frozenset`` order, which follows the per-process string-hash
+        salt; ``estimate`` and ``estimate_batch`` agree to the bit."""
+        first = _run_under_hash_seed(_SUB_PLAN_ESTIMATES, "1")
+        second = _run_under_hash_seed(_SUB_PLAN_ESTIMATES, "2")
+        assert set(first) == {
+            "PostgreSQL", "PostgreSQL batch", "MultiHist", "MultiHist batch",
+            "UniSample", "UniSample batch", "fallback",
+        }
+        for name, values in first.items():
+            assert len(values) > 300, name
+            assert values == second[name], name
+        for name in ("PostgreSQL", "MultiHist", "UniSample"):
+            assert first[name] == first[f"{name} batch"], name

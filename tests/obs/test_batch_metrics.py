@@ -20,9 +20,9 @@ from repro.core.injection import (
     sub_plan_sets,
 )
 from repro.estimators.postgres import PostgresEstimator
+from repro.experiments.blame import blame_workload
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.blame import blame_workload
 from repro.resilience.fallback import PostgresDefaultFallback
 
 

@@ -11,11 +11,9 @@ from repro.engine.executor import Executor
 from repro.engine.planner import Planner
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
+from repro.experiments.blame import blame_query, blame_workload, plan_subsets
 from repro.obs.blame import (
-    blame_query,
-    blame_workload,
     load_blame_json,
-    plan_subsets,
     render_blame_report,
     report_to_dict,
     write_blame_json,

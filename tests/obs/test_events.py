@@ -8,7 +8,6 @@ from repro.obs import events as obs_events
 from repro.obs.events import (
     EventLog,
     load_events,
-    render_events,
     use_event_log,
 )
 
@@ -124,16 +123,6 @@ def test_load_events_min_level_filters_on_read(tmp_path):
         log.emit("bad", level="error")
     assert len(load_events(path)) == 2
     assert [e["event"] for e in load_events(path, min_level="warning")] == ["bad"]
-
-
-def test_render_events_one_line_each(tmp_path):
-    path = tmp_path / "e.jsonl"
-    with EventLog(path) as log:
-        log.emit("query.completed", query="q1", seconds=0.5)
-    text = render_events(load_events(path))
-    assert "query.completed" in text
-    assert "query=q1" in text
-    assert len(text.splitlines()) == 1
 
 
 def test_load_events_under_live_concurrent_writer(tmp_path):

@@ -1,12 +1,16 @@
 """Live progress: tracker, Prometheus text, snapshot writer, HTTP server."""
 
 import json
+import math
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs.httpd import ServerStartError
@@ -62,7 +66,7 @@ def test_tracker_in_flight_and_workers():
     assert tracker.snapshot()["in_flight"] == [0, 1]
     clock.advance(10.0)
     tracker.heartbeat(102)
-    assert tracker.stale_workers(max_silence_seconds=5.0) == [101]
+    assert tracker.snapshot()["workers"] == {"101": 10.0, "102": 0.0}
     tracker.record_result(_Run(), index=0)
     assert tracker.snapshot()["in_flight"] == [1]
 
@@ -142,6 +146,21 @@ def test_prometheus_histogram_bucket_series():
     # The 2^-10 boundary (0.0009765625) covers both sub-ms observations.
     assert any('le="0.0009765625"' in line and " 2" in line for line in lines)
 
+    # The p99 an alerting rule reconstructs from the _bucket series
+    # brackets the raw-sample p99 within one factor-2 bucket.
+    spread = registry.histogram("serve.latency_seconds.subplans")
+    for index in range(1000):
+        spread.observe(0.0004 * 1.006**index)  # 0.4 ms .. 160 ms
+    buckets = [
+        (float(line.split('le="', 1)[1].split('"', 1)[0]), float(line.rsplit(" ", 1)[1]))
+        for line in prometheus_text(registry=registry).splitlines()
+        if line.startswith("repro_serve_latency_seconds_subplans_bucket")
+    ]
+    rank = math.ceil(0.99 * buckets[-1][1])
+    bucketed = next(bound for bound, cumulative in buckets if cumulative >= rank)
+    raw = spread.percentile(99)
+    assert raw <= bucketed <= 4 * raw
+
 
 # -- SnapshotWriter -----------------------------------------------------------
 
@@ -173,6 +192,26 @@ def test_module_hooks_are_noops_when_inactive():
     obs_progress.record_result(_Run(), index=0)
     obs_progress.end_campaign()
     assert obs_progress.active_tracker() is None
+
+
+def test_live_telemetry_cost_is_bounded(tmp_path):
+    """What live telemetry adds per campaign query — two events and a
+    progress update with a snapshot writer active — stays under 500 us."""
+    obs_events.activate(tmp_path / "live.events.jsonl")
+    obs_progress.activate(snapshot_path=tmp_path / "live.prom")
+    obs_progress.begin_campaign(total=50, estimator="PostgreSQL", workload="stats")
+    cycles = []
+    try:
+        for index in range(50):
+            started = time.perf_counter()
+            obs_events.emit("query.start", query=f"q{index}")
+            obs_progress.record_result(_Run(), index=index)
+            obs_events.emit("query.completed", query=f"q{index}", seconds=0.001)
+            cycles.append(time.perf_counter() - started)
+    finally:
+        obs_progress.end_campaign()
+        obs_events.deactivate()
+    assert statistics.median(cycles) < 500e-6, cycles
 
 
 def test_module_hooks_drive_tracker_and_snapshot(tmp_path):

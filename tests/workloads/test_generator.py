@@ -112,10 +112,6 @@ class TestBuildWorkload:
 
 
 class TestWorkloadContainer:
-    def test_by_num_tables(self, stats_workload):
-        groups = stats_workload.by_num_tables()
-        assert sum(len(v) for v in groups.values()) == len(stats_workload)
-
     def test_cardinality_range(self, stats_workload):
         low, high = stats_workload.cardinality_range()
         assert 0 < low <= high
