@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
@@ -64,6 +63,8 @@ def total_domain_size(database: Database) -> int:
 
 def average_skewness(database: Database) -> float:
     """Mean absolute moment skewness over all filterable attributes."""
+    from scipy import stats as scipy_stats
+
     values = []
     for table in database.tables.values():
         for column in table.schema.filterable_columns:

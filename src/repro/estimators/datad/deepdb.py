@@ -17,8 +17,18 @@ import numpy as np
 
 from repro.estimators.base import stable_hash
 from repro.estimators.datad.fanout import FanoutJoinEstimator, TableDensityModel
-from repro.estimators.ml.clustering import kmeans
+from repro.estimators.ml.clustering import kmeans, standard_scale
 from repro.estimators.ml.rdc import pairwise_rdc
+
+#: RDC score above which two columns are dependent (no product split).
+RDC_THRESHOLD = 0.3
+#: Nodes with at most this share of the table's rows (and at least 64
+#: rows) stop splitting and become products of leaves.
+MIN_ROWS_FRACTION = 0.01
+#: Row clusters per sum node.
+MAX_SUM_CHILDREN = 2
+#: Rows sampled (without replacement) for one node's RDC scores.
+RDC_SAMPLE = 3_000
 
 
 def _union_scope(children: list) -> frozenset[str]:
@@ -78,11 +88,17 @@ class ProductNode:
 
 @dataclass
 class SumNode:
-    """Row clusters mix; centroids kept for routing updates."""
+    """Row clusters mix; centroids kept for routing updates.
+
+    ``scale`` is the per-column scale k-means standardised the split's
+    rows by, so an update routes a row to the nearest centroid in the
+    space the clusters were found in.
+    """
 
     children: list = field(default_factory=list)
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
     centroids: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scale: np.ndarray = field(default_factory=lambda: np.empty(0))
     cluster_columns: tuple[str, ...] = ()
     counts: np.ndarray = field(default_factory=lambda: np.empty(0))
     scope: frozenset[str] = field(init=False, repr=False)
@@ -91,7 +107,7 @@ class SumNode:
         self.scope = _union_scope(self.children)
 
     def nbytes(self) -> int:
-        own = self.weights.nbytes + self.centroids.nbytes
+        own = self.weights.nbytes + self.centroids.nbytes + self.scale.nbytes
         return own + sum(child.nbytes() for child in self.children)
 
     def node_count(self) -> int:
@@ -105,19 +121,12 @@ class SumProductNetwork(TableDensityModel):
         self,
         binned: dict[str, np.ndarray],
         num_bins: dict[str, int],
-        rdc_threshold: float = 0.3,
-        min_rows_fraction: float = 0.01,
-        max_sum_children: int = 2,
         seed: int = 0,
-        rdc_sample: int = 3_000,
     ):
         self._num_bins = dict(num_bins)
-        self._rdc_threshold = rdc_threshold
-        self._max_sum_children = max_sum_children
         self._rng = np.random.default_rng(seed)
-        self._rdc_sample = rdc_sample
         self._num_rows = len(next(iter(binned.values()))) if binned else 0
-        self._min_rows = max(64, int(min_rows_fraction * self._num_rows))
+        self._min_rows = max(64, int(MIN_ROWS_FRACTION * self._num_rows))
         self.root = self._learn(binned, tuple(sorted(binned)), depth=0)
 
     # -- structure learning ----------------------------------------------------
@@ -142,21 +151,22 @@ class SumProductNetwork(TableDensityModel):
         ).astype(np.float64)
         return LeafNode(column=column, counts=counts)
 
+    def _rdc_rows(self, n: int) -> np.ndarray:
+        """The rows of an ``n``-row node that its RDC scores are taken on."""
+        if n > RDC_SAMPLE:
+            return self._rng.choice(n, size=RDC_SAMPLE, replace=False)
+        return np.arange(n)
+
     def _independent_groups(
         self,
         binned: dict[str, np.ndarray],
         columns: tuple[str, ...],
     ) -> list[list[str]]:
         """Connected components of the RDC > threshold graph."""
-        n = len(binned[columns[0]])
-        sample = (
-            self._rng.choice(n, size=self._rdc_sample, replace=False)
-            if n > self._rdc_sample
-            else np.arange(n)
-        )
+        sample = self._rdc_rows(len(binned[columns[0]]))
         adjacency = {c: set() for c in columns}
         for (i, j), score in pairwise_rdc([binned[c][sample] for c in columns]).items():
-            if score > self._rdc_threshold:
+            if score > RDC_THRESHOLD:
                 adjacency[columns[i]].add(columns[j])
                 adjacency[columns[j]].add(columns[i])
         groups: list[list[str]] = []
@@ -177,7 +187,7 @@ class SumProductNetwork(TableDensityModel):
 
     def _sum_split(self, binned: dict[str, np.ndarray], columns: tuple[str, ...], depth: int):
         data = np.column_stack([binned[c] for c in columns]).astype(np.float64)
-        labels = kmeans(data, self._max_sum_children, self._rng)
+        labels = kmeans(data, MAX_SUM_CHILDREN, self._rng)
         clusters = np.unique(labels)
         if len(clusters) <= 1:
             return ProductNode(children=[self._leaf(binned, c) for c in columns])
@@ -196,6 +206,7 @@ class SumProductNetwork(TableDensityModel):
             children=children,
             weights=np.asarray(weights),
             centroids=np.asarray(centroids),
+            scale=standard_scale(data),
             cluster_columns=columns,
             counts=np.asarray(counts),
         )
@@ -289,7 +300,8 @@ class SumProductNetwork(TableDensityModel):
             return
         assert isinstance(node, SumNode)
         data = np.column_stack([binned[c] for c in node.cluster_columns]).astype(np.float64)
-        distances = ((data[:, None, :] - node.centroids[None, :, :]) ** 2).sum(axis=2)
+        offsets = (data[:, None, :] - node.centroids[None, :, :]) / node.scale
+        distances = (offsets**2).sum(axis=2)
         labels = distances.argmin(axis=1)
         for cluster, child in enumerate(node.children):
             member_rows = np.nonzero(labels == cluster)[0]
@@ -311,29 +323,5 @@ class DeepDBEstimator(FanoutJoinEstimator):
 
     name = "DeepDB"
 
-    def __init__(
-        self,
-        rdc_threshold: float = 0.3,
-        min_rows_fraction: float = 0.01,
-        max_attribute_bins: int = 24,
-        key_buckets: int = 32,
-        joint_fanout: bool = True,
-        seed: int = 0,
-    ):
-        super().__init__(
-            max_attribute_bins=max_attribute_bins,
-            key_buckets=key_buckets,
-            joint_fanout=joint_fanout,
-        )
-        self._rdc_threshold = rdc_threshold
-        self._min_rows_fraction = min_rows_fraction
-        self._seed = seed
-
     def _build_model(self, table_name, binned, num_bins) -> SumProductNetwork:
-        return SumProductNetwork(
-            binned,
-            num_bins,
-            rdc_threshold=self._rdc_threshold,
-            min_rows_fraction=self._min_rows_fraction,
-            seed=self._seed + stable_hash(table_name) % 1000,
-        )
+        return SumProductNetwork(binned, num_bins, seed=stable_hash(table_name) % 1000)

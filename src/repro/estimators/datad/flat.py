@@ -24,9 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.estimators.base import stable_hash
-from repro.estimators.datad.deepdb import ProductNode, SumProductNetwork
+from repro.estimators.datad.deepdb import RDC_THRESHOLD, ProductNode, SumProductNetwork
 from repro.estimators.datad.fanout import FanoutJoinEstimator
 from repro.estimators.ml.rdc import pairwise_rdc, rdc
+
+#: RDC score above which columns are modelled jointly in a multi-leaf.
+FACTORIZE_THRESHOLD = 0.7
+#: Columns of one multi-leaf's group (its anchor not counted).
+MAX_LEAF_COLUMNS = 3
+#: Sum/product depth from which nodes may factorize.
+MIN_FACTORIZE_DEPTH = 2
 
 
 @dataclass
@@ -74,35 +81,13 @@ class MultiLeafNode:
 class FactorizedSPN(SumProductNetwork):
     """SPN with factorize nodes (anchored joint multi-leaves)."""
 
-    def __init__(
-        self,
-        binned: dict[str, np.ndarray],
-        num_bins: dict[str, int],
-        factorize_threshold: float = 0.7,
-        rdc_threshold: float = 0.3,
-        min_rows_fraction: float = 0.01,
-        max_leaf_columns: int = 3,
-        min_factorize_depth: int = 2,
-        seed: int = 0,
-    ):
-        self._factorize_threshold = factorize_threshold
-        self._max_leaf_columns = max_leaf_columns
-        self._min_factorize_depth = min_factorize_depth
-        super().__init__(
-            binned,
-            num_bins,
-            rdc_threshold=rdc_threshold,
-            min_rows_fraction=min_rows_fraction,
-            seed=seed,
-        )
-
     # -- structure learning ---------------------------------------------------
 
     def _learn(self, binned: dict[str, np.ndarray], columns: tuple[str, ...], depth: int):
         # Factorize only after a couple of sum/product splits have
         # carved the data (FLAT's split-then-factorize recursion); the
         # conditional multi-leaves then model the per-region joints.
-        if len(columns) >= 2 and self._min_factorize_depth <= depth <= 6:
+        if len(columns) >= 2 and MIN_FACTORIZE_DEPTH <= depth <= 6:
             group = self._highly_correlated_group(binned, columns)
             if group is not None:
                 rest = tuple(c for c in columns if c not in group)
@@ -122,14 +107,9 @@ class FactorizedSPN(SumProductNetwork):
         columns: tuple[str, ...],
     ) -> tuple[str, ...] | None:
         """Greedy seed-and-grow group with RDC above the high threshold."""
-        n = len(binned[columns[0]])
-        sample = (
-            self._rng.choice(n, size=self._rdc_sample, replace=False)
-            if n > self._rdc_sample
-            else np.arange(n)
-        )
+        sample = self._rdc_rows(len(binned[columns[0]]))
         best_pair = None
-        best_score = self._factorize_threshold
+        best_score = FACTORIZE_THRESHOLD
         for (i, j), score in pairwise_rdc([binned[c][sample] for c in columns]).items():
             if score > best_score:
                 best_score = score
@@ -138,13 +118,13 @@ class FactorizedSPN(SumProductNetwork):
             return None
         group = list(best_pair)
         for candidate in columns:
-            if candidate in group or len(group) >= self._max_leaf_columns:
+            if candidate in group or len(group) >= MAX_LEAF_COLUMNS:
                 continue
             scores = [
                 rdc(binned[candidate][sample], binned[m][sample], seed=97)
                 for m in group
             ]
-            if min(scores) > self._factorize_threshold:
+            if min(scores) > FACTORIZE_THRESHOLD:
                 group.append(candidate)
         return tuple(sorted(group))
 
@@ -158,13 +138,8 @@ class FactorizedSPN(SumProductNetwork):
         clears the (low) dependence threshold."""
         if not rest:
             return None
-        n = len(binned[group[0]])
-        sample = (
-            self._rng.choice(n, size=min(self._rdc_sample, n), replace=False)
-            if n > self._rdc_sample
-            else np.arange(n)
-        )
-        best, best_score = None, self._rdc_threshold
+        sample = self._rdc_rows(len(binned[group[0]]))
+        best, best_score = None, RDC_THRESHOLD
         for candidate in rest:
             score = max(
                 rdc(binned[candidate][sample], binned[m][sample], seed=53)
@@ -275,38 +250,5 @@ class FlatEstimator(FanoutJoinEstimator):
 
     name = "FLAT"
 
-    def __init__(
-        self,
-        factorize_threshold: float = 0.7,
-        rdc_threshold: float = 0.3,
-        min_rows_fraction: float = 0.01,
-        max_attribute_bins: int = 24,
-        key_buckets: int = 32,
-        max_leaf_columns: int = 3,
-        min_factorize_depth: int = 2,
-        joint_fanout: bool = True,
-        seed: int = 0,
-    ):
-        super().__init__(
-            max_attribute_bins=max_attribute_bins,
-            key_buckets=key_buckets,
-            joint_fanout=joint_fanout,
-        )
-        self._factorize_threshold = factorize_threshold
-        self._rdc_threshold = rdc_threshold
-        self._min_rows_fraction = min_rows_fraction
-        self._max_leaf_columns = max_leaf_columns
-        self._min_factorize_depth = min_factorize_depth
-        self._seed = seed
-
     def _build_model(self, table_name, binned, num_bins) -> FactorizedSPN:
-        return FactorizedSPN(
-            binned,
-            num_bins,
-            factorize_threshold=self._factorize_threshold,
-            rdc_threshold=self._rdc_threshold,
-            min_rows_fraction=self._min_rows_fraction,
-            max_leaf_columns=self._max_leaf_columns,
-            min_factorize_depth=self._min_factorize_depth,
-            seed=self._seed + stable_hash(table_name) % 1000,
-        )
+        return FactorizedSPN(binned, num_bins, seed=stable_hash(table_name) % 1000)

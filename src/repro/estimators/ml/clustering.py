@@ -5,6 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def standard_scale(data: np.ndarray) -> np.ndarray:
+    """Per-column standard deviation, with 1 for a constant column."""
+    scale = data.std(axis=0)
+    scale[scale == 0] = 1.0
+    return scale
+
+
 def kmeans(
     data: np.ndarray,
     k: int,
@@ -22,9 +29,7 @@ def kmeans(
     if k <= 1 or n <= k:
         return np.zeros(n, dtype=np.int64) if k <= 1 else np.arange(n) % k
 
-    scale = data.std(axis=0)
-    scale[scale == 0] = 1.0
-    normalized = (data - data.mean(axis=0)) / scale
+    normalized = (data - data.mean(axis=0)) / standard_scale(data)
 
     centroids = normalized[rng.choice(n, size=k, replace=False)]
     labels = np.full(n, -1, dtype=np.int64)

@@ -25,7 +25,9 @@ _DATABASE_ATTRIBUTES = ("_database",)
 
 #: 2: SPN nodes carry their column scope, Chow-Liu trees their sub-tree
 #: scopes; a format-1 DeepDB / FLAT / BayesCard file cannot answer.
-FORMAT_VERSION = 2
+#: 3: SPN sum nodes carry the scale updates are routed by; a format-2
+#: DeepDB / FLAT file cannot update.
+FORMAT_VERSION = 3
 
 
 class PersistenceError(RuntimeError):

@@ -1,5 +1,6 @@
 """Per-method tests for the data-driven estimators."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from repro.estimators.datad import (
     NeuroCardEstimator,
 )
 from repro.estimators.datad.bayescard import ChowLiuTreeModel, _mutual_information
-from repro.estimators.datad.deepdb import SumProductNetwork
+from repro.estimators.datad.deepdb import LeafNode, SumNode, SumProductNetwork
 from repro.estimators.datad.flat import FactorizedSPN, MultiLeafNode
 from repro.estimators.datad.neurocard import spanning_trees
 from tests.estimators.conftest import median_q_error
@@ -104,6 +105,19 @@ class TestSPN:
         spn.update({k: v[:500] for k, v in binned.items()})
         assert spn.node_count() == nodes_before
 
+    @pytest.mark.parametrize("model", [SumProductNetwork, FactorizedSPN])
+    def test_update_routes_training_rows_to_their_clusters(self, model):
+        """Sum nodes route an update in k-means' standardised space, so
+        re-inserting the training rows exactly doubles every count."""
+        binned, bins = correlated_binned()
+        spn = model(binned, bins, seed=3)
+        sums = [node for node in _walk(spn.root) if isinstance(node, SumNode)]
+        before = [node.counts.copy() for node in sums]
+        assert sums
+        spn.update(binned)
+        for node, counts in zip(sums, before):
+            assert np.array_equal(node.counts, 2 * counts)
+
 
 class TestFSPN:
     def test_multi_leaf_for_highly_correlated(self):
@@ -142,6 +156,39 @@ def _walk(node):
     yield node
     for child in getattr(node, "children", []):
         yield from _walk(child)
+
+
+def _model_digest(estimator) -> str:
+    """sha256 over each table model's node kinds, scopes, leaf counts,
+    sum weights and centroids (not the sum nodes' routing scale)."""
+    digest = hashlib.sha256()
+    for table in sorted(estimator._models):
+        digest.update(table.encode())
+        for node in _walk(estimator._models[table].root):
+            digest.update(type(node).__name__.encode())
+            digest.update(repr(sorted(node.scope)).encode())
+            if isinstance(node, MultiLeafNode):
+                digest.update(repr(node.all_columns).encode())
+            if isinstance(node, (LeafNode, MultiLeafNode)):
+                digest.update(np.ascontiguousarray(node.counts).tobytes())
+            if isinstance(node, SumNode):
+                digest.update(node.weights.tobytes())
+                digest.update(node.centroids.tobytes())
+    return digest.hexdigest()
+
+
+#: Digests of the models the per-row RDC learned on the fixture database;
+#: the distinct-value RDC must learn the same ones.
+FIXTURE_MODEL_DIGESTS = {
+    "DeepDB": "c371bc885efcb8463f30f459e654f10e4138b2edeed90122878eb00cc7ea7d1a",
+    "FLAT": "663366495b818fe488568b0f9e9bcc65ad108c66d58e139395341fe97a652327",
+}
+
+
+@pytest.mark.parametrize("factory", [DeepDBEstimator, FlatEstimator])
+def test_fixture_models_match_the_recorded_digest(stats_db, factory):
+    estimator = factory().fit(stats_db)
+    assert _model_digest(estimator) == FIXTURE_MODEL_DIGESTS[factory.name]
 
 
 class TestEndToEndAccuracy:

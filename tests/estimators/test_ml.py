@@ -378,6 +378,107 @@ class TestRdc:
             assert score == rdc(samples[i], samples[j], seed=i * 131 + j)
 
 
+# The per-row RDC that ``ml/rdc.py`` replaced, kept as the reference:
+# every row's sine features, plain means and covariances, and one
+# whitening and SVD per pair.
+
+
+def _copula(values):
+    from scipy import stats as scipy_stats
+
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 3 or np.ptp(values) == 0:
+        return None
+    ranks = scipy_stats.rankdata(values) / len(values)
+    return np.column_stack([ranks, np.ones(len(values))])
+
+
+def _rdc(cx, cy, seed, k=10, s=1.0):
+    if cx is None or cy is None:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    fx = np.sin(cx @ rng.normal(0.0, s, size=(2, k)))
+    fy = np.sin(cy @ rng.normal(0.0, s, size=(2, k)))
+    return _max_canonical_correlation(fx, fy)
+
+
+def _max_canonical_correlation(fx, fy):
+    fx = fx - fx.mean(axis=0)
+    fy = fy - fy.mean(axis=0)
+    n = len(fx)
+    cxx = fx.T @ fx / n + 1e-6 * np.eye(fx.shape[1])
+    cyy = fy.T @ fy / n + 1e-6 * np.eye(fy.shape[1])
+    cxy = fx.T @ fy / n
+    inv_sqrt_xx = _inverse_sqrt(cxx)
+    inv_sqrt_yy = _inverse_sqrt(cyy)
+    m = inv_sqrt_xx @ cxy @ inv_sqrt_yy
+    singular_values = np.linalg.svd(m, compute_uv=False)
+    return float(np.clip(singular_values.max(initial=0.0), 0.0, 1.0))
+
+
+def _inverse_sqrt(matrix):
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    eigenvalues = np.maximum(eigenvalues, 1e-9)
+    return eigenvectors @ np.diag(eigenvalues**-0.5) @ eigenvectors.T
+
+
+def _binned_column(n):
+    """``n`` codes below a bin count of 1 (constant) to 8: ties everywhere."""
+    return st.integers(1, 8).flatmap(
+        lambda bins: st.lists(st.integers(0, bins - 1), min_size=n, max_size=n)
+    )
+
+
+#: 2-4 equal-length binned columns, n from 0 (so n < 3 is drawn too).
+binned_samples = st.integers(0, 200).flatmap(
+    lambda n: st.lists(_binned_column(n), min_size=2, max_size=4)
+).map(lambda columns: [np.asarray(c, dtype=np.int64) for c in columns])
+
+
+@st.composite
+def continuous_samples(draw):
+    """Normal columns, one a noisy function of the first, one binned."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=n)
+    return [
+        base,
+        np.cos(base) + 0.1 * rng.normal(size=n),
+        rng.normal(size=n),
+        rng.integers(0, draw(st.integers(1, 33)), n),
+    ][: draw(st.integers(2, 4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(binned_samples, continuous_samples()))
+def test_rdc_matches_the_per_row_reference(samples):
+    copulas = [_copula(sample) for sample in samples]
+    for (i, j), score in pairwise_rdc(samples).items():
+        assert abs(score - _rdc(copulas[i], copulas[j], seed=i * 131 + j)) <= 1e-9
+    for i in range(1, len(samples)):
+        want = _rdc(copulas[0], copulas[i], seed=5)
+        assert abs(rdc(samples[0], samples[i], seed=5) - want) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(binned_samples, continuous_samples()),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_increasing_relabelling_keeps_every_score(samples, which, seed):
+    """Scores depend on ranks only: a strictly increasing map of one
+    column's values, ties kept, leaves every score bit-equal."""
+    which %= len(samples)
+    distinct, codes = np.unique(samples[which], return_inverse=True)
+    steps = np.random.default_rng(seed).uniform(0.5, 50.0, size=len(distinct))
+    relabelled = list(samples)
+    relabelled[which] = (np.cumsum(steps) - 1e3)[codes]
+    assert pairwise_rdc(relabelled) == pairwise_rdc(samples)
+    other = (which + 1) % len(samples)
+    assert rdc(relabelled[which], samples[other]) == rdc(samples[which], samples[other])
+
+
 class TestKMeans:
     def test_separates_two_blobs(self, rng):
         blob_a = rng.normal(0, 0.2, size=(200, 2))

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import _bench_checkpoint, build_parser, main
@@ -325,3 +329,21 @@ class TestDashboardCommand:
         assert code == 0
         assert "warning" in capsys.readouterr().out
         assert out.exists()
+
+
+def test_entry_points_leave_scipy_stats_unimported():
+    """``scipy.stats`` costs ~66 MiB of RSS to import; the modules that
+    need it import it inside the function that uses it."""
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.serve, repro.check, repro.experiments.runner\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "False"
