@@ -13,7 +13,9 @@ correctly.  This package independently validates that assumption:
   multi-join queries from a seed (skew, NULLs, duplicate join keys,
   dangling keys, empty and single-row tables);
 - :mod:`repro.check.invariants` runs metamorphic invariants per case:
-  exec-cache ON vs OFF, serial vs parallel workers, checkpoint-resume
+  cold and warm labelling against
+  :func:`~repro.check.oracle.planned_sub_plan_cards` (every subset
+  planned and executed), serial vs parallel workers, checkpoint-resume
   vs fresh run, plan-choice independence (every plan the planner
   could pick must return the same count), and the planner against its
   scalar reference;
@@ -30,7 +32,7 @@ correctly.  This package independently validates that assumption:
 from repro.check.artifacts import load_artifact, write_artifact
 from repro.check.fuzz import CheckCase, FuzzConfig, build_case
 from repro.check.invariants import ALL_INVARIANTS, Discrepancy
-from repro.check.oracle import SQLiteOracle
+from repro.check.oracle import SQLiteOracle, planned_sub_plan_cards
 from repro.check.runner import (
     CheckOptions,
     CheckReport,
@@ -51,6 +53,7 @@ __all__ = [
     "build_case",
     "check_workload",
     "load_artifact",
+    "planned_sub_plan_cards",
     "replay_artifact",
     "replay_command",
     "run_check",

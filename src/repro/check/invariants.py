@@ -10,10 +10,11 @@ checks are:
     the row count produced by actually executing the planner's chosen
     plan.
 ``cache``
-    Result-reuse must be invisible: the service with shared
-    intermediates + exec cache and the service with both disabled must
-    report identical sub-plan maps, and an executor with an
-    :class:`ExecutionContext` must count exactly like a bare one.
+    Result reuse must be invisible: a cold service (no selection cache)
+    and a warm one (every count and selection vector cached) must both
+    report the sub-plan map of
+    :func:`~repro.check.oracle.planned_sub_plan_cards`, which plans and
+    executes every connected subset on its own.
 ``plans``
     Plan-choice independence: every physical plan the planner *could*
     have picked (all join orders × all legal join methods × both scan
@@ -73,13 +74,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.check.fuzz import CheckCase
-from repro.check.oracle import SQLiteOracle
+from repro.check.oracle import SQLiteOracle, planned_sub_plan_cards
 from repro.check.reference_planner import ReferencePlanner
 from repro.core.benchmark import EndToEndBenchmark
 from repro.core.injection import sub_plan_queries
 from repro.core.parallel import fork_available
 from repro.core.truecards import TrueCardinalityService
-from repro.engine.cache import ExecutionContext
 from repro.engine.executor import Executor
 from repro.engine.planner import Planner
 from repro.engine.plans import (
@@ -263,51 +263,31 @@ def check_batch(case: CheckCase) -> list[Discrepancy]:
 
 
 def check_cache(case: CheckCase) -> list[Discrepancy]:
-    """Exec-cache and shared-intermediate reuse must not change counts."""
+    """A cold and a warm labelling service must count every sub-plan as
+    the one-plan-per-subset reference does."""
     discrepancies: list[Discrepancy] = []
-    cached = TrueCardinalityService(
-        case.database, use_exec_cache=True, share_intermediates=True
-    )
-    plain = TrueCardinalityService(
-        case.database, use_exec_cache=False, share_intermediates=False
-    )
-    planner = Planner(case.database)
-    bare_executor = Executor(case.database)
-    context_executor = Executor(
-        case.database, context=ExecutionContext(case.database)
-    )
+    warm = TrueCardinalityService(case.database)
     for query in case.queries:
-        with_reuse = cached.sub_plan_cards(query)
-        without = plain.sub_plan_cards(query)
-        for subset in sorted(without, key=sorted):
-            if with_reuse.get(subset) != without[subset]:
-                discrepancies.append(
-                    Discrepancy(
-                        "cache",
-                        query.name,
-                        f"sub-plan {sorted(subset)}: cached service "
-                        f"counted {with_reuse.get(subset)}, plain "
-                        f"service counted {without[subset]}",
+        warm.sub_plan_cards(query)
+    for query in case.queries:
+        reference = planned_sub_plan_cards(case.database, query)
+        services = {
+            "cold": TrueCardinalityService(case.database, use_exec_cache=False),
+            "warm": warm,
+        }
+        for name, service in services.items():
+            counted = service.sub_plan_cards(query)
+            for subset in sorted(reference, key=sorted):
+                if counted.get(subset) != reference[subset]:
+                    discrepancies.append(
+                        Discrepancy(
+                            "cache",
+                            query.name,
+                            f"sub-plan {sorted(subset)}: {name} service "
+                            f"counted {counted.get(subset)}, the planned "
+                            f"reference counted {reference[subset]}",
+                        )
                     )
-                )
-        cards = {s: float(c) for s, c in without.items()}
-        plan = planner.plan(query, cards).plan
-        # Twice through the context-holding executor: the second pass
-        # serves scans and hash builds from cache and must still agree.
-        counts = (
-            bare_executor.count(plan),
-            context_executor.count(plan),
-            context_executor.count(plan),
-        )
-        if len(set(counts)) != 1:
-            discrepancies.append(
-                Discrepancy(
-                    "cache",
-                    query.name,
-                    "executor counts diverge (bare, cold-cache, "
-                    f"warm-cache) = {counts}",
-                )
-            )
     return discrepancies
 
 

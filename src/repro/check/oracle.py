@@ -21,8 +21,12 @@ import numpy as np
 
 from repro.core.injection import sub_plan_sets
 from repro.engine.database import Database
+from repro.engine.executor import Executor
+from repro.engine.planner import Planner
+from repro.engine.predicates import conjunction_mask
 from repro.engine.query import Query
 from repro.engine.sql import query_to_sql
+from repro.engine.subsets import connected_subsets
 from repro.engine.types import ColumnKind
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -115,3 +119,31 @@ class SQLiteOracle:
             subset: self.count_query(query.subquery(subset))
             for subset in sub_plan_sets(query)
         }
+
+
+def planned_sub_plan_cards(database: Database, query: Query) -> dict[frozenset[str], int]:
+    """Exact count of every connected sub-plan of ``query``, one plan each.
+
+    The in-engine reference for
+    :class:`~repro.core.truecards.TrueCardinalityService`: smallest
+    first, each subset is planned under the smaller subsets' exact
+    counts and counted by executing that plan with a bare
+    :class:`~repro.engine.executor.Executor`, which recomputes every
+    scan and hash build.  A single table is counted from its filter
+    mask.
+    """
+    planner = Planner(database)
+    executor = Executor(database)
+    cards: dict[frozenset[str], float] = {}
+    for subset in connected_subsets(query):
+        subquery = query.subquery(subset)
+        if len(subset) == 1:
+            (table,) = subset
+            mask = conjunction_mask(database.tables[table], list(subquery.predicates))
+            cards[subset] = float(np.count_nonzero(mask))
+            continue
+        # The subset's own count is still unknown; it is the same for
+        # every candidate plan, so any placeholder picks the same plan.
+        planned = planner.plan(subquery, {**cards, subset: 0.0})
+        cards[subset] = float(executor.count(planned.plan))
+    return {subset: int(count) for subset, count in cards.items()}

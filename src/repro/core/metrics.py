@@ -105,19 +105,22 @@ def percentiles(
 def rank_correlation(x: list[float], y: list[float]) -> float:
     """Spearman rank correlation between two metric series.
 
+    The Pearson correlation of the two series' ranks, a tie group
+    sharing its average rank (``scipy.stats.spearmanr``'s statistic).
+    NaN for fewer than three pairs, a constant series or a NaN value.
     Used for the paper's O14: P-Error percentiles correlate with
     execution time far better than Q-Error percentiles do.
     """
-    if len(x) != len(y) or len(x) < 3:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if len(x) != len(y) or len(x) < 3 or np.isnan(x).any() or np.isnan(y).any():
         return float("nan")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         return float("nan")
-    from scipy import stats as scipy_stats
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
-    result = scipy_stats.spearmanr(x, y)
-    # scipy >= 1.9 returns a SignificanceResult with ``.statistic``;
-    # older versions return a SpearmanrResult exposing ``.correlation``.
-    statistic = getattr(result, "statistic", None)
-    if statistic is None:
-        statistic = result.correlation
-    return float(statistic)
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their mean rank."""
+    _, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+    below = np.cumsum(counts) - counts
+    return ((below + 1) + (counts - 1) / 2)[codes]

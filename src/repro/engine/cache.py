@@ -1,31 +1,22 @@
 """Result-reuse caches for the execution engine.
 
-The benchmark platform evaluates every estimator on the full sub-plan
-query space of every workload query — thousands of plan-inject-execute
-cycles over the same eight base tables.  Most of that work repeats:
-the same ``(table, predicates)`` selection is re-filtered for every
-sub-plan that touches the table, and the same hash-join build side is
-rebuilt for every plan that probes it.  This module provides the
-reuse layer:
+Exact labelling counts the sub-plans of thousands of workload queries
+over the same few base tables, and the same ``(table, predicates)``
+selection recurs across the sub-plans and queries that touch the table.
+This module provides the reuse layer:
 
 - :class:`LRUByteCache` — a byte-budgeted least-recently-used cache
   with hit/miss/eviction counters exported through
   :mod:`repro.obs.metrics`;
-- :class:`ExecutionContext` — the cache bundle an :class:`Executor
-  <repro.engine.executor.Executor>` consults: a **selection-vector
-  cache** (canonical ``(table, predicates)`` key → row-id array) and a
-  **join build-side cache** (``(table, column, selection)`` key →
-  :class:`repro.engine.join_build.JoinBuild`), both automatically
+- :class:`ExecutionContext` — a **selection-vector cache** (canonical
+  ``(table, predicates)`` key → row-id array), automatically
   invalidated when the database's ``data_version`` moves (i.e. after
   inserts).
 
 **Measurement-fidelity policy.**  Caching is for *correctness-only*
-work: exact-cardinality labelling, Q-/P-Error computation and plan
-enumeration.  Timed end-to-end executions must keep paying the real
-cost of every scan and build, so the benchmark's timed executor runs
-without a context by default (see
-:class:`repro.core.benchmark.EndToEndBenchmark`); tests assert this
-policy.
+work: exact-cardinality labelling (:mod:`repro.core.truecards`).  The
+executor takes no cache at all, so timed end-to-end executions pay the
+real cost of every scan and hash build.
 """
 
 from __future__ import annotations
@@ -36,14 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.join_build import JoinBuild
 from repro.engine.predicates import Predicate, conjunction_mask
 from repro.obs import metrics as obs_metrics
 
-#: Default byte budgets — generous for benchmark-scale synthetic data,
+#: Default byte budget — generous for benchmark-scale synthetic data,
 #: bounded so labelling huge workloads cannot grow memory without limit.
 SELECTION_CACHE_BYTES = 128 * 1024 * 1024
-JOIN_BUILD_CACHE_BYTES = 128 * 1024 * 1024
 
 
 def default_sizer(value) -> int:
@@ -166,32 +155,24 @@ def predicates_key(predicates: tuple[Predicate, ...]) -> tuple:
 
 
 class ExecutionContext:
-    """Shared result-reuse state for one evaluation campaign.
+    """Selection vectors shared across the queries one service labels.
 
-    Holds the selection-vector and join-build caches an executor (and
-    the true-cardinality service) consult.  Invalidation is wired to
-    the data-update path: every access compares the database's
-    ``data_version`` against the version the caches were filled at and
-    drops everything when they diverge, so Table-6 style insert
-    batches can never serve stale row ids.  ``invalidate()`` forces the
-    same drop explicitly.
+    Invalidation is wired to the data-update path: every access
+    compares the database's ``data_version`` against the version the
+    cache was filled at and drops everything when they diverge, so
+    Table-6 style insert batches can never serve stale row ids.
+    ``invalidate()`` forces the same drop explicitly.
     """
 
     def __init__(
         self,
         database,
-        enabled: bool = True,
         selection_budget_bytes: int = SELECTION_CACHE_BYTES,
-        join_build_budget_bytes: int = JOIN_BUILD_CACHE_BYTES,
     ):
         self._database = database
-        self.enabled = enabled
         self._seen_version = getattr(database, "data_version", 0)
         self.selection = LRUByteCache(
             selection_budget_bytes, metric_prefix="cache.selection"
-        )
-        self.join_build = LRUByteCache(
-            join_build_budget_bytes, metric_prefix="cache.join_build"
         )
 
     @property
@@ -199,9 +180,8 @@ class ExecutionContext:
         return self._database
 
     def invalidate(self) -> None:
-        """Drop every cached selection vector and build structure."""
+        """Drop every cached selection vector."""
         self.selection.clear()
-        self.join_build.clear()
 
     def _check_version(self) -> None:
         version = getattr(self._database, "data_version", 0)
@@ -229,30 +209,3 @@ class ExecutionContext:
             rows = np.nonzero(mask)[0]
             self.selection.put(key, rows, rows.nbytes)
         return rows
-
-    def hash_build(
-        self,
-        table_name: str,
-        column: str,
-        predicates: tuple[Predicate, ...],
-        keys: np.ndarray,
-        valid: np.ndarray,
-        probe_rows: int,
-    ) -> JoinBuild:
-        """Hash-join build structure for a base-table build side.
-
-        ``keys``/``valid`` are the build side's join-key array and
-        not-NULL mask as produced for the scan output of
-        ``(table_name, predicates)``; the cached value is the
-        :class:`JoinBuild` over them, whose positions index into that
-        scan's row array.  ``probe_rows`` sizes the build made on a
-        miss.  Match ranges do not depend on it, so cache hits are
-        bit-identical to recomputation.
-        """
-        self._check_version()
-        key = (table_name, column, predicates_key(predicates))
-        build = self.join_build.get(key)
-        if build is None:
-            build = JoinBuild(keys, valid, probe_rows)
-            self.join_build.put(key, build, build.nbytes)
-        return build

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.cache import ExecutionContext
 from repro.engine.catalog import TableSchema
 from repro.engine.database import Database
 from repro.engine.join_build import JoinBuild
@@ -130,21 +129,10 @@ class Executor:
         database: Database,
         max_intermediate_rows: int = 20_000_000,
         timeout_seconds: float | None = None,
-        context: ExecutionContext | None = None,
     ):
         self._database = database
         self._max_rows = max_intermediate_rows
         self._timeout = timeout_seconds
-        #: Result-reuse caches (selection vectors, hash-build sides).
-        #: ``None`` — the default — means every scan and build pays its
-        #: real cost, which is what *timed* benchmark executions
-        #: require; correctness-only executors (true-cardinality
-        #: labelling) pass a caching context explicitly.
-        self._context = context
-
-    @property
-    def context(self) -> ExecutionContext | None:
-        return self._context
 
     def execute(
         self,
@@ -185,7 +173,7 @@ class Executor:
         )
 
     def count(self, plan: PlanNode) -> int:
-        """Output cardinality of ``plan`` (true-cardinality computation)."""
+        """Output cardinality of ``plan``."""
         return self.execute(plan).cardinality
 
     def join_rows(
@@ -201,17 +189,15 @@ class Executor:
         Returns the output's row-id columns for the tables in ``keep``
         (``None``: every table the inputs hold); the inputs need only
         hold the two key tables of ``node.edge`` plus whatever is kept.
-        Used by the true-cardinality service to extend a shared
-        intermediate by one table without re-executing the whole
-        sub-plan from scans.  Budget enforcement (row limits) applies
-        exactly as inside a full plan walk.
+        Budget enforcement (row limits) applies exactly as inside a full
+        plan walk.
         """
         if keep is None:
             keep = node.tables
         return self._join(node, left, right, keep, deadline)[0]
 
     def scan_rows(self, node: ScanNode) -> dict[str, np.ndarray]:
-        """Run a single scan operator (cached when a context is set)."""
+        """Run a single scan operator."""
         return self._scan(node)
 
     def join_count(
@@ -308,9 +294,6 @@ class Executor:
     # -- operators -----------------------------------------------------------
 
     def _scan(self, node: ScanNode) -> dict[str, np.ndarray]:
-        context = self._context
-        if context is not None and context.enabled:
-            return {node.table: context.selection_rows(node.table, node.predicates)}
         table = self._database.tables[node.table]
         mask = conjunction_mask(table, list(node.predicates))
         return {node.table: np.nonzero(mask)[0]}
@@ -334,7 +317,7 @@ class Executor:
         right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
         right = {name: ids for name, ids in right.items() if name in keep}
         if node.method == JOIN_HASH:
-            build = self._join_build(node, right_keys, right_valid, len(left_keys))
+            build = JoinBuild(right_keys, right_valid, len(left_keys))
             return self._hash_join(left, left_keys, left_valid, right, build)
         assert node.method == JOIN_MERGE
         return self._merge_join(
@@ -351,28 +334,6 @@ class Executor:
         stored = self._database.tables[table].column(column)
         ids = rows[table]
         return stored.values[ids], ~stored.null_mask[ids]
-
-    def _join_build(
-        self,
-        node: JoinNode,
-        right_keys: np.ndarray,
-        right_valid: np.ndarray,
-        probe_rows: int,
-    ) -> JoinBuild:
-        """The hash join's build side, from the context when it has one."""
-        context = self._context
-        if context is not None and context.enabled and isinstance(node.right, ScanNode):
-            # Base-table build sides are pure functions of
-            # (table, column, selection): reuse the build.
-            return context.hash_build(
-                node.right.table,
-                node.edge.right_column,
-                node.right.predicates,
-                right_keys,
-                right_valid,
-                probe_rows,
-            )
-        return JoinBuild(right_keys, right_valid, probe_rows)
 
     def _hash_join(self, left, left_keys, left_valid, right, build: JoinBuild):
         starts, counts = build.match(left_keys[left_valid])

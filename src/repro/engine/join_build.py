@@ -2,8 +2,7 @@
 
 :class:`JoinBuild` is the only code that builds a hash-join build side
 and the only code that matches probe keys against one: the executor's
-materialising hash join, its count-only twin used for labelling, and
-the exec cache's build-side cache all go through it.
+materialising hash join and its count-only twin both go through it.
 
 A build keeps the valid (not-NULL) build keys stably sorted together
 with their positions in the build input, so the matches of one probe
@@ -39,9 +38,8 @@ class JoinBuild:
 
     ``keys``/``valid`` are the build input's join-key array and
     not-NULL mask.  ``probe_rows`` is the size of the probe input of
-    the join the build is made for; a cached build keeps the choice
-    made for its first probe (later probes get the same answers, the
-    choice only ever affects speed).
+    the join the build is made for (it only selects the branch below,
+    which only ever affects speed).
     """
 
     __slots__ = ("sorted_keys", "positions", "_kmin", "_kmax", "_offsets")
@@ -77,7 +75,7 @@ class JoinBuild:
 
     @property
     def nbytes(self) -> int:
-        """Footprint charged to the build-side cache, directory included."""
+        """Footprint of the build, directory included."""
         total = self.sorted_keys.nbytes + self.positions.nbytes
         if self._offsets is not None:
             total += self._offsets.nbytes

@@ -92,7 +92,7 @@ class TestDetection:
 
         def biased_when_cached(self, query):
             counts = original(self, query)
-            if self._share:  # the reuse-enabled service lies
+            if self.context is not None:  # the cache-backed service lies
                 counts = {s: c + 1 for s, c in counts.items()}
             return counts
 

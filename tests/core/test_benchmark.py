@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.benchmark import EndToEndBenchmark, abort_penalties
 from repro.engine.executor import ExecutionAborted
+from repro.engine.planner import Planner
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
+from repro.obs import metrics as obs_metrics
 from repro.resilience import RetryPolicy, TimeoutPolicy
 
 
@@ -285,10 +287,18 @@ class TestFailedVersusAborted:
 
 
 class TestCachePolicy:
-    def test_timed_path_bypasses_exec_cache_by_default(self, bench):
+    def test_timed_path_bypasses_exec_cache_by_default(self, bench, stats_db, stats_workload):
         """Measurement fidelity: the timed executor never reuses
-        selection vectors or build sides."""
-        assert bench._executor.context is None
+        selection vectors or build sides, so running a plan twice
+        touches no cache."""
+        labeled = max(stats_workload.queries, key=lambda q: len(q.query.tables))
+        cards = {s: float(c) for s, c in labeled.sub_plan_true_cards.items()}
+        plan = Planner(stats_db).plan(labeled.query, cards).plan
+        obs_metrics.reset()
+        for _ in range(2):
+            bench._executor.execute(plan)
+        counters = obs_metrics.snapshot()["counters"]
+        assert not {name: n for name, n in counters.items() if name.startswith("cache.") and n}
 
 
 class TestTraceLinks:

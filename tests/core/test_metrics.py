@@ -1,5 +1,7 @@
 """Tests for Q-Error and P-Error."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,30 +147,43 @@ class TestHelpers:
         assert np.isnan(rank_correlation([1.0], [1.0]))
         assert np.isnan(rank_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
-    def test_rank_correlation_old_scipy_result_shape(self, monkeypatch):
-        """Regression: scipy < 1.9 returns a SpearmanrResult exposing
-        ``.correlation`` instead of ``.statistic``; both shapes must
-        work without an AttributeError."""
-        import scipy.stats
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0], [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]),
+            ([0.5, 0.5, 0.5, 0.5, 2.0], [1.0, 2.0, 3.0, 4.0, 4.0]),
+            ([1e9, 1e-3, 7.0, 7.0], [4.0, 4.0, 4.0, 5.0]),
+            ([3.0, 1.0, 2.0], [1.0, 3.0, 2.0]),
+        ],
+    )
+    def test_rank_correlation_matches_scipy_on_ties(self, x, y):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        expected = float(scipy_stats.spearmanr(x, y).statistic)
+        assert rank_correlation(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-        class OldSpearmanrResult:
-            correlation = 0.75  # no .statistic attribute
+    def test_rank_correlation_matches_scipy_on_random_series(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 10, 60):
+            for _ in range(20):
+                x = rng.integers(0, 4, n).astype(float)
+                y = rng.lognormal(size=n).round(1)
+                if np.ptp(x) == 0 or np.ptp(y) == 0:
+                    continue
+                expected = float(scipy_stats.spearmanr(x, y).statistic)
+                assert rank_correlation(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
-        monkeypatch.setattr(
-            scipy.stats, "spearmanr", lambda x, y: OldSpearmanrResult()
-        )
-        series = [1.0, 2.0, 3.0, 4.0]
-        assert rank_correlation(series, series) == pytest.approx(0.75)
-
-    def test_rank_correlation_new_scipy_result_shape(self, monkeypatch):
-        import scipy.stats
-
-        class SignificanceResult:
-            statistic = 0.5
-            correlation = None  # scipy >= 1.9 deprecates this spelling
-
-        monkeypatch.setattr(
-            scipy.stats, "spearmanr", lambda x, y: SignificanceResult()
-        )
-        series = [1.0, 2.0, 3.0, 4.0]
-        assert rank_correlation(series, series) == pytest.approx(0.5)
+    def test_rank_correlation_is_nan_where_scipy_is(self):
+        """Constants and NaNs give NaN, as scipy does; fewer than three
+        pairs give NaN too (scipy would call two pairs +-1)."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for x, y in (
+            ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),
+            ([1.0, 2.0, float("nan")], [1.0, 2.0, 3.0]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns on constants
+                assert np.isnan(float(scipy_stats.spearmanr(x, y).statistic))
+            assert np.isnan(rank_correlation(x, y))
+        assert np.isnan(rank_correlation([1.0, 2.0], [2.0, 1.0]))
+        assert np.isnan(rank_correlation([1.0, 2.0, 3.0], [1.0, 2.0]))

@@ -1,6 +1,7 @@
 """Tests for the Table-1 dataset statistics."""
 
 import numpy as np
+import pytest
 
 from repro.datasets.describe import (
     average_pairwise_correlation,
@@ -13,6 +14,7 @@ from repro.datasets.describe import (
 from repro.engine.catalog import ColumnMeta, JoinEdge, JoinGraph, TableSchema
 from repro.engine.database import Database
 from repro.engine.table import Table
+from repro.engine.types import ColumnKind
 
 
 def two_table_db(parent_keys, child_keys):
@@ -70,6 +72,37 @@ class TestStatistics:
 
     def test_stats_more_skewed_than_imdb(self, stats_db, imdb_db):
         assert average_skewness(stats_db) > average_skewness(imdb_db)
+
+    def test_skewness_matches_scipy_on_ties_constants_and_short_columns(self):
+        """Columns of ties count, a constant column and one with fewer
+        than three non-NULL values are skipped, as the scipy-based
+        average did."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        columns = {
+            "ties": rng.integers(0, 3, 50),
+            "skewed": rng.zipf(1.7, 50).clip(max=500),
+            "floats": rng.lognormal(size=50),
+            "constant": np.full(50, 4),
+            "short": np.arange(50),
+        }
+        nulls = {"short": np.arange(50) >= 2}
+        schema = TableSchema(
+            "t",
+            tuple(
+                ColumnMeta(name, kind=ColumnKind.FLOAT if name == "floats" else ColumnKind.INT)
+                for name in columns
+            ),
+        )
+        db = Database(
+            name="skew",
+            tables={"t": Table.from_arrays(schema, columns, nulls)},
+            join_graph=JoinGraph(),
+        )
+        expected = np.mean(
+            [abs(float(scipy_stats.skew(columns[name]))) for name in ("ties", "skewed", "floats")]
+        )
+        assert average_skewness(db) == pytest.approx(expected, rel=1e-12)
 
     def test_stats_more_correlated_than_imdb(self, stats_db, imdb_db):
         assert average_pairwise_correlation(stats_db) > average_pairwise_correlation(

@@ -149,22 +149,3 @@ class TestExecutionContext:
         assert len(context.selection) == 1
         context.invalidate()
         assert len(context.selection) == 0
-        assert len(context.join_build) == 0
-
-    def test_hash_build_matches_recompute(self, db):
-        context = ExecutionContext(db)
-        keys = db.tables["posts"].column("OwnerUserId").values
-        valid = np.ones(len(keys), dtype=bool)
-        valid[::7] = False
-        build = context.hash_build(
-            "posts", "OwnerUserId", (), keys, valid, probe_rows=len(keys)
-        )
-        build_ids = np.nonzero(valid)[0]
-        order = np.argsort(keys[build_ids], kind="stable")
-        np.testing.assert_array_equal(build.sorted_keys, keys[build_ids][order])
-        np.testing.assert_array_equal(build.positions, build_ids[order])
-        # Second call hits the cache and returns the same structure.
-        again = context.hash_build(
-            "posts", "OwnerUserId", (), keys, valid, probe_rows=len(keys)
-        )
-        assert again is build

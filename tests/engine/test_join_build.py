@@ -2,21 +2,19 @@
 
 ``JoinBuild.match`` is checked against a brute-force dict join and
 against its own binary-search branch (forced by building for the same
-input with the directory disabled), ``Executor.join_rows`` against the
-argsort + double-``searchsorted`` join it replaced, and the exec
-cache's ``hash_build`` against recomputation.
+input with the directory disabled), and ``Executor.join_rows`` against
+the argsort + double-``searchsorted`` join it replaced.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import join_build
-from repro.engine.cache import ExecutionContext
 from repro.engine.executor import Executor, _expand_ranges
 from repro.engine.join_build import JoinBuild
 from repro.engine.plans import JOIN_HASH, JoinNode, PlanNode
 
-from tests.conftest import make_key_db, make_tiny_db
+from tests.conftest import make_key_db
 
 INT64 = np.iinfo(np.int64)
 
@@ -223,25 +221,3 @@ class TestHashJoin:
         for name in theirs:
             np.testing.assert_array_equal(ours[name], theirs[name])
         assert len(ours["l"]) > len(left_keys)  # the skew really fans out
-
-
-class TestCachedBuild:
-    def test_hit_equals_recomputation_and_directory_is_charged(self):
-        db = make_tiny_db()
-        context = ExecutionContext(db)
-        keys = db.tables["posts"].column("OwnerUserId").values
-        valid = np.ones(len(keys), dtype=bool)
-        valid[::5] = False
-        probe = db.tables["users"].column("Id").values
-
-        cached = context.hash_build("posts", "OwnerUserId", (), keys, valid, len(probe))
-        assert cached.direct
-        assert context.join_build.resident_bytes == cached.nbytes
-        assert cached.nbytes > cached.sorted_keys.nbytes + cached.positions.nbytes
-
-        hit = context.hash_build("posts", "OwnerUserId", (), keys, valid, len(probe))
-        assert hit is cached
-        fresh = JoinBuild(keys, valid, len(probe))
-        np.testing.assert_array_equal(hit.positions, fresh.positions)
-        for ours, theirs in zip(hit.match(probe), fresh.match(probe)):
-            np.testing.assert_array_equal(ours, theirs)

@@ -332,8 +332,8 @@ class TestDashboardCommand:
 
 
 def test_entry_points_leave_scipy_stats_unimported():
-    """``scipy.stats`` costs ~66 MiB of RSS to import; the modules that
-    need it import it inside the function that uses it."""
+    """``scipy.stats`` costs ~66 MiB of RSS to import; scipy is a
+    test-only dependency, so no entry point may import it."""
     import repro
 
     script = (
