@@ -1,8 +1,10 @@
 """Plugging a custom CardEst method into the evaluation platform.
 
 The benchmark treats every estimator as an independent tool behind a
-single interface (``fit`` / ``estimate``), exactly like the paper's
-injection into PostgreSQL.  This example implements a deliberately
+single interface (``fit`` / ``estimate``, or ``estimate_batch`` for a
+method that prices many queries at once; each is derived from the
+other), exactly like the paper's injection into PostgreSQL.  This
+example implements a deliberately
 naive estimator — per-table filtered counts combined with a fixed
 join-selectivity constant — and shows how the platform exposes its
 weaknesses via Q-Error, P-Error and end-to-end time.

@@ -37,26 +37,29 @@ checks are:
     A campaign checkpointed halfway and resumed must splice into the
     same results as an uninterrupted run.
 ``batch``
-    Batch-vs-loop equivalence: for every estimator in the fast sweep
+    The batch contract at ``==``: for every estimator in the fast sweep
     set, ``estimate_batch`` over a query's whole sub-plan space must
-    match the per-query ``estimate`` loop within ``BATCH_RTOL``
-    relative tolerance — the contract the batched inference hot path
-    (:func:`repro.core.injection.estimate_sub_plans`) relies on.
+    equal each sub-plan priced alone, and must not change when the
+    batch is placed behind another query's sub-plans
+    (``estimate_batch(a + b)[len(a):] == estimate_batch(b)``) — what the
+    batched inference hot path
+    (:func:`repro.core.injection.price_sub_plans`) and the serving
+    micro-batcher rely on.
 
 ``serve``
     Served answers are the offline answers: an in-process
     :class:`~repro.serve.service.EstimationService` under a seeded
     schedule of concurrent ``estimate_many`` / ``sub_plans`` calls with
     one promotion fired mid-schedule must answer every request exactly
-    once, never from the fallback, and with ``max(1, estimate_batch)``
-    of the estimator whose version the response names (within
-    ``BATCH_RTOL``: the micro-batcher may price a query beside other
-    clients' queries).  Every call runs under its own tracer, and its
-    trace must be its own: every span carries the call's trace id and
-    hangs off its one ``request`` root, and an estimate's ``queue_wait``
-    span names a ``batch`` span in the trace sink that links it back
-    and served the version the answer names.  HTTP and injected faults
-    are not covered yet.
+    once, never from the fallback, and with exactly
+    ``max(1, estimate_batch([query])[0])`` of the estimator whose version
+    the response names, although the micro-batcher may price a query
+    beside other clients' queries.  Every call runs under its own
+    tracer, and its trace must be its own: every span carries the
+    call's trace id and hangs off its one ``request`` root, and an
+    estimate's ``queue_wait`` span names a ``batch`` span in the trace
+    sink that links it back and served the version the answer names.
+    HTTP and injected faults are not covered yet.
 
 ``parallel`` and ``resume`` run the full benchmark harness per case,
 so the runner only samples them on a fraction of cases.
@@ -64,7 +67,6 @@ so the runner only samples them on a fraction of cases.
 
 from __future__ import annotations
 
-import math
 import sys
 import tempfile
 import threading
@@ -106,12 +108,6 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.service import EstimationService, ServeObservability
 from repro.serve.tracing import TraceSink
 from repro.workloads.generator import Workload
-
-#: Relative tolerance for batch-vs-loop equivalence.  Vectorised
-#: implementations may reorder float reductions (stacked matmuls vs
-#: per-row dot products), which moves the last ulp; anything beyond
-#: 1e-9 relative is a genuine semantic divergence.
-BATCH_RTOL = 1e-9
 
 #: Caps for exhaustive plan enumeration: ways kept per subset mask and
 #: executed plans per query.  Fuzz queries join <= 4 tables, so these
@@ -201,15 +197,17 @@ def check_oracle(case: CheckCase) -> list[Discrepancy]:
 
 
 def check_batch(case: CheckCase) -> list[Discrepancy]:
-    """``estimate_batch`` must match the per-query ``estimate`` loop.
+    """``estimate_batch`` must equal its sub-plans priced alone and
+    priced behind another query's sub-plans.
 
     Fits the estimator families whose batch path is reachable from a
     fuzz database without training queries — vectorised (PostgreSQL),
     memoised (MultiHist) and per-query evaluation (PessEst, and
     BayesCard for the fan-out PGMs, so fuzzed FK-FK edges, NULL keys and
     int64-limit key domains reach the shared ``_visit``) — and compares
-    both code paths over every query's full sub-plan space.  The
-    query-driven families and the SPNs are covered by the
+    the three results with ``==`` over every query's full sub-plan
+    space.  The batch a query is placed behind is the previous query's.
+    The query-driven families and the SPNs are covered by the
     tests/estimators sweep, which has trained models to hand; fuzz
     cases are too small to train on.
     """
@@ -220,42 +218,41 @@ def check_batch(case: CheckCase) -> list[Discrepancy]:
         PessimisticEstimator().fit(case.database),
         BayesCardEstimator().fit(case.database),
     ]
-    for query in case.queries:
-        sub = sub_plan_queries(query)
-        subsets = list(sub)
+    spaces = [sub_plan_queries(query) for query in case.queries]
+    for index, (query, sub) in enumerate(zip(case.queries, spaces)):
         queries = list(sub.values())
+        lead = list(spaces[index - 1].values())
         for estimator in estimators:
-            looped = [float(estimator.estimate(q)) for q in queries]
             batched = estimator.estimate_batch(queries)
-            if len(batched) != len(looped):
-                discrepancies.append(
-                    Discrepancy(
-                        "batch",
-                        query.name,
-                        f"{estimator.name}.estimate_batch returned "
-                        f"{len(batched)} estimates for {len(looped)} "
-                        "sub-plans",
-                    )
-                )
-                continue
-            for subset, loop_value, batch_value in zip(
-                subsets, looped, batched
-            ):
-                if not math.isclose(
-                    loop_value,
-                    float(batch_value),
-                    rel_tol=BATCH_RTOL,
-                    abs_tol=1e-12,
-                ):
+            others = {
+                "alone": [estimator.estimate(q) for q in queries],
+                f"behind {len(lead)} sub-plans": estimator.estimate_batch(
+                    lead + queries
+                )[len(lead) :],
+            }
+            for way, values in others.items():
+                if len(batched) != len(queries) or len(values) != len(queries):
                     discrepancies.append(
                         Discrepancy(
                             "batch",
                             query.name,
-                            f"{estimator.name} sub-plan {sorted(subset)}: "
-                            f"loop estimated {loop_value!r}, batch "
-                            f"estimated {float(batch_value)!r}",
+                            f"{estimator.name} returned {len(batched)} batched "
+                            f"and {len(values)} {way} estimates for "
+                            f"{len(queries)} sub-plans",
                         )
                     )
+                    continue
+                for subset, want, got in zip(sub, batched, values):
+                    if got != want:
+                        discrepancies.append(
+                            Discrepancy(
+                                "batch",
+                                query.name,
+                                f"{estimator.name} sub-plan {sorted(subset)}: "
+                                f"batch estimated {float(want)!r}, {way} "
+                                f"{float(got)!r}",
+                            )
+                        )
     return discrepancies
 
 
@@ -575,11 +572,7 @@ def _serve_mismatch(served: list, wanted: list, degraded, version: int) -> str:
     """Why labelled ``served`` estimates are not the ``wanted`` ones, or ''."""
     if degraded:
         return "answered from the fallback"
-    if len(served) == len(wanted) and all(
-        got_label == want_label
-        and math.isclose(got, want, rel_tol=BATCH_RTOL, abs_tol=1e-12)
-        for (got_label, got), (want_label, want) in zip(served, wanted)
-    ):
+    if served == wanted:
         return ""
     return f"served {served} as version {version}, offline {wanted}"
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.query import Query
 from repro.engine.subsets import connected_subsets
-from repro.estimators.base import EstimationError
+from repro.estimators.base import CardinalityEstimator, EstimationError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -132,8 +132,24 @@ class InferenceOutcome:
         return " ".join(parts) if parts else None
 
 
+def clamped_batch(
+    estimator_name: str, estimates: list[float], queries: list[Query]
+) -> list[float]:
+    """``estimates`` of ``queries`` clamped to at least one row.
+
+    Raises :class:`~repro.estimators.base.EstimationError` unless the
+    batch holds exactly one estimate per query.
+    """
+    if len(estimates) != len(queries):
+        raise EstimationError(
+            f"{estimator_name}.estimate_batch returned "
+            f"{len(estimates)} estimates for {len(queries)} queries"
+        )
+    return [max(1.0, float(estimate)) for estimate in estimates]
+
+
 def price_sub_plans(
-    estimator,
+    estimator: CardinalityEstimator,
     query: Query,
     *,
     fallback=None,
@@ -144,9 +160,8 @@ def price_sub_plans(
 
     This is the benchmark's injection step: ``.cards`` of the result is
     handed directly to the planner.  The whole sub-plan space is priced
-    with a single ``estimate_batch`` call (duck-typed estimators that
-    only define ``estimate`` are priced one sub-plan at a time);
-    estimates are clamped to at least one row.
+    with a single ``estimate_batch`` call; estimates are clamped to at
+    least one row.
 
     Without a ``fallback`` any failure propagates to the caller.  With
     one (any object with ``estimate(query) -> float``; see
@@ -164,13 +179,10 @@ def price_sub_plans(
     tracing off only the estimator calls run.
     """
     sub_queries = sub_plan_queries(query)
-    estimator_name = getattr(estimator, "name", type(estimator).__name__)
+    estimator_name = estimator.name
     with obs_trace.span(
         "inference", estimator=estimator_name, sub_plans=len(sub_queries)
     ) as span:
-        batch = getattr(estimator, "estimate_batch", None)
-        if batch is None and fallback is None:
-            batch = lambda queries: [estimator.estimate(q) for q in queries]
         # A batch call is indivisible, so only the per-sub-plan loop —
         # which checks the deadline between sub-plans — can honour a
         # bounded budget.
@@ -179,19 +191,14 @@ def price_sub_plans(
             and deadline is not None
             and deadline.remaining() is not None
         )
-        if batch is not None and not bounded_deadline:
+        if not bounded_deadline:
             started = time.perf_counter()
             try:
-                estimates = batch(list(sub_queries.values()))
-                if len(estimates) != len(sub_queries):
-                    raise EstimationError(
-                        f"{estimator_name}.estimate_batch returned "
-                        f"{len(estimates)} estimates for {len(sub_queries)} sub-plans"
-                    )
-                cards = {
-                    subset: max(1.0, float(estimate))
-                    for subset, estimate in zip(sub_queries, estimates)
-                }
+                queries = list(sub_queries.values())
+                estimates = clamped_batch(
+                    estimator_name, estimator.estimate_batch(queries), queries
+                )
+                cards = dict(zip(sub_queries, estimates))
             except Exception as exc:
                 if fallback is None:
                     raise

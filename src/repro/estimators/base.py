@@ -1,9 +1,13 @@
 """Estimator interfaces.
 
 Every CardEst method is an independent tool that plugs into the
-benchmark through one call: ``estimate(query) -> float``.  Data-driven
-and traditional methods learn from the database (``fit``); query-driven
-methods additionally require a labelled training workload
+benchmark through one call: ``estimate_batch(queries) -> list[float]``,
+of which ``estimate(query)`` is a batch of one.  A batch agrees exactly
+(``==``) with its queries priced one at a time, and a query's estimate
+does not depend on what else shares its batch; MSCN and LW-NN are the
+named exceptions (see :meth:`CardinalityEstimator.estimate_batch`).
+Data-driven and traditional methods learn from the database (``fit``);
+query-driven methods additionally require a labelled training workload
 (``fit_queries``).  Methods that support incremental maintenance
 implement ``update`` (the Table 6 experiment).
 """
@@ -49,6 +53,19 @@ class CardinalityEstimator(abc.ABC):
     #: short display name used in the paper's tables.
     name: str = "base"
 
+    def __new__(cls, *args, **kwargs):
+        # ``estimate`` and ``estimate_batch`` are defined by each other;
+        # a class that overrides neither would recurse on first use.
+        if (
+            cls.estimate is CardinalityEstimator.estimate
+            and cls.estimate_batch is CardinalityEstimator.estimate_batch
+        ):
+            raise TypeError(
+                f"Can't instantiate {cls.__name__}: it overrides neither "
+                "estimate nor estimate_batch"
+            )
+        return super().__new__(cls)
+
     def __init__(self) -> None:
         self.training_seconds: float = 0.0
 
@@ -65,30 +82,41 @@ class CardinalityEstimator(abc.ABC):
     def _fit(self, database: Database) -> None:
         """Model construction; implemented by subclasses."""
 
-    @abc.abstractmethod
     def estimate(self, query: Query) -> float:
-        """Estimated cardinality of ``query`` (>= 0)."""
+        """Estimated cardinality of ``query`` (>= 0): a batch of one."""
+        return self.estimate_batch([query])[0]
 
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Estimated cardinalities for ``queries``, in order.
 
-        The batch contract: ``estimate_batch(queries)`` must agree with
-        ``[estimate(q) for q in queries]`` to floating-point noise
-        (the ``batch`` metamorphic invariant of ``repro check`` holds
-        every estimator to 1e-9 relative tolerance) and must raise if
-        *any* individual estimate would raise — callers that need
-        per-query failure isolation fall back to the per-query loop.
+        The batch contract, held at ``==`` by the ``batch`` invariant of
+        ``repro check`` and by tests/estimators/test_batch_equivalence.py:
 
-        The default implementation is exactly that loop.  The numpy
-        families (LW-NN, MSCN, LW-XGB, and the vectorised traditional
-        methods) override it to price a whole sub-plan space in one
-        forward pass; the per-query-evaluation families (the fan-out
-        PGMs BayesCard / DeepDB / FLAT, and PessEst) answer each
-        distinct per-table model question or subtree bound once per
-        call and recombine per sub-plan, ``estimate`` being a batch of
-        one.  This is the benchmark's inference hot path, since the
-        end-to-end protocol prices every connected sub-plan of every
-        query.
+        - ``estimate_batch(queries) == [estimate(q) for q in queries]``;
+        - composition: ``estimate_batch(a + b)[len(a):] ==
+          estimate_batch(b)``, so the serving micro-batcher may price a
+          query beside other clients' queries;
+        - it raises if *any* individual estimate would raise — callers
+          that need per-query failure isolation fall back to the
+          per-query loop.
+
+        MSCN and LW-NN are the two exceptions: their dense layers are
+        one matmul per batch, and BLAS picks its kernel by shape, so a
+        row of a stacked product may differ from the same row priced
+        alone in the last few ulps (<= 5.3e-15 relative measured).
+
+        Every subclass overrides this method or :meth:`estimate`.  The
+        default implementation is the per-query loop, for the families
+        with only a per-query path (TrueCard, the samplers, NeuroCard,
+        UAE, UAE-Q, the fault-injection wrappers).  The numpy families
+        (LW-NN, MSCN, LW-XGB, and the memoised traditional methods)
+        price a whole sub-plan space in one pass; the
+        per-query-evaluation families (the fan-out PGMs BayesCard /
+        DeepDB / FLAT, and PessEst) answer each distinct per-table model
+        question or subtree bound once per call and recombine per
+        sub-plan.  This is the benchmark's inference hot
+        path, since the end-to-end protocol prices every connected
+        sub-plan of every query.
         """
         return [float(self.estimate(query)) for query in queries]
 

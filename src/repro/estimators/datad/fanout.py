@@ -210,9 +210,6 @@ class FanoutJoinEstimator(CardinalityEstimator):
 
     # -- estimation ----------------------------------------------------------------
 
-    def estimate(self, query: Query) -> float:
-        return self.estimate_batch([query])[0]
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Price ``queries`` with one model evaluation per distinct question.
 

@@ -58,11 +58,6 @@ class AdaptiveEstimator(CardinalityEstimator):
         self.cheap.fit(database)
         self.accurate.fit(database)
 
-    def estimate(self, query: Query) -> float:
-        if query.num_tables <= self._threshold:
-            return self.cheap.estimate(query)
-        return self.accurate.estimate(query)
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Split the batch by route, price each side in one call."""
         cheap_idx = [
@@ -125,14 +120,6 @@ class SafeguardedEstimator(CardinalityEstimator):
     def _fit(self, database: Database) -> None:
         self.base.fit(database)
         self.bound.fit(database)
-
-    def estimate(self, query: Query) -> float:
-        estimate = max(self.base.estimate(query), 1.0)
-        upper = max(self.bound.estimate(query), 1.0)
-        floor = upper / (10.0 ** self._tolerance)
-        if estimate < floor:
-            return floor
-        return min(estimate, upper)
 
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """One batched pass through the base model and one through the

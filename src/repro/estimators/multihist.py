@@ -155,21 +155,13 @@ class MultiHistEstimator(CardinalityEstimator):
 
     # -- estimation -----------------------------------------------------------
 
-    def estimate(self, query: Query) -> float:
-        estimate = 1.0
-        for table in sorted(query.tables):
-            estimate *= self._table_cardinality(table, query.predicates_on(table))
-        for edge in query.join_edges:
-            estimate *= self._join_selectivity(edge)
-        return max(estimate, 0.0)
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Batched estimation sharing per-table / per-edge factors.
 
         Sub-plan queries repeat (table, predicates) filters and join
         edges across subsets; each distinct histogram walk and join
-        selectivity is computed once and recombined per query in the
-        same multiplication order as :meth:`estimate`.
+        selectivity is computed once and recombined per query, in
+        sorted table order then edge order.
         """
         table_cache: dict[tuple, float] = {}
         edge_cache: dict[JoinEdge, float] = {}
@@ -196,15 +188,11 @@ class MultiHistEstimator(CardinalityEstimator):
     def _table_cardinality(self, table: str, predicates: tuple[Predicate, ...]) -> float:
         intervals = {p.column: p.interval() for p in predicates}
         selectivity = 1.0
-        covered: set[str] = set()
+        # Columns without a histogram (e.g. all-NULL) add no factor.
         for histogram in self._histograms[table]:
             relevant = {c: r for c, r in intervals.items() if c in histogram.columns}
             if relevant:
                 selectivity *= histogram.selectivity(relevant)
-                covered |= set(relevant)
-        for column in set(intervals) - covered:
-            # Columns without a histogram (e.g. all-NULL): fall back to 1.
-            selectivity *= 1.0
         # NULLs never satisfy predicates.
         for predicate in predicates:
             selectivity *= 1.0 - self._null_frac[(table, predicate.column)]

@@ -135,9 +135,6 @@ class PessimisticEstimator(CardinalityEstimator):
 
     # -- estimation ------------------------------------------------------------
 
-    def estimate(self, query: Query) -> float:
-        return self.estimate_batch([query])[0]
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Price ``queries``, combining each distinct subtree once.
 

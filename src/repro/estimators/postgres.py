@@ -62,27 +62,15 @@ class PostgresEstimator(CardinalityEstimator):
 
     # -- estimation -----------------------------------------------------------
 
-    def estimate(self, query: Query) -> float:
-        table_cards = {
-            table: self.table_cardinality(table, query.predicates_on(table))
-            for table in sorted(query.tables)
-        }
-        estimate = 1.0
-        for card in table_cards.values():
-            estimate *= card
-        for edge in query.join_edges:
-            estimate *= self.join_selectivity(edge)
-        return max(estimate, 0.0)
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """Batched estimation with shared per-table / per-edge factors.
 
         The sub-plan queries of one benchmark query repeat the same
         (table, predicates) filters and join edges across subsets, so
         the histogram walks and ``eqjoinsel`` computations are done
-        once per distinct factor and recombined per query — in the
-        same multiplication order as :meth:`estimate`, keeping results
-        bit-identical to the per-query loop.
+        once per distinct factor and recombined per query, in sorted
+        table order then edge order, so an estimate does not depend on
+        what else shares its batch.
         """
         table_cache: dict[tuple, float] = {}
         edge_cache: dict[JoinEdge, float] = {}

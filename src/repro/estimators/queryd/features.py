@@ -137,17 +137,9 @@ class QueryFeaturizer:
             vector[base + 1] = self._normalize(table, column, low)
             vector[base + 2] = self._normalize(table, column, high)
 
-    def flat(self, query: Query) -> np.ndarray:
-        """Fixed-width feature vector."""
-        vector = self._flat_template.copy()
-        self._fill_flat(vector, query)
-        if self._baseline is not None:
-            vector[-1] = log_cardinality(self._baseline.estimate(query))
-        return vector
-
     def flat_batch(self, queries: list[Query]) -> np.ndarray:
-        """Stacked flat vectors, with the baseline feature priced by one
-        ``estimate_batch`` call instead of one estimate per query."""
+        """Fixed-width feature vectors, one row per query; the baseline
+        feature is priced by one ``estimate_batch`` call."""
         if not queries:
             return np.zeros((0, self.flat_dim), dtype=np.float64)
         matrix = np.tile(self._flat_template, (len(queries), 1))

@@ -57,9 +57,6 @@ class LWNNEstimator(QueryDrivenEstimator):
         self._model = MLP(rng, sizes)
         train_regressor(self._model, features, targets, rng, epochs=self._epochs)
 
-    def estimate(self, query: Query) -> float:
-        return self.estimate_batch([query])[0]
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """One stacked forward pass over every query's flat features."""
         assert self._featurizer is not None and self._model is not None

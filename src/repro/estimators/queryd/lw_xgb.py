@@ -55,9 +55,6 @@ class LWXGBEstimator(QueryDrivenEstimator):
             max_depth=self._max_depth,
         ).fit(features, targets)
 
-    def estimate(self, query: Query) -> float:
-        return self.estimate_batch([query])[0]
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """One ``GBT.predict`` over the stacked feature matrix — every
         tree routes the whole batch instead of one row at a time."""

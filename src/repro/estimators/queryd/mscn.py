@@ -140,9 +140,6 @@ class MSCNEstimator(QueryDrivenEstimator):
 
     # -- estimation --------------------------------------------------------------------
 
-    def estimate(self, query: Query) -> float:
-        return self.estimate_batch([query])[0]
-
     def estimate_batch(self, queries: list[Query]) -> list[float]:
         """One padded set-conv pass: every query's sets are stacked per
         module and pooled in a single forward through the network."""

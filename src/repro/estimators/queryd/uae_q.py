@@ -58,7 +58,7 @@ class UAEQEstimator(QueryDrivenEstimator):
     def _fit_queries(self, examples: list[tuple[Query, int]]) -> None:
         assert self._featurizer is not None, "fit() must run before fit_queries()"
         rng = np.random.default_rng(self._seed)
-        features = np.stack([self._featurizer.flat(q) for q, _ in examples])
+        features = self._featurizer.flat_batch([q for q, _ in examples])
         targets = np.array([log_cardinality(c) for _, c in examples])
         self._model = MLP(rng, [self._featurizer.flat_dim, *self._hidden, 1])
         train_regressor(self._model, features, targets, rng, epochs=self._epochs)
@@ -66,7 +66,7 @@ class UAEQEstimator(QueryDrivenEstimator):
     def estimate(self, query: Query) -> float:
         assert self._featurizer is not None and self._model is not None
         rng = np.random.default_rng(self._seed + stable_hash(query.key()) % 65536)
-        base = self._featurizer.flat(query)
+        base = self._featurizer.flat_batch([query])[0]
         # Monte-Carlo ensemble: many forward passes with jittered
         # predicate bounds, averaged in log space (the numpy stand-in
         # for progressive-sampling inference).  Only the interval

@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.core.injection import price_sub_plans
+from repro.core.injection import clamped_batch, price_sub_plans
 from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.sql import parse_query
@@ -217,16 +217,12 @@ class EstimationService:
         ):
             values = active.estimator.estimate_batch(queries)
         elapsed = time.perf_counter() - started
-        if len(values) != len(queries):
-            raise EstimationError(
-                f"{active.estimator_name}.estimate_batch returned "
-                f"{len(values)} estimates for {len(queries)} queries"
-            )
+        estimates = clamped_batch(active.estimator_name, values, queries)
         registry = obs_metrics.registry()
         registry.histogram(
             f"serve.inference_seconds.{active.estimator_name}"
         ).observe(elapsed)
-        return [max(1.0, float(value)) for value in values], active.version
+        return estimates, active.version
 
     # -- endpoints ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """The metamorphic invariants: they pass on healthy cases and, just as
 importantly, they actually detect injected disagreements."""
 
+import math
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.check import build_case, invariants
 from repro.check.invariants import (
     ALL_INVARIANTS,
+    check_batch,
     check_cache,
     check_oracle,
     check_parallel,
@@ -21,6 +23,7 @@ from repro.check.invariants import (
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.cost import CostModel
 from repro.engine.executor import Executor
+from repro.estimators.postgres import PostgresEstimator
 from repro.obs.trace import Tracer
 from repro.serve.batching import MicroBatcher
 
@@ -155,6 +158,36 @@ class TestDetection:
         discrepancies = check_planner_vectorised(case)
         assert discrepancies
         assert discrepancies[0].invariant == "planner-vectorised"
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alone", "composition"])
+    def test_batch_detects_one_ulp_of_batch_dependence(self, monkeypatch, mixed):
+        # One ulp is below any tolerance worth naming, so only ``==`` sees
+        # it.  Drifting whenever a batch holds more than one sub-plan shows
+        # against pricing each alone; drifting only when a batch mixes two
+        # queries' sub-plans shows only behind another query's batch.
+        case = next(
+            case
+            for case in (build_case(0, index) for index in range(40))
+            if len(case.queries) >= 2 and any(len(q.tables) >= 2 for q in case.queries)
+        )
+        original = PostgresEstimator.estimate_batch
+
+        def drifting(self, queries):
+            values = original(self, queries)
+            size = len({q.name for q in queries}) if mixed else len(queries)
+            if size > 1:
+                values = [math.nextafter(value, math.inf) for value in values]
+            return values
+
+        monkeypatch.setattr(PostgresEstimator, "estimate_batch", drifting)
+        discrepancies = check_batch(case)
+        assert discrepancies
+        assert all(d.invariant == "batch" for d in discrepancies)
+        details = [d.detail for d in discrepancies]
+        if mixed:
+            assert all("behind" in detail for detail in details)
+        else:
+            assert any("alone" in detail for detail in details)
 
     def test_serve_detects_swapped_slices(self, monkeypatch):
         # A batcher that hands two coalesced jobs each other's slice: the

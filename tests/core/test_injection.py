@@ -11,6 +11,7 @@ from repro.core.injection import (
 from repro.engine.catalog import JoinEdge
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
+from repro.estimators.base import CardinalityEstimator
 
 E_AB = JoinEdge("a", "id", "b", "a_id")
 E_BC = JoinEdge("b", "id", "c", "b_id")
@@ -60,10 +61,14 @@ class TestSubPlanQueries:
         assert queries[frozenset({"a", "b", "c"})].join_edges == (E_AB, E_BC)
 
 
-class _FixedEstimator:
+class _FixedEstimator(CardinalityEstimator):
     def __init__(self, value):
+        super().__init__()
         self.value = value
         self.calls = 0
+
+    def _fit(self, database):
+        pass
 
     def estimate(self, query):
         self.calls += 1
@@ -101,7 +106,10 @@ class _BatchEstimator(_FixedEstimator):
         return [10.0 * len(q.tables) for q in queries][self.drop :]
 
 
-class _FailingEstimator:
+class _FailingEstimator(CardinalityEstimator):
+    def _fit(self, database):
+        pass
+
     def estimate(self, query):
         raise KeyError("unseen column")
 

@@ -1,17 +1,20 @@
-"""Batch-vs-loop equivalence sweep over every registered estimator.
+"""The batch contract, swept over every registered estimator family.
 
-The batched inference hot path (`repro.core.injection.estimate_sub_plans`)
-relies on `estimate_batch(queries)` agreeing with the per-query
-`estimate` loop.  This sweep pins that contract on real STATS-CEB
-sub-plan queries for every estimator family — the ones with true
-vectorised batch paths (LW-NN, MSCN, LW-XGB), the memoized arithmetic
-ones (Postgres, MultiHist), the composites (Adaptive, Safeguarded) and
-everything inheriting the default fallback loop.  Fuzzed-database
-coverage lives in the ``batch`` invariant of ``repro check``.
+``estimate_batch`` is the one inference path (``estimate(q)`` is a
+batch of one unless a family has only a per-query path), and the
+injection step and the serving micro-batcher rely on two properties of
+it, held here with ``==`` on real STATS-CEB sub-plan queries:
 
-Tolerance is 1e-9 relative: vectorised implementations may reorder
-float reductions (stacked matmuls vs per-row dot products), which can
-move the last ulp; anything larger is a semantic divergence.
+- a sub-plan priced alone gets what the full batch gives it;
+- composition: ``estimate_batch(a + b)[len(a):] == estimate_batch(b)``.
+
+MSCN and LW-NN are the two exceptions.  Each dense layer is one matmul
+per batch, and BLAS picks its kernel by shape, so a row of a stacked
+product can differ from the same row priced alone in the last few ulps
+(<= 5.3e-15 relative measured on the quick STATS-CEB pool).  Those two
+are held to ``DENSE_MATMUL_RTOL``; DESIGN.md records why their forward
+stays a matmul.  Fuzzed-database coverage lives in the ``batch``
+invariant of ``repro check``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import pytest
 
 from repro.core.injection import sub_plan_queries
+from repro.estimators.base import CardinalityEstimator
 from repro.estimators.datad import (
     BayesCardEstimator,
     DeepDBEstimator,
@@ -40,7 +44,10 @@ from repro.estimators.queryd import (
 from repro.estimators.unisample import UniSampleEstimator
 from repro.estimators.wjsample import WanderJoinEstimator
 
-RTOL = 1e-9
+#: Families whose batch agrees with a batch of one only to the last few
+#: ulps (stacked matmul), and the relative tolerance they are held to.
+DENSE_MATMUL_FAMILIES = ("MSCN", "LW-NN")
+DENSE_MATMUL_RTOL = 1e-12
 
 DATA_DRIVEN_FACTORIES = [
     PostgresEstimator,
@@ -80,17 +87,30 @@ def fitted(stats_db, training_examples):
 
 
 @pytest.fixture(scope="module")
-def sub_plan_batch(stats_workload):
-    """Sub-plan query spaces of several STATS-CEB queries, flattened."""
-    queries = []
-    for labeled in stats_workload.queries[:6]:
-        queries.extend(sub_plan_queries(labeled.query).values())
-    assert len(queries) > 10
-    return queries
+def sub_plan_spaces(stats_workload):
+    """Sub-plan query spaces of several STATS-CEB queries."""
+    spaces = [
+        list(sub_plan_queries(labeled.query).values())
+        for labeled in stats_workload.queries[:6]
+    ]
+    assert sum(len(space) for space in spaces) > 10
+    return spaces
 
 
-def _ids(fitted):
-    return [e.name for e in fitted]
+@pytest.fixture(scope="module")
+def sub_plan_batch(sub_plan_spaces):
+    """The sub-plan spaces, flattened into one mixed batch."""
+    return [query for space in sub_plan_spaces for query in space]
+
+
+def _assert_agree(estimator, got, want, what):
+    assert len(got) == len(want), (estimator.name, what)
+    for index, (a, b) in enumerate(zip(got, want)):
+        if estimator.name in DENSE_MATMUL_FAMILIES:
+            same = math.isclose(a, b, rel_tol=DENSE_MATMUL_RTOL)
+        else:
+            same = a == b
+        assert same, f"{estimator.name} {what} #{index}: {a!r} != {b!r}"
 
 
 def test_every_family_covered(fitted):
@@ -100,21 +120,26 @@ def test_every_family_covered(fitted):
 
 
 def test_batch_matches_loop(fitted, sub_plan_batch):
-    """The core contract, per estimator, on the whole mixed batch."""
+    """Each sub-plan priced alone equals its slot of the whole batch."""
     for estimator in fitted:
-        looped = [float(estimator.estimate(q)) for q in sub_plan_batch]
+        looped = [estimator.estimate(q) for q in sub_plan_batch]
         batched = estimator.estimate_batch(list(sub_plan_batch))
-        assert len(batched) == len(looped), estimator.name
-        for index, (loop_value, batch_value) in enumerate(
-            zip(looped, batched)
-        ):
-            assert math.isclose(
-                loop_value, float(batch_value), rel_tol=RTOL, abs_tol=1e-12
-            ), (
-                f"{estimator.name} sub-plan #{index} "
-                f"({sorted(sub_plan_batch[index].tables)}): "
-                f"loop={loop_value!r} batch={float(batch_value)!r}"
+        _assert_agree(estimator, looped, batched, "sub-plan alone vs batch")
+
+
+def test_batch_composition(fitted, sub_plan_spaces, sub_plan_batch):
+    """A query's batch behind the others' is priced as on its own."""
+    for estimator in fitted:
+        composed = estimator.estimate_batch(list(sub_plan_batch))
+        offset = 0
+        for space in sub_plan_spaces:
+            _assert_agree(
+                estimator,
+                composed[offset : offset + len(space)],
+                estimator.estimate_batch(space),
+                f"space behind {offset} sub-plans",
             )
+            offset += len(space)
 
 
 def test_empty_batch(fitted):
@@ -123,15 +148,12 @@ def test_empty_batch(fitted):
 
 
 def test_singleton_batch(fitted, sub_plan_batch):
-    """A one-element batch must behave exactly like a scalar call."""
+    """A one-element batch behaves exactly like a scalar call."""
     query = sub_plan_batch[0]
     for estimator in fitted:
-        assert math.isclose(
-            float(estimator.estimate(query)),
-            float(estimator.estimate_batch([query])[0]),
-            rel_tol=RTOL,
-            abs_tol=1e-12,
-        ), estimator.name
+        assert estimator.estimate(query) == estimator.estimate_batch([query])[0], (
+            estimator.name
+        )
 
 
 def test_batch_order_independence(fitted, sub_plan_batch):
@@ -140,7 +162,36 @@ def test_batch_order_independence(fitted, sub_plan_batch):
     for estimator in fitted:
         forward = estimator.estimate_batch(queries)
         backward = estimator.estimate_batch(list(reversed(queries)))
-        for a, b in zip(forward, reversed(backward)):
-            assert math.isclose(
-                float(a), float(b), rel_tol=RTOL, abs_tol=1e-12
-            ), estimator.name
+        _assert_agree(estimator, list(reversed(backward)), forward, "reversed")
+
+
+class _NothingToFit(CardinalityEstimator):
+    def _fit(self, database):
+        pass
+
+
+def test_either_inference_method_defines_the_other(sub_plan_batch):
+    class PerQuery(_NothingToFit):
+        def estimate(self, query):
+            return float(len(query.tables))
+
+    class Batched(_NothingToFit):
+        def estimate_batch(self, queries):
+            return [float(len(query.tables)) for query in queries]
+
+    queries = sub_plan_batch[:5]
+    want = [float(len(query.tables)) for query in queries]
+    for estimator in (PerQuery(), Batched()):
+        assert estimator.estimate_batch(queries) == want
+        assert [estimator.estimate(query) for query in queries] == want
+
+
+def test_a_class_overriding_neither_method_is_refused():
+    """Instantiation fails as for an abstract class, before any
+    ``estimate`` call could recurse into ``estimate_batch``."""
+
+    class Neither(_NothingToFit):
+        pass
+
+    with pytest.raises(TypeError, match="overrides neither estimate nor estimate_batch"):
+        Neither()

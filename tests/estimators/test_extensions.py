@@ -18,8 +18,8 @@ class _ConstantEstimator(PostgresEstimator):
 
     name = "Constant"
 
-    def estimate(self, query):
-        return 1.0
+    def estimate_batch(self, queries):
+        return [1.0] * len(queries)
 
 
 class TestAdaptive:

@@ -47,7 +47,7 @@ class TestFeaturizer:
         assert featurizer.flat_dim == expected
 
     def test_flat_marks_tables_and_edges(self, featurizer, sample_query):
-        vector = featurizer.flat(sample_query)
+        vector = featurizer.flat_batch([sample_query])[0]
         assert vector[: featurizer.num_tables].sum() == 2
         edge_block = vector[
             featurizer.num_tables : featurizer.num_tables + featurizer.num_edges
@@ -56,14 +56,16 @@ class TestFeaturizer:
 
     def test_flat_unfiltered_columns_full_range(self, featurizer, stats_db):
         query = Query(tables=frozenset({"users"}), name="bare")
-        vector = featurizer.flat(query)
+        vector = featurizer.flat_batch([query])[0]
         offset = featurizer.num_tables + featurizer.num_edges
         for i, _ in enumerate(featurizer.columns):
             assert vector[offset + 3 * i] == 0.0
             assert vector[offset + 3 * i + 2] == 1.0
 
     def test_flat_deterministic(self, featurizer, sample_query):
-        assert np.array_equal(featurizer.flat(sample_query), featurizer.flat(sample_query))
+        first, second = featurizer.flat_batch([sample_query, sample_query])
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, featurizer.flat_batch([sample_query])[0])
 
     def test_sets_shapes(self, featurizer, sample_query):
         sets = featurizer.sets(sample_query)

@@ -6,6 +6,7 @@ import pytest
 import repro.serve.service as service_module
 from repro.core.injection import estimate_sub_plans
 from repro.engine.sql import parse_query
+from repro.estimators.base import CardinalityEstimator
 from repro.estimators.persistence import save_estimator
 from repro.estimators.postgres import PostgresEstimator
 from repro.resilience.fallback import PostgresDefaultFallback
@@ -24,11 +25,11 @@ CHAIN = (
 )
 
 
-class _BrokenEstimator:
+class _BrokenEstimator(CardinalityEstimator):
     name = "broken"
 
-    def estimate(self, query):
-        raise RuntimeError("model on fire")
+    def _fit(self, database):
+        pass
 
     def estimate_batch(self, queries):
         raise RuntimeError("model on fire")
