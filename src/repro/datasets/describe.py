@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
+from repro.engine.jointree import JoinTree
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,12 @@ def join_forms(database: Database) -> str:
 def full_join_size(database: Database, root: str | None = None) -> float:
     """Size of the outer join of all tables along a spanning tree.
 
-    Computed exactly by propagating per-key match counts bottom-up
-    (each unmatched parent row is NULL-extended, i.e. contributes a
-    factor of one, approximating the full *outer* join the paper
-    reports).  The spanning tree is chosen by BFS from ``root`` over
-    the schema's join edges, preferring PK-FK edges.
+    Computed exactly by :class:`~repro.engine.jointree.JoinTree`'s
+    bottom-up outer-join weights (each unmatched parent row is
+    NULL-extended, i.e. contributes a factor of one, approximating the
+    full *outer* join the paper reports).  The spanning tree is chosen
+    by BFS from ``root`` over the schema's join edges, preferring PK-FK
+    edges.
     """
     graph = database.join_graph
     tables = sorted(graph.tables)
@@ -132,14 +134,13 @@ def full_join_size(database: Database, root: str | None = None) -> float:
 
         root = max(tables, key=primariness)
 
-    tree = _spanning_tree(graph.edges, root)
-    return _outer_join_weight(database, root, None, tree)
+    return JoinTree(database, _spanning_tree(graph.edges, root), root).total
 
 
-def _spanning_tree(edges: list[JoinEdge], root: str) -> dict[str, list[JoinEdge]]:
-    """BFS spanning tree: maps each table to its child edges."""
+def _spanning_tree(edges: list[JoinEdge], root: str) -> list[JoinEdge]:
+    """BFS spanning tree from ``root``, PK-FK edges first."""
     ordered = sorted(edges, key=lambda e: (not e.one_to_many, e.left, e.right))
-    children: dict[str, list[JoinEdge]] = {}
+    tree: list[JoinEdge] = []
     visited = {root}
     frontier = [root]
     while frontier:
@@ -149,45 +150,6 @@ def _spanning_tree(edges: list[JoinEdge], root: str) -> dict[str, list[JoinEdge]
                 other = edge.other(current)
                 if other not in visited:
                     visited.add(other)
-                    children.setdefault(current, []).append(edge)
+                    tree.append(edge)
                     frontier.append(other)
-    return children
-
-
-def _outer_join_weight(
-    database: Database,
-    table_name: str,
-    parent_edge: JoinEdge | None,
-    tree: dict[str, list[JoinEdge]],
-) -> float | tuple[np.ndarray, np.ndarray]:
-    """Recursive count propagation.
-
-    For the root this returns the total outer-join size; for any other
-    node it returns ``(keys, weights)`` aggregated on the column joining
-    it to its parent.
-    """
-    table = database.tables[table_name]
-    weights = np.ones(table.num_rows, dtype=np.float64)
-
-    for edge in tree.get(table_name, []):
-        child = edge.other(table_name)
-        child_keys, child_weights = _outer_join_weight(database, child, edge, tree)
-        own_column = table.column(edge.key_for(table_name))
-        positions = np.searchsorted(child_keys, own_column.values)
-        positions = np.clip(positions, 0, max(0, len(child_keys) - 1))
-        matched = np.zeros(table.num_rows, dtype=np.float64)
-        if len(child_keys):
-            hit = (child_keys[positions] == own_column.values) & ~own_column.null_mask
-            matched[hit] = child_weights[positions[hit]]
-        # Outer join: unmatched rows survive NULL-extended.
-        weights *= np.maximum(matched, 1.0)
-
-    if parent_edge is None:
-        return float(weights.sum())
-
-    key_column = table.column(parent_edge.key_for(table_name))
-    valid = ~key_column.null_mask
-    keys, inverse = np.unique(key_column.values[valid], return_inverse=True)
-    aggregated = np.zeros(len(keys), dtype=np.float64)
-    np.add.at(aggregated, inverse, weights[valid])
-    return keys, aggregated
+    return tree

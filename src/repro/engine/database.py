@@ -36,11 +36,6 @@ class SortedKeyIndex:
         right = np.searchsorted(self.sorted_values, key, side="right")
         return self.sorted_row_ids[left:right]
 
-    def count(self, key: int | float) -> int:
-        left = np.searchsorted(self.sorted_values, key, side="left")
-        right = np.searchsorted(self.sorted_values, key, side="right")
-        return int(right - left)
-
     def counts(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised match counts for an array of keys."""
         left = np.searchsorted(self.sorted_values, keys, side="left")

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.catalog import TableSchema
-from repro.engine.types import ColumnKind
 
 
 @dataclass

@@ -28,6 +28,8 @@ import numpy as np
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
+from repro.engine.join_build import JoinBuild
+from repro.engine.jointree import JoinTree, TreeEdge
 from repro.engine.query import Query
 from repro.engine.table import Table
 from repro.estimators.base import CardinalityEstimator, stable_hash
@@ -111,40 +113,19 @@ class _TreeModel:
             database.join_graph.tables
         )
         self._root = self.tables[0]
-        self._children: dict[str, list[JoinEdge]] = {t: [] for t in self.tables}
-        self._orient_tree()
-
-        self._layout = self._build_layout(max_attribute_bins)
-        weights = self._subtree_weights()
-        self.full_join_size = float(weights[self._root][1].sum())
-        data = self._sample_full_join(weights, num_samples)
+        join_tree = JoinTree(database, tree, self._root)
+        tree_edges = [
+            child for table in self.tables for child in join_tree.children.get(table, ())
+        ]
+        #: Edges oriented parent -> child, parents in table order.
+        self._edges = [child.edge for child in tree_edges]
+        self._layout = self._build_layout(tree_edges, max_attribute_bins)
         self.model = MadeModel(
             self._layout.bin_counts, hidden_sizes=hidden, seed=seed
         )
-        self.model.fit(data, epochs=epochs)
+        self.model.fit(self.resample(num_samples), epochs=epochs)
 
-    # -- tree plumbing -----------------------------------------------------------
-
-    def _oriented_edges(self) -> list[JoinEdge]:
-        return [edge for edges in self._children.values() for edge in edges]
-
-    def _orient_tree(self) -> None:
-        visited = {self._root}
-        frontier = [self._root]
-        remaining = list(self.tree)
-        while frontier:
-            current = frontier.pop(0)
-            for edge in list(remaining):
-                if current in edge.tables:
-                    child = edge.other(current)
-                    if child not in visited:
-                        oriented = edge if edge.left == current else edge.reversed()
-                        self._children[current].append(oriented)
-                        visited.add(child)
-                        frontier.append(child)
-                        remaining.remove(edge)
-
-    def _build_layout(self, max_attribute_bins: int) -> _TreeColumns:
+    def _build_layout(self, tree_edges: list[TreeEdge], max_attribute_bins: int) -> _TreeColumns:
         names: list[str] = []
         bins: list[int] = []
         attribute_binners: dict[str, AttributeBinner] = {}
@@ -167,23 +148,17 @@ class _TreeModel:
                 attr_index[(table_name, meta.name)] = len(names)
                 names.append(key)
                 bins.append(binner.num_bins)
-        for edge in self._oriented_edges():
+        for child in tree_edges:
             # Forward (child rows per parent row) and reverse (parent
             # rows per child row) fan-outs: which one down-scales a
             # query depends on which side of the query subtree the edge
             # hangs from.
-            for direction, (src, src_col, dst, dst_col) in (
-                ("fwd", (edge.left, edge.left_column, edge.right, edge.right_column)),
-                ("rev", (edge.right, edge.right_column, edge.left, edge.left_column)),
-            ):
-                source = self._database.tables[src].column(src_col)
-                index = self._database.index(dst, dst_col)
-                degrees = np.maximum(index.counts(source.values).astype(np.float64), 1.0)
-                degrees[source.null_mask] = 1.0
+            signature = _edge_signature(child.edge)
+            for direction, degrees in zip(("fwd", "rev"), self._fanout_degrees(child)):
                 binner = FanoutBinner.build(degrees)
-                key = f"fanout::{direction}::{_edge_signature(edge)}"
+                key = f"fanout::{direction}::{signature}"
                 fanout_binners[key] = binner
-                fanout_index[(_edge_signature(edge), direction)] = len(names)
+                fanout_index[(signature, direction)] = len(names)
                 names.append(key)
                 bins.append(binner.num_bins)
 
@@ -197,118 +172,79 @@ class _TreeModel:
             fanout_index=fanout_index,
         )
 
+    def _fanout_degrees(self, child: TreeEdge) -> tuple[np.ndarray, np.ndarray]:
+        """Forward degree of every parent row and reverse degree of every
+        child row; an unmatched or NULL key counts as degree 1."""
+        forward = np.maximum(child.counts, 1).astype(np.float64)
+        edge = child.edge
+        parent = self._database.tables[edge.left].column(edge.left_column)
+        key = self._database.tables[edge.right].column(edge.right_column)
+        build = JoinBuild(parent.values, ~parent.null_mask, len(key.values))
+        reverse = np.maximum(build.match(key.values)[1], 1).astype(np.float64)
+        reverse[key.null_mask] = 1.0
+        return forward, reverse
+
     # -- full-outer-join sampling -----------------------------------------------
 
-    def _subtree_weights(self) -> dict[str, tuple[None, np.ndarray]]:
-        """Per-row outer-join subtree weights for every table."""
-        weights: dict[str, tuple[None, np.ndarray]] = {}
+    def resample(self, num_samples: int) -> np.ndarray:
+        """A fresh encoded sample of the live database's full outer join.
 
-        def visit(table_name: str) -> np.ndarray:
-            table = self._database.tables[table_name]
-            w = np.ones(table.num_rows, dtype=np.float64)
-            for edge in self._children[table_name]:
-                child_w = visit(edge.right)
-                matched = self._matched_weight_sum(edge, child_w)
-                w *= np.maximum(matched, 1.0)
-            weights[table_name] = (None, w)
-            return w
-
-        visit(self._root)
-        return weights
-
-    def _matched_weight_sum(self, edge: JoinEdge, child_weights: np.ndarray) -> np.ndarray:
-        parent = self._database.tables[edge.left].column(edge.left_column)
-        child = self._database.tables[edge.right].column(edge.right_column)
-        valid = np.nonzero(~child.null_mask)[0]
-        keys = child.values[valid]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_weights = child_weights[valid][order]
-        cumulative = np.concatenate([[0.0], np.cumsum(sorted_weights)])
-        lo = np.searchsorted(sorted_keys, parent.values, side="left")
-        hi = np.searchsorted(sorted_keys, parent.values, side="right")
-        matched = cumulative[hi] - cumulative[lo]
-        matched[parent.null_mask] = 0.0
-        return matched
-
-    def _sample_full_join(
-        self,
-        weights: dict[str, tuple[None, np.ndarray]],
-        num_samples: int,
-    ) -> np.ndarray:
-        layout = self._layout
-        data = np.zeros((num_samples, len(layout.names)), dtype=np.int64)
-        root_weights = weights[self._root][1]
-        probabilities = root_weights / root_weights.sum()
-        root_rows = self._rng.choice(
-            len(root_weights), size=num_samples, p=probabilities
+        Also sets ``full_join_size``.  A root row is drawn by its
+        outer-join weight; then, depth first, each child edge draws one
+        matching child row by weight, or none (the child subtree is
+        NULL-extended).  The layout's binners stay the fitted ones.
+        """
+        join_tree = JoinTree(self._database, self.tree, self._root)
+        self.full_join_size = join_tree.total
+        weights = join_tree.weights
+        rng = self._rng
+        # Sampled row of every table per sample; -1 where absent.
+        rows = {table: np.full(num_samples, -1) for table in join_tree.children}
+        root_weights = weights[self._root]
+        rows[self._root][:] = rng.choice(
+            len(root_weights), size=num_samples, p=root_weights / root_weights.sum()
         )
-        for sample in range(num_samples):
-            self._fill_sample(data, sample, self._root, int(root_rows[sample]), weights)
-        return data
 
-    def _fill_sample(
-        self,
-        data: np.ndarray,
-        sample: int,
-        table_name: str,
-        row: int,
-        weights: dict[str, tuple[None, np.ndarray]],
-    ) -> None:
+        def draw(sample: int, table: str, row: int) -> None:
+            for child in join_tree.children[table]:
+                count = child.counts[row]
+                if count:
+                    start = child.starts[row]
+                    matches = child.build.positions[start : start + count]
+                    child_weights = weights[child.edge.right][matches]
+                    chosen = int(rng.choice(matches, p=child_weights / child_weights.sum()))
+                    rows[child.edge.right][sample] = chosen
+                    draw(sample, child.edge.right, chosen)
+
+        for sample, row in enumerate(rows[self._root].tolist()):
+            draw(sample, self._root, row)
+        return self._encode(join_tree, rows)
+
+    def _encode(self, join_tree: JoinTree, rows: dict[str, np.ndarray]) -> np.ndarray:
+        """The layout's codes of the sampled rows (all 0 for an absent table)."""
         layout = self._layout
-        data[sample, layout.table_of_presence[table_name]] = 1
-        table = self._database.tables[table_name]
-        for meta in table.schema.filterable_columns:
-            key = f"{table_name}::{meta.name}"
-            binner = layout.attribute_binners[key]
-            column = table.column(meta.name)
-            if column.null_mask[row]:
-                encoded = 0
-            else:
-                value = float(column.values[row])
-                encoded = int(
-                    np.clip(
-                        np.searchsorted(binner.edges, value, side="right") - 1,
-                        0,
-                        len(binner.distinct_per_bin) - 1,
-                    )
-                    + 1
-                )
-            data[sample, layout.attribute_index[(table_name, meta.name)]] = encoded
-        for edge in self._children[table_name]:
-            signature = _edge_signature(edge)
-            parent_column = table.column(edge.left_column)
-            fwd_col = layout.fanout_index[(signature, "fwd")]
-            fwd_binner = layout.fanout_binners[f"fanout::fwd::{signature}"]
-            rev_col = layout.fanout_index[(signature, "rev")]
-            rev_binner = layout.fanout_binners[f"fanout::rev::{signature}"]
-            if parent_column.null_mask[row]:
-                data[sample, fwd_col] = int(fwd_binner.encode(np.array([1.0]))[0])
-                data[sample, rev_col] = int(rev_binner.encode(np.array([1.0]))[0])
-                continue  # child branch is NULL-extended (absent)
-            key_value = parent_column.values[row]
-            index = self._database.index(edge.right, edge.right_column)
-            matches = index.lookup(key_value)
-            data[sample, fwd_col] = int(
-                fwd_binner.encode(np.array([max(len(matches), 1.0)]))[0]
-            )
-            if len(matches) == 0:
-                data[sample, rev_col] = int(rev_binner.encode(np.array([1.0]))[0])
-                continue  # absent child: presence stays 0, attrs stay NULL
-            child_weights = weights[edge.right][1][matches]
-            total = child_weights.sum()
-            if total <= 0:
-                chosen = matches[self._rng.integers(len(matches))]
-            else:
-                chosen = self._rng.choice(matches, p=child_weights / total)
-            # Reverse fan-out: how many parent rows the chosen child has.
-            parent_index = self._database.index(edge.left, edge.left_column)
-            child_key = self._database.tables[edge.right].column(edge.right_column)
-            reverse_degree = max(parent_index.count(child_key.values[int(chosen)]), 1)
-            data[sample, rev_col] = int(
-                rev_binner.encode(np.array([float(reverse_degree)]))[0]
-            )
-            self._fill_sample(data, sample, edge.right, int(chosen), weights)
+        data = np.zeros((len(rows[self._root]), len(layout.names)), dtype=np.int64)
+        for table_name, picked in rows.items():
+            present = np.nonzero(picked >= 0)[0]
+            chosen = picked[present]
+            data[present, layout.table_of_presence[table_name]] = 1
+            table = self._database.tables[table_name]
+            for meta in table.schema.filterable_columns:
+                binner = layout.attribute_binners[f"{table_name}::{meta.name}"]
+                codes = binner.encode(table.column(meta.name))
+                data[present, layout.attribute_index[(table_name, meta.name)]] = codes[chosen]
+            for child in join_tree.children[table_name]:
+                signature = _edge_signature(child.edge)
+                forward, reverse = self._fanout_degrees(child)
+                codes = layout.fanout_binners[f"fanout::fwd::{signature}"].encode(forward)
+                data[present, layout.fanout_index[(signature, "fwd")]] = codes[chosen]
+                # Row -1 (no child sampled) reads the appended degree 1.
+                rev_binner = layout.fanout_binners[f"fanout::rev::{signature}"]
+                codes = rev_binner.encode(np.append(reverse, 1.0))
+                data[present, layout.fanout_index[(signature, "rev")]] = codes[
+                    rows[child.edge.right][present]
+                ]
+        return data
 
     # -- query answering ----------------------------------------------------------
 
@@ -336,7 +272,7 @@ class _TreeModel:
         # query rows by the fan-out of their far side.
         distance = self._distance_from(query.tables)
         weight_columns = []
-        for edge in self._oriented_edges():
+        for edge in self._edges:
             if edge.left in query.tables and edge.right in query.tables:
                 continue
             # Oriented parent -> child; the far side is the one further
@@ -358,7 +294,7 @@ class _TreeModel:
         distance = {t: (0 if t in sources else -1) for t in self.tables}
         frontier = [t for t in self.tables if t in sources]
         adjacency: dict[str, list[str]] = {t: [] for t in self.tables}
-        for edge in self._oriented_edges():
+        for edge in self._edges:
             adjacency[edge.left].append(edge.right)
             adjacency[edge.right].append(edge.left)
         while frontier:
@@ -434,9 +370,7 @@ class NeuroCardEstimator(CardinalityEstimator):
         """
         assert self._database is not None
         for tree_model in self._trees:
-            weights = tree_model._subtree_weights()
-            tree_model.full_join_size = float(weights[tree_model._root][1].sum())
-            data = tree_model._sample_full_join(weights, max(self._num_samples // 2, 500))
+            data = tree_model.resample(max(self._num_samples // 2, 500))
             tree_model.model.fit(data, epochs=max(self._epochs // 2, 2))
 
     def model_size_bytes(self) -> int:

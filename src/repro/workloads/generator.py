@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.truecards import TrueCardinalityService
-from repro.engine.catalog import JoinGraph
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted
 from repro.engine.predicates import Predicate

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.injection import sub_plan_sets
 from repro.core.metrics import p_error, percentiles, q_error, rank_correlation
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.planner import Planner

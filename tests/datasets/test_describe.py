@@ -16,6 +16,8 @@ from repro.engine.database import Database
 from repro.engine.table import Table
 from repro.engine.types import ColumnKind
 
+from tests.engine.test_jointree import brute_force_weights, three_table_db
+
 
 def two_table_db(parent_keys, child_keys):
     parent = TableSchema(
@@ -61,6 +63,12 @@ class TestFullJoinSize:
         # when ambiguous) or parent; either way every parent row is
         # NULL-extended: 2 from parents, or 3 child rows unmatched.
         assert full_join_size(db, root="p") == 2.0
+
+    @pytest.mark.parametrize("root", [None, "a", "b", "c"])
+    def test_nulls_dangling_keys_and_fan_out_match_nested_loops(self, root):
+        db = three_table_db()
+        tree_root = root or "a"  # the most primary table
+        assert full_join_size(db, root=root) == sum(brute_force_weights(tree_root)[tree_root])
 
     def test_stats_larger_than_imdb(self, stats_db, imdb_db):
         assert full_join_size(stats_db) > full_join_size(imdb_db)

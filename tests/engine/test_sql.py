@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.catalog import JoinEdge
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
 from repro.engine.sql import SqlParseError, parse_query, query_to_sql

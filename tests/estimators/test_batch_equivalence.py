@@ -31,7 +31,6 @@ from repro.estimators.datad import (
     FlatEstimator,
     NeuroCardEstimator,
 )
-from repro.estimators.extensions import AdaptiveEstimator, SafeguardedEstimator
 from repro.estimators.multihist import MultiHistEstimator
 from repro.estimators.pessest import PessimisticEstimator
 from repro.estimators.postgres import PostgresEstimator
@@ -59,12 +58,6 @@ DATA_DRIVEN_FACTORIES = [
     DeepDBEstimator,
     FlatEstimator,
     lambda: NeuroCardEstimator(num_samples=1_500, epochs=3, max_trees=3),
-    lambda: AdaptiveEstimator(
-        cheap=PostgresEstimator(), accurate=MultiHistEstimator()
-    ),
-    lambda: SafeguardedEstimator(
-        base=PostgresEstimator(), bound=PessimisticEstimator()
-    ),
 ]
 
 QUERY_DRIVEN_FACTORIES = [
@@ -116,7 +109,7 @@ def _assert_agree(estimator, got, want, what):
 def test_every_family_covered(fitted):
     names = {e.name for e in fitted}
     assert len(names) == len(fitted)
-    assert len(names) == 15
+    assert len(names) == 13
 
 
 def test_batch_matches_loop(fitted, sub_plan_batch):

@@ -9,8 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.metrics import q_error
-from repro.engine.predicates import Predicate
+from repro.engine.jointree import JoinTree
 from repro.engine.query import Query
 from repro.estimators.datad import (
     BayesCardEstimator,
@@ -22,6 +21,7 @@ from repro.estimators.datad.bayescard import ChowLiuTreeModel, _mutual_informati
 from repro.estimators.datad.deepdb import LeafNode, SumNode, SumProductNetwork
 from repro.estimators.datad.flat import FactorizedSPN, MultiLeafNode
 from repro.estimators.datad.neurocard import spanning_trees
+from repro.estimators.ml.made import MadeModel
 from tests.estimators.conftest import median_q_error
 
 
@@ -256,6 +256,28 @@ class TestNeuroCard:
         estimator.update(new)  # must not raise; retrains internally
         query = Query(tables=frozenset({"posts"}), name="posts")
         assert estimator.estimate(query) > 0
+        # The re-sample read the live database's full outer join.
+        for tree_model in estimator._trees:
+            live = JoinTree(old, tree_model.tree, tree_model.tables[0])
+            assert tree_model.full_join_size == live.total
+
+    def test_sampled_full_join_is_pinned(self, stats_db, monkeypatch):
+        """Each tree's encoded full-join sample and full-join size are
+        pinned: the sampler may get faster, but not draw differently."""
+        digests = []
+        fit = MadeModel.fit
+
+        def recording_fit(model, data, *args, **kwargs):
+            digests.append(hashlib.sha256(data.tobytes()).hexdigest())
+            return fit(model, data, *args, **kwargs)
+
+        monkeypatch.setattr(MadeModel, "fit", recording_fit)
+        estimator = NeuroCardEstimator(num_samples=300, epochs=1, max_trees=2).fit(stats_db)
+        assert digests == [
+            "62ca644d921b06e93c45d70b1aa469954eab4614cc019ccca5f2c06b6abf3dd1",
+            "6346a4ca08e629e45e56d3da198a8bfd1c81f25e97e2cb914debbc2974e66a14",
+        ]
+        assert [t.full_join_size for t in estimator._trees] == [1877770596.0, 248057879.0]
 
 
 _FIT_AND_ESTIMATE = """

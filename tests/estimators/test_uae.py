@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.engine.query import Query
 from repro.estimators.datad.uae import UAEEstimator
 
 

@@ -5,8 +5,6 @@ import pytest
 
 from repro.core.truecards import TrueCardinalityService
 from repro.workloads.generator import (
-    PredicateSpec,
-    Workload,
     WorkloadSpec,
     build_workload,
     label_query,

@@ -1,7 +1,5 @@
 """Tests for join-template enumeration."""
 
-import numpy as np
-
 from repro.workloads.templates import JoinTemplate, enumerate_templates, random_template
 
 
