@@ -40,21 +40,22 @@ def obs_session():
         return
     out_dir = Path("results") if target == "1" else Path(target)
     tracer = obs_trace.Tracer()
-    obs_manifest.enable_collection()
-    try:
-        with obs_trace.use_tracer(tracer):
+    with obs_manifest.collecting() as runs, obs_trace.use_tracer(tracer):
+        try:
             yield
-    finally:
-        trace_path = tracer.export_jsonl(out_dir / "bench_trace.jsonl")
-        config = {
-            key: str(value) if isinstance(value, Path) else value
-            for key, value in dataclasses.asdict(ExperimentConfig.quick()).items()
-        }
-        manifest_path = obs_manifest.write_run_manifest(
-            out_dir / "run_manifest.json", config, trace_file=str(trace_path)
-        )
-        obs_manifest.disable_collection()
-        print(f"\n[obs: trace -> {trace_path}, manifest -> {manifest_path}]")
+        finally:
+            trace_path = tracer.export_jsonl(out_dir / "bench_trace.jsonl")
+            config = {
+                key: str(value) if isinstance(value, Path) else value
+                for key, value in dataclasses.asdict(ExperimentConfig.quick()).items()
+            }
+            manifest_path = obs_manifest.write_run_manifest(
+                out_dir / "run_manifest.json",
+                config,
+                runs,
+                trace_file=str(trace_path),
+            )
+            print(f"\n[obs: trace -> {trace_path}, manifest -> {manifest_path}]")
 
 
 @pytest.fixture(scope="session")

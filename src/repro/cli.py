@@ -18,6 +18,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 from pathlib import Path
 
@@ -153,36 +154,35 @@ def cmd_bench(args) -> int:
     estimator = context.fitted_estimator(args.estimator, workload_name)
 
     # Live telemetry: structured events, progress aggregation with an
-    # optional Prometheus snapshot file, and an optional HTTP endpoint.
-    if args.events_out:
-        obs_events.activate(args.events_out, level=args.events_level)
-    live = args.progress_out is not None or args.metrics_addr is not None
-    if live:
-        obs_progress.activate(snapshot_path=args.progress_out)
-    server = None
-    if args.metrics_addr:
-        try:
-            server = obs_progress.MetricsServer(args.metrics_addr, run_id=run_id)
-        except (ValueError, ServerStartError) as error:
-            print(f"error: {error}")
-            return 2
-        server.start()
-    if server is not None:
-        host, port = server.address
-        print(f"  metrics endpoint:    http://{host}:{port}/metrics")
-        print(f"  health endpoint:     http://{host}:{port}/healthz (run {run_id})")
-    checkpoint = _bench_checkpoint(args)
-    try:
-        run = context.benchmark(workload_name).run(estimator, checkpoint=checkpoint)
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-        if server is not None:
-            server.close()
-        if live:
-            obs_progress.deactivate()
+    # optional Prometheus snapshot file, and an optional HTTP endpoint,
+    # all undone by the stack however the campaign ends.
+    with contextlib.ExitStack() as stack:
         if args.events_out:
-            obs_events.deactivate()
+            stack.enter_context(
+                obs_events.use_event_log(args.events_out, level=args.events_level)
+            )
+        tracker = None
+        if args.progress_out is not None or args.metrics_addr is not None:
+            tracker = stack.enter_context(
+                obs_progress.use_progress(args.progress_out)
+            )
+        if args.metrics_addr:
+            try:
+                server = obs_progress.MetricsServer(
+                    args.metrics_addr, run_id=run_id, tracker=tracker
+                )
+            except (ValueError, ServerStartError) as error:
+                print(f"error: {error}")
+                return 2
+            stack.callback(server.close)
+            server.start()
+            host, port = server.address
+            print(f"  metrics endpoint:    http://{host}:{port}/metrics")
+            print(f"  health endpoint:     http://{host}:{port}/healthz (run {run_id})")
+        checkpoint = _bench_checkpoint(args)
+        if checkpoint is not None:
+            stack.callback(checkpoint.close)
+        run = context.benchmark(workload_name).run(estimator, checkpoint=checkpoint)
 
     p_errors = [
         query_run.p_error
@@ -230,7 +230,7 @@ def cmd_serve(args) -> int:
     """Run the long-lived estimation-as-a-service HTTP process."""
     import uuid
 
-    from repro.obs import events as obs_events
+    from repro.obs.events import EventLog
     from repro.serve import (
         AccessLog,
         DriftMonitor,
@@ -265,49 +265,46 @@ def cmd_serve(args) -> int:
             access_log=AccessLog(obs_dir / "access.jsonl"),
             slo=SLOMonitor(),
             drift=DriftMonitor(pairs_path=obs_dir / "drift_pairs.jsonl"),
+            events=EventLog(obs_dir / "serve.events.jsonl"),
         )
-        if not obs_events.is_active():
-            obs_events.activate(obs_dir / "serve.events.jsonl")
 
-    service = EstimationService(
-        database,
-        registry,
-        trainer=lambda name: context.fitted_estimator(name, workload_name),
-        retry=context.retry_policy(),
-        request_timeout_seconds=args.request_timeout,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
-        max_queue=args.max_queue,
-        run_id=run_id,
-        obs=obs,
-        self_execute_every=args.self_execute_every,
-    )
-    try:
-        server = build_server(service, args.serve_addr)
-    except (ValueError, ServerStartError) as error:
-        print(f"error: {error}")
-        return 2
-    service.start()
-    server.start()
-    host, port = server.address
-    print(f"Serving estimates at http://{host}:{port} (run {run_id})")
-    print(
-        "  POST /estimate | /estimate_batch | /subplans | /feedback "
-        "| /admin/promote"
-    )
-    print("  GET  /healthz | /metrics | /models")
-    if obs_dir is not None:
-        print(f"  observability artifacts: {obs_dir}/")
-    try:
-        service.shutdown_requested.wait(
-            timeout=args.max_seconds if args.max_seconds else None
+    with contextlib.ExitStack() as stack:
+        service = EstimationService(
+            database,
+            registry,
+            trainer=lambda name: context.fitted_estimator(name, workload_name),
+            retry=context.retry_policy(),
+            request_timeout_seconds=args.request_timeout,
+            batch_window_seconds=args.batch_window_ms / 1000.0,
+            max_queue=args.max_queue,
+            run_id=run_id,
+            obs=obs,
+            self_execute_every=args.self_execute_every,
         )
-    except KeyboardInterrupt:
-        print("\ninterrupted")
-    finally:
-        server.close()
-        service.close()
-        if obs_dir is not None and obs_events.is_active():
-            obs_events.deactivate()
+        stack.callback(service.close)
+        try:
+            server = build_server(service, args.serve_addr)
+        except (ValueError, ServerStartError) as error:
+            print(f"error: {error}")
+            return 2
+        stack.callback(server.close)
+        service.start()
+        server.start()
+        host, port = server.address
+        print(f"Serving estimates at http://{host}:{port} (run {run_id})")
+        print(
+            "  POST /estimate | /estimate_batch | /subplans | /feedback "
+            "| /admin/promote"
+        )
+        print("  GET  /healthz | /metrics | /models")
+        if obs_dir is not None:
+            print(f"  observability artifacts: {obs_dir}/")
+        try:
+            service.shutdown_requested.wait(
+                timeout=args.max_seconds if args.max_seconds else None
+            )
+        except KeyboardInterrupt:
+            print("\ninterrupted")
     from repro.obs import metrics as obs_metrics
 
     counters = obs_metrics.snapshot()["counters"]

@@ -37,9 +37,13 @@ Guarantees:
   exception is re-raised with a ``salvaged_runs`` attribute carrying
   the completed ``QueryRun``s and a clear note printed to stderr.
 
-Tracing is process-local, so workers deactivate any tracer inherited
-from the parent; parallel runs therefore produce no per-query trace
-spans (the parent's top-level spans still record the run).
+Telemetry sinks are process-local: a worker leaves every sink it
+inherited from the forking thread in one place (no tracer, no event
+log, a private progress tracker with no snapshot file), so the parent
+stays the only writer of each file and emits completion events and
+progress from the streamed worker messages instead.  Parallel runs
+therefore produce no per-query trace spans (the parent's top-level
+spans still record the run).
 
 On platforms without the ``fork`` start method the caller falls back
 to the serial loop.
@@ -92,17 +96,6 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _worker_init() -> None:
-    # Start from a clean metrics slate.  The event log and the progress
-    # tracker are parent-side: drop the inherited log *without closing
-    # it* (the fd belongs to the parent) so the parent stays the file's
-    # only writer and emits completion events from the streamed worker
-    # messages instead.
-    obs_events.deactivate(close=False)
-    obs_progress.deactivate()
-    obs_metrics.reset()
-
-
 def _worker_loop(task_queue, result_pipe) -> None:
     """Worker main: take a query index, claim it, run it, ship the result.
 
@@ -114,12 +107,13 @@ def _worker_loop(task_queue, result_pipe) -> None:
     an ``("error", ...)`` message so one broken task cannot take the
     whole run down.
     """
-    _worker_init()
+    obs_metrics.reset()
     benchmark, estimator, queries = _FORK_STATE
-    # Tracing is process-local: spans recorded in a forked worker would
-    # be lost (and cost time), so the tracer inherited from the forking
-    # thread is switched off.
-    with obs_trace.use_tracer(None):
+    with (
+        obs_trace.use_tracer(None),
+        obs_events.use_event_log(None),
+        obs_progress.use_progress(None),
+    ):
         while True:
             index = task_queue.get()
             if index is None:  # sentinel: run is over

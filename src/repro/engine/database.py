@@ -7,43 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.catalog import JoinGraph
+from repro.engine.join_build import JoinBuild
 from repro.engine.table import Table
-
-
-@dataclass
-class SortedKeyIndex:
-    """A sorted-array index over one key column (non-NULL rows only).
-
-    Supports the two operations the engine needs: random-neighbour
-    lookup for wander join, and match counting / row retrieval for
-    index-nested-loop joins — both via ``np.searchsorted``.
-    """
-
-    sorted_values: np.ndarray
-    sorted_row_ids: np.ndarray
-
-    @classmethod
-    def build(cls, table: Table, column: str) -> "SortedKeyIndex":
-        col = table.column(column)
-        row_ids = np.nonzero(~col.null_mask)[0]
-        values = col.values[row_ids]
-        order = np.argsort(values, kind="stable")
-        return cls(sorted_values=values[order], sorted_row_ids=row_ids[order])
-
-    def lookup(self, key: int | float) -> np.ndarray:
-        """Row ids whose key column equals ``key``."""
-        left = np.searchsorted(self.sorted_values, key, side="left")
-        right = np.searchsorted(self.sorted_values, key, side="right")
-        return self.sorted_row_ids[left:right]
-
-    def counts(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised match counts for an array of keys."""
-        left = np.searchsorted(self.sorted_values, keys, side="left")
-        right = np.searchsorted(self.sorted_values, keys, side="right")
-        return right - left
-
-    def nbytes(self) -> int:
-        return self.sorted_values.nbytes + self.sorted_row_ids.nbytes
 
 
 @dataclass
@@ -58,7 +23,7 @@ class Database:
     name: str
     tables: dict[str, Table]
     join_graph: JoinGraph
-    _indexes: dict[tuple[str, str], SortedKeyIndex] = field(default_factory=dict)
+    _indexes: dict[tuple[str, str], JoinBuild] = field(default_factory=dict)
     #: Monotone content version, bumped on every insert.  Result-reuse
     #: caches (:class:`repro.engine.cache.ExecutionContext`) compare it
     #: on access and drop stale entries, so the Table-6 update path
@@ -72,11 +37,17 @@ class Database:
     def table_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.tables))
 
-    def index(self, table: str, column: str) -> SortedKeyIndex:
-        """Sorted index over ``table.column``, built on first use."""
+    def index(self, table: str, column: str) -> JoinBuild:
+        """Sorted key index over ``table.column``, built on first use.
+
+        A :class:`JoinBuild` over the column's non-NULL rows: the rows
+        whose key equals probe ``k`` are ``positions[s : s + c]`` for
+        ``(s, c)`` from ``match``, in row order within a key.
+        """
         key = (table, column)
         if key not in self._indexes:
-            self._indexes[key] = SortedKeyIndex.build(self.tables[table], column)
+            col = self.tables[table].column(column)
+            self._indexes[key] = JoinBuild(col.values, ~col.null_mask, 0)
         return self._indexes[key]
 
     def insert(self, table: str, rows: Table) -> None:

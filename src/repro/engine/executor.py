@@ -386,15 +386,15 @@ class Executor:
 
         probe_ids = np.nonzero(left_valid)[0]
         probe_keys = left_keys[probe_ids]
-        sorted_values = index.sorted_values
+        sorted_keys = index.sorted_keys
         searchsorted = np.searchsorted
         starts = np.empty(len(probe_keys), dtype=np.int64)
         ends = np.empty(len(probe_keys), dtype=np.int64)
         total = 0
         for i in range(len(probe_keys)):
             key = probe_keys[i]
-            lo = searchsorted(sorted_values, key, side="left")
-            hi = searchsorted(sorted_values, key, side="right")
+            lo = searchsorted(sorted_keys, key, side="left")
+            hi = searchsorted(sorted_keys, key, side="right")
             starts[i] = lo
             ends[i] = hi
             total += hi - lo
@@ -411,7 +411,7 @@ class Executor:
                 raise ExecutionAborted("execution timed out (nested loop)")
         counts = ends - starts
 
-        fetched = index.sorted_row_ids[_expand_ranges(starts, counts)]
+        fetched = index.positions[_expand_ranges(starts, counts)]
 
         # Inner filters run per fetched tuple, after the index fetch.
         passed = self._subset_mask(inner_table, fetched, node.right.predicates)

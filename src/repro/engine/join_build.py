@@ -2,7 +2,10 @@
 
 :class:`JoinBuild` is the only code that builds a hash-join build side
 and the only code that matches probe keys against one: the executor's
-materialising hash join and its count-only twin both go through it.
+materialising hash join and its count-only twin both go through it, and
+``Database.index`` caches one per key column as the key index that the
+index nested-loop join, wander-join sampling and the fan-out degrees
+read.
 
 A build keeps the valid (not-NULL) build keys stably sorted together
 with their positions in the build input, so the matches of one probe

@@ -153,7 +153,7 @@ class FanoutJoinEstimator(CardinalityEstimator):
         """Per-parent-row match counts in the referencing table."""
         parent = parent_rows.column(edge.left_column)
         index = database.index(edge.right, edge.right_column)
-        degrees = index.counts(parent.values).astype(np.float64)
+        degrees = index.match(parent.values)[1].astype(np.float64)
         degrees[parent.null_mask] = 0.0
         return degrees
 

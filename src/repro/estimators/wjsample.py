@@ -120,11 +120,12 @@ class WanderJoinEstimator(CardinalityEstimator):
                 return 0.0
             key = source_column.values[source_row]
             index = self._database.index(table, edge.right_column)
-            matches = index.lookup(key)
-            if len(matches) == 0:
+            starts, counts = index.match(np.array([key]))
+            count = int(counts[0])
+            if count == 0:
                 return 0.0
-            chosen = int(matches[rng.integers(len(matches))])
-            weight *= len(matches)
+            chosen = int(index.positions[int(starts[0]) + rng.integers(count)])
+            weight *= count
             if not self._row_passes(query, table, chosen):
                 return 0.0
             current_rows[table] = chosen

@@ -23,6 +23,7 @@ timings, and a metrics snapshot.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import time
 from pathlib import Path
@@ -155,13 +156,16 @@ def main(argv=None) -> int:
         manifest_path = Path(args.trace_out).with_name("run_manifest.json")
 
     tracer = obs_trace.Tracer() if args.trace_out else None
-    event_log = obs_events.activate(args.events_out) if args.events_out else None
-    if manifest_path is not None:
-        obs_manifest.enable_collection()
-
     experiment_timings: dict[str, float] = {}
-    try:
-        with obs_trace.use_tracer(tracer):
+    with contextlib.ExitStack() as stack:
+        event_log = (
+            stack.enter_context(obs_events.use_event_log(args.events_out))
+            if args.events_out
+            else None
+        )
+        runs = stack.enter_context(obs_manifest.collecting())
+        stack.enter_context(obs_trace.use_tracer(tracer))
+        try:
             for name, experiment in selected.items():
                 started = time.perf_counter()
                 obs_events.emit("experiment.begin", experiment=name)
@@ -176,27 +180,26 @@ def main(argv=None) -> int:
                 print(f"\n[{name} finished in {elapsed:.1f}s]\n")
                 if save_dir is not None:
                     (save_dir / f"{name}.txt").write_text(output + "\n")
-    finally:
-        if tracer is not None:
-            tracer.export_jsonl(args.trace_out)
-            print(f"[trace: {len(tracer.spans)} spans -> {args.trace_out}]")
-        if event_log is not None:
-            obs_events.deactivate()
-            print(f"[events: {event_log.count} -> {args.events_out}]")
-        if manifest_path is not None:
-            config = {
-                key: str(value) if isinstance(value, Path) else value
-                for key, value in dataclasses.asdict(context.config).items()
-            }
-            obs_manifest.write_run_manifest(
-                manifest_path,
-                config,
-                trace_file=args.trace_out,
-                events_file=args.events_out,
-                extra={"experiment_timings_seconds": experiment_timings},
-            )
-            obs_manifest.disable_collection()
-            print(f"[manifest -> {manifest_path}]")
+        finally:
+            if tracer is not None:
+                tracer.export_jsonl(args.trace_out)
+                print(f"[trace: {len(tracer.spans)} spans -> {args.trace_out}]")
+            if event_log is not None:
+                print(f"[events: {event_log.count} -> {args.events_out}]")
+            if manifest_path is not None:
+                config = {
+                    key: str(value) if isinstance(value, Path) else value
+                    for key, value in dataclasses.asdict(context.config).items()
+                }
+                obs_manifest.write_run_manifest(
+                    manifest_path,
+                    config,
+                    runs,
+                    trace_file=args.trace_out,
+                    events_file=args.events_out,
+                    extra={"experiment_timings_seconds": experiment_timings},
+                )
+                print(f"[manifest -> {manifest_path}]")
     return 0
 
 

@@ -22,10 +22,19 @@ including what tracing costs (``trace.overhead_share``), is measured by
 package; for function-level stacks run the command under
 ``python -m cProfile``.
 
-Everything is **off by default**: :func:`repro.obs.trace.span`,
-:func:`repro.obs.events.emit` and the progress hooks are shared no-ops
-until activated, so instrumented hot paths cost one context-variable
-read (tracing) or one global read (events, progress) when disabled.
+Every sink follows one scoping rule: it lives in a
+:class:`~contextvars.ContextVar` and is installed for a ``with`` block
+by its own installer — :func:`~repro.obs.trace.use_tracer`,
+:func:`~repro.obs.events.use_event_log`,
+:func:`~repro.obs.progress.use_progress` and
+:func:`~repro.obs.manifest.collecting` — so it is scoped to the
+calling thread and undone however the block ends.  Everything is **off
+by default**: :func:`repro.obs.trace.span`,
+:func:`repro.obs.events.emit`, the progress hooks and
+:func:`repro.obs.manifest.collect_run` are shared no-ops outside such
+a block, so an instrumented hot path costs one context-variable read
+when disabled.  Only the metrics registry is process-wide: it is an
+aggregate, not a sink.
 """
 
 from repro.obs.metrics import MetricsRegistry, registry

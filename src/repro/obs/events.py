@@ -9,25 +9,33 @@ query — attached automatically via :func:`context`).
 
 Design rules, mirroring the tracer:
 
-- **No-op when disabled.**  :func:`emit` is a single global read until
-  an :class:`EventLog` is activated, so instrumented call sites
-  (benchmark driver, retry path, executor abort path) stay free on
-  untelemetered runs.
+- **Scoped like the tracer.**  The installed log and the fields bound
+  by :func:`context` live in one :class:`~contextvars.ContextVar`,
+  set by :func:`use_event_log` for a ``with`` block.  A thread started
+  inside the block begins with no log, so a serving process installs
+  its log per request on the handler thread, and two threads sharing
+  one log never see each other's fields.
+- **No-op when disabled.**  :func:`emit` is a single context-variable
+  read until a log is installed, so instrumented call sites (benchmark
+  driver, retry path, executor abort path) stay free on untelemetered
+  runs.
 - **Durable per line.**  Every event is written and flushed as one
   ``\\n``-terminated line, so a campaign killed at any instant leaves a
   readable log; :func:`load_events` skips a torn final line the same
   way checkpoint resume does.
-- **Process-local.**  Forked benchmark workers deactivate the
-  inherited log (see :mod:`repro.core.parallel`); the parent emits
-  completion events from the streamed worker messages instead, keeping
-  one writer per file.
+- **Process-local.**  Forked benchmark workers leave the inherited log
+  with ``use_event_log(None)`` (see :mod:`repro.core.parallel`); the
+  parent emits completion events from the streamed worker messages
+  instead, keeping one writer per file.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.obs.jsonl import open_append, read_jsonl
@@ -37,7 +45,7 @@ LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 
 class EventLog:
-    """Append-only JSONL event sink with bound context fields."""
+    """Append-only JSONL event sink; thread-safe, one flushed line per event."""
 
     def __init__(
         self,
@@ -51,7 +59,7 @@ class EventLog:
         self.level = level
         self._threshold = LEVELS[level]
         self._clock = clock
-        self._context: dict = {}
+        self._lock = threading.Lock()
         self._count = 0
         self._handle = open_append(self.path)
 
@@ -60,34 +68,29 @@ class EventLog:
         """Events written by this log instance."""
         return self._count
 
-    def bind(self, **fields) -> None:
-        """Attach context fields to every subsequent event."""
-        self._context.update(fields)
-
-    def unbind(self, *names: str) -> None:
-        for name in names:
-            self._context.pop(name, None)
-
     def emit(self, event: str, level: str = "info", **fields) -> None:
         """Write one event line (dropped when below the log's level)."""
         rank = LEVELS.get(level)
         if rank is None:
             raise ValueError(f"unknown level {level!r}")
-        if rank < self._threshold or self._handle is None:
+        if rank < self._threshold:
             return
         record = {"ts": self._clock(), "level": level, "event": event}
-        if self._context:
-            record.update(self._context)
         if fields:
             record.update(fields)
-        self._handle.write(json.dumps(record, default=str) + "\n")
-        self._handle.flush()
-        self._count += 1
+        line = json.dumps(record, default=str) + "\n"
+        with self._lock:
+            if self._handle is None:
+                return
+            self._handle.write(line)
+            self._handle.flush()
+            self._count += 1
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def __enter__(self) -> "EventLog":
         return self
@@ -96,84 +99,61 @@ class EventLog:
         self.close()
 
 
-# -- module-level sink --------------------------------------------------------
+# -- the current log ----------------------------------------------------------
 
-_ACTIVE: EventLog | None = None
-
-
-def active_log() -> EventLog | None:
-    """The installed event log, or ``None`` when logging is off."""
-    return _ACTIVE
-
-
-def is_active() -> bool:
-    return _ACTIVE is not None
-
-
-def activate(log: EventLog | str | Path, level: str = "info") -> EventLog:
-    """Install ``log`` (or open one at the given path) process-wide."""
-    global _ACTIVE
-    if not isinstance(log, EventLog):
-        log = EventLog(log, level=level)
-    _ACTIVE = log
-    return log
-
-
-def deactivate(close: bool = True) -> None:
-    """Uninstall the active log (closing it unless ``close=False``).
-
-    ``close=False`` exists for forked workers: they must drop the
-    inherited log without closing the parent's file descriptor.
-    """
-    global _ACTIVE
-    if _ACTIVE is not None and close:
-        _ACTIVE.close()
-    _ACTIVE = None
+#: ``(log, bound context fields)`` installed in this context, or None.
+_ACTIVE: ContextVar[tuple[EventLog, dict] | None] = ContextVar(
+    "repro_event_log", default=None
+)
 
 
 @contextmanager
-def use_event_log(path: str | Path, level: str = "info"):
-    """Scoped activation: ``with use_event_log(p) as log: ...``."""
-    log = activate(path, level=level)
+def use_event_log(log: EventLog | str | Path | None, level: str = "info"):
+    """Install ``log`` for the enclosed block; the previous one returns after.
+
+    A path opens a new :class:`EventLog` at ``level``, closed when the
+    block ends; a log passed in stays open (its owner closes it);
+    ``None`` turns event logging off for the block.  Like
+    :func:`repro.obs.trace.use_tracer`, the log is scoped to the
+    calling thread, and the block starts with no bound fields.
+    """
+    owned = log is not None and not isinstance(log, EventLog)
+    if owned:
+        log = EventLog(log, level=level)
+    token = _ACTIVE.set(None if log is None else (log, {}))
     try:
         yield log
     finally:
-        deactivate()
+        _ACTIVE.reset(token)
+        if owned:
+            log.close()
 
 
 def emit(event: str, level: str = "info", **fields) -> None:
-    """Emit on the active log; no-op when event logging is off."""
-    log = _ACTIVE
-    if log is not None:
-        log.emit(event, level=level, **fields)
+    """Emit on the installed log; no-op when event logging is off."""
+    active = _ACTIVE.get()
+    if active is not None:
+        log, bound = active
+        log.emit(event, level=level, **(bound | fields))
 
 
 @contextmanager
 def context(**fields):
-    """Bind context fields on the active log for the enclosed block.
+    """Bind context fields to every event emitted in the enclosed block.
 
-    A no-op when logging is off.  Previous values of the same keys are
-    restored on exit, so nested scopes (campaign > query) compose.
+    A no-op when logging is off.  Nested scopes (campaign > query)
+    compose: inner values shadow outer ones until the inner block ends.
     """
-    log = _ACTIVE
-    if log is None:
+    active = _ACTIVE.get()
+    if active is None:
         yield
         return
-    previous = {name: log._context.get(name, _MISSING) for name in fields}
-    log.bind(**fields)
+    log, bound = active
+    token = _ACTIVE.set((log, bound | fields))
     try:
         yield
     finally:
-        # The active log may have changed (e.g. a nested use_event_log
-        # scope ended); restore on the one we bound to.
-        for name, value in previous.items():
-            if value is _MISSING:
-                log.unbind(name)
-            else:
-                log.bind(**{name: value})
-
-
-_MISSING = object()
+        _ACTIVE.reset(token)
 
 
 # -- event files --------------------------------------------------------------

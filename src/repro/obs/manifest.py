@@ -12,15 +12,19 @@ experiment campaign after the fact:
 
 Drivers that build :class:`~repro.core.benchmark.EstimatorRun` objects
 indirectly (the experiment context's disk-cached evaluation passes, the
-pytest benchmark suite) register them with the module-level collector
-(:func:`enable_collection` / :func:`collect_run`), then call
-:func:`write_run_manifest` once at the end of the session.
+pytest benchmark suite) open a ``with collecting() as runs:`` block,
+in which :func:`collect_run` appends to ``runs``, then pass ``runs`` to
+:func:`write_run_manifest` at the end of the session.  Like the tracer,
+the collector lives in a :class:`~contextvars.ContextVar`, so it is
+scoped to the calling thread and to the block.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.obs import metrics
@@ -34,33 +38,29 @@ MANIFEST_SCHEMA_VERSION = 2
 #: ``events_file`` and key ordering, both of which readers tolerate).
 _COMPATIBLE_SCHEMA_VERSIONS = (1, 2)
 
-#: Session accumulator: (label, EstimatorRun) pairs noted while
-#: collection is enabled.  Duck-typed to avoid a core -> obs -> core
-#: import cycle.
-_COLLECTED: list[tuple[str, object]] = []
-_COLLECTING = False
+#: The ``(label, EstimatorRun)`` list of the innermost :func:`collecting`
+#: block, or None.  Duck-typed to avoid a core -> obs -> core import cycle.
+_COLLECTED: ContextVar[list[tuple[str, object]] | None] = ContextVar(
+    "repro_manifest_runs", default=None
+)
 
 
-def enable_collection() -> None:
-    """Start noting estimator runs for a later manifest."""
-    global _COLLECTING
-    _COLLECTING = True
-
-
-def disable_collection() -> None:
-    global _COLLECTING
-    _COLLECTING = False
-    _COLLECTED.clear()
+@contextmanager
+def collecting():
+    """Note every :func:`collect_run` of the enclosed block; yields the list."""
+    runs: list[tuple[str, object]] = []
+    token = _COLLECTED.set(runs)
+    try:
+        yield runs
+    finally:
+        _COLLECTED.reset(token)
 
 
 def collect_run(label: str, run) -> None:
-    """Note one :class:`EstimatorRun` if collection is enabled."""
-    if _COLLECTING:
-        _COLLECTED.append((label, run))
-
-
-def collected_runs() -> list[tuple[str, object]]:
-    return list(_COLLECTED)
+    """Note one :class:`EstimatorRun` if a :func:`collecting` block is open."""
+    runs = _COLLECTED.get()
+    if runs is not None:
+        runs.append((label, run))
 
 
 def _query_entry(query_run) -> dict:
@@ -98,7 +98,7 @@ def _run_entry(label: str, run) -> dict:
 
 def run_manifest(
     config: dict,
-    runs: list[tuple[str, object]] | None = None,
+    runs: list[tuple[str, object]],
     *,
     trace_file: str | None = None,
     checkpoint_file: str | None = None,
@@ -107,13 +107,11 @@ def run_manifest(
 ) -> dict:
     """Assemble a manifest dict from config + runs + current metrics.
 
-    ``runs`` defaults to whatever the module collector accumulated.
-    ``checkpoint_file`` links the campaign's resilience checkpoint
+    ``runs`` are ``(label, EstimatorRun)`` pairs, e.g. the list a
+    :func:`collecting` block yields.  ``checkpoint_file`` links the campaign's resilience checkpoint
     (JSONL of completed QueryRuns) and ``events_file`` the structured
     event log, the way ``trace_file`` links the span tree.
     """
-    if runs is None:
-        runs = collected_runs()
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "created_unix": time.time(),
@@ -132,7 +130,7 @@ def run_manifest(
 def write_run_manifest(
     path: str | Path,
     config: dict,
-    runs: list[tuple[str, object]] | None = None,
+    runs: list[tuple[str, object]],
     *,
     trace_file: str | None = None,
     checkpoint_file: str | None = None,

@@ -15,10 +15,14 @@ two read-side artifacts:
   whole :mod:`repro.obs.metrics` registry), ``/progress`` (JSON) and
   ``/healthz`` (200 + run id liveness probe).
 
-Like the tracer and the event log, the module-level hooks
-(:func:`record_claim` / :func:`record_result` / …) are no-ops until
-:func:`activate` installs a tracker, so instrumented call sites cost a
-single global read on untelemetered runs.
+Like the tracer and the event log, the live view is scoped with
+``with use_progress(snapshot_path) as tracker:``, which keeps the
+tracker and its snapshot writer in one
+:class:`~contextvars.ContextVar`; the module-level hooks
+(:func:`record_claim` / :func:`record_result` / …) are no-ops outside
+such a block, so instrumented call sites cost a single
+context-variable read on untelemetered runs.  The HTTP endpoint runs
+on a thread of its own, so it serves the tracker it was built with.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import re
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 from repro.obs import metrics as obs_metrics
@@ -43,6 +49,9 @@ from repro.obs.httpd import (
 
 #: Completions kept for the recent-throughput window.
 _RECENT_WINDOW = 32
+
+#: Minimum seconds between two unforced snapshot-file writes.
+SNAPSHOT_INTERVAL_SECONDS = 1.0
 
 
 class ProgressTracker:
@@ -331,10 +340,19 @@ class MetricsServer:
     campaign's ``run_id`` whenever the server thread is alive, so
     external watchdogs can distinguish "the campaign is slow" from
     "the process is gone".
+
+    ``tracker`` is the campaign whose ``/progress`` and gauges are
+    served (``None`` serves the registry alone).
     """
 
-    def __init__(self, addr: str = "127.0.0.1:9464", run_id: str = ""):
+    def __init__(
+        self,
+        addr: str = "127.0.0.1:9464",
+        run_id: str = "",
+        tracker: ProgressTracker | None = None,
+    ):
         self.run_id = run_id
+        self.tracker = tracker
         self._http = RoutedHTTPServer(
             addr, flag="--metrics-addr", thread_name="repro-metrics"
         )
@@ -345,12 +363,12 @@ class MetricsServer:
 
     def _metrics(self, request: Request) -> Response:
         return text_response(
-            prometheus_text(tracker=active_tracker()),
+            prometheus_text(tracker=self.tracker),
             content_type=PROMETHEUS_CONTENT_TYPE,
         )
 
     def _progress(self, request: Request) -> Response:
-        tracker = active_tracker()
+        tracker = self.tracker
         return json_response(tracker.snapshot() if tracker is not None else {})
 
     def _healthz(self, request: Request) -> Response:
@@ -370,77 +388,76 @@ class MetricsServer:
         return self._http.close(timeout=timeout)
 
 
-# -- module-level live view ---------------------------------------------------
+# -- the current live view ---------------------------------------------------
 
-_TRACKER: ProgressTracker | None = None
-_WRITER: SnapshotWriter | None = None
-
-
-def active_tracker() -> ProgressTracker | None:
-    return _TRACKER
+#: ``(tracker, snapshot writer or None)`` installed in this context.
+_ACTIVE: ContextVar[tuple[ProgressTracker, SnapshotWriter | None] | None] = (
+    ContextVar("repro_progress", default=None)
+)
 
 
-def is_active() -> bool:
-    return _TRACKER is not None
+@contextmanager
+def use_progress(snapshot_path: str | Path | None = None):
+    """Install a fresh :class:`ProgressTracker` for the enclosed block.
 
-
-def activate(
-    tracker: ProgressTracker | None = None,
-    snapshot_path: str | Path | None = None,
-    snapshot_interval_seconds: float = 1.0,
-) -> ProgressTracker:
-    """Install a tracker (and optionally a snapshot file) process-wide."""
-    global _TRACKER, _WRITER
-    _TRACKER = tracker or ProgressTracker()
-    _WRITER = (
-        SnapshotWriter(snapshot_path, interval_seconds=snapshot_interval_seconds)
+    Yields the tracker.  With ``snapshot_path`` the hooks also keep a
+    Prometheus snapshot file there (at most one unforced write per
+    :data:`SNAPSHOT_INTERVAL_SECONDS`).  Scoped to the calling thread
+    like :func:`repro.obs.trace.use_tracer`; a nested block replaces
+    the outer tracker (and its file) until it ends.
+    """
+    writer = (
+        SnapshotWriter(snapshot_path, interval_seconds=SNAPSHOT_INTERVAL_SECONDS)
         if snapshot_path is not None
         else None
     )
-    return _TRACKER
-
-
-def deactivate() -> None:
-    global _TRACKER, _WRITER
-    _TRACKER = None
-    _WRITER = None
+    tracker = ProgressTracker()
+    token = _ACTIVE.set((tracker, writer))
+    try:
+        yield tracker
+    finally:
+        _ACTIVE.reset(token)
 
 
 def begin_campaign(total: int, estimator: str = "", workload: str = "") -> None:
     """Reset the live view for a new campaign; no-op when inactive."""
-    tracker = _TRACKER
-    if tracker is None:
+    active = _ACTIVE.get()
+    if active is None:
         return
+    tracker, writer = active
     tracker.begin(total, estimator=estimator, workload=workload)
-    if _WRITER is not None:
-        _WRITER.maybe_write(tracker, force=True)
+    if writer is not None:
+        writer.maybe_write(tracker, force=True)
 
 
 def record_claim(index: int, worker: int | None = None) -> None:
-    tracker = _TRACKER
-    if tracker is None:
+    active = _ACTIVE.get()
+    if active is None:
         return
+    tracker, writer = active
     tracker.record_claim(index, worker=worker)
-    if _WRITER is not None:
-        _WRITER.maybe_write(tracker)
+    if writer is not None:
+        writer.maybe_write(tracker)
 
 
 def heartbeat(worker: int) -> None:
-    tracker = _TRACKER
-    if tracker is not None:
-        tracker.heartbeat(worker)
+    active = _ACTIVE.get()
+    if active is not None:
+        active[0].heartbeat(worker)
 
 
 def record_result(run, index: int | None = None) -> None:
-    tracker = _TRACKER
-    if tracker is None:
+    active = _ACTIVE.get()
+    if active is None:
         return
+    tracker, writer = active
     tracker.record_result(run, index=index)
-    if _WRITER is not None:
-        _WRITER.maybe_write(tracker)
+    if writer is not None:
+        writer.maybe_write(tracker)
 
 
 def end_campaign() -> None:
     """Force a final snapshot so the file reflects the terminal state."""
-    if _WRITER is not None and _TRACKER is not None:
-        _WRITER.maybe_write(_TRACKER, force=True)
+    active = _ACTIVE.get()
+    if active is not None and active[1] is not None:
+        active[1].maybe_write(active[0], force=True)

@@ -15,8 +15,7 @@ Routes (all JSON bodies/responses):
 - ``POST /admin/shutdown``  — ask the serving process to exit cleanly;
 - ``GET /models`` ``/healthz`` ``/metrics`` (Prometheus text, the
   whole obs registry — request counters, latency histograms with
-  ``_bucket`` series, SLO burn rates, drift gauges — plus any active
-  campaign tracker).
+  ``_bucket`` series, SLO burn rates, drift gauges).
 
 Status mapping: 400 malformed request, 404 unknown model/route, 405
 wrong method, 429 admission control, 504 request deadline, 500
@@ -28,7 +27,8 @@ Every response carries ``X-Request-ID`` (adopted from the client or
 minted in :mod:`repro.obs.httpd`).  When a
 :class:`~repro.serve.service.ServeObservability` bundle is attached,
 the instrumented wrapper additionally gives each request its own
-trace (trace id == request id) exported to the shared sink, appends
+trace (trace id == request id) exported to the shared sink, installs
+the bundle's event log on the handler thread for the request, appends
 one access-log line, and folds the outcome into the SLO monitor —
 whatever the status, including error paths.
 """
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.httpd import (
@@ -48,7 +49,7 @@ from repro.obs.httpd import (
     json_response,
     text_response,
 )
-from repro.obs.progress import active_tracker, prometheus_text
+from repro.obs.progress import prometheus_text
 from repro.serve.batching import AdmissionError, BatcherClosedError
 from repro.serve.registry import UnknownModelError
 from repro.serve.service import BadRequestError, EstimationService
@@ -73,6 +74,8 @@ def _status_of(error: Exception) -> int:
 def _instrumented(route_name: str, fn, service: EstimationService):
     """Wrap a route with metrics, status mapping, tracing and logging."""
     obs = service.obs
+    if obs.events is not None:
+        fn = _with_event_log(fn, obs.events)
 
     def route(request: Request) -> Response:
         registry = obs_metrics.registry()
@@ -126,6 +129,16 @@ def _instrumented(route_name: str, fn, service: EstimationService):
                 )
             if obs.slo is not None:
                 obs.slo.record(route_name, elapsed, status)
+
+    return route
+
+
+def _with_event_log(fn, log):
+    """``fn`` with ``log`` installed on the calling (handler) thread."""
+
+    def route(request: Request) -> Response:
+        with obs_events.use_event_log(log):
+            return fn(request)
 
     return route
 
@@ -194,7 +207,7 @@ def build_server(
         if service.obs.slo is not None:
             service.obs.slo.snapshot()  # refresh burn-rate gauges at scrape
         return text_response(
-            prometheus_text(tracker=active_tracker()),
+            prometheus_text(),
             content_type=PROMETHEUS_CONTENT_TYPE,
         )
 

@@ -41,8 +41,10 @@ from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.sql import parse_query
 from repro.estimators.base import EstimationError
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.events import EventLog
 from repro.resilience.fallback import PostgresDefaultFallback
 from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
 from repro.serve.batching import AdmissionError, MicroBatcher
@@ -75,29 +77,24 @@ class ServeObservability:
     One instance is wired through :class:`EstimationService` into the
     app layer and the micro-batcher: the trace sink collects per-request
     and per-batch spans, the access log records one line per served
-    request, the SLO monitor turns outcomes into burn rates, and the
-    drift monitor folds est-vs-actual feedback into windowed q-errors.
+    request, the SLO monitor turns outcomes into burn rates, the drift
+    monitor folds est-vs-actual feedback into windowed q-errors, and the
+    event log receives the structured events (``serve.drift``, retries)
+    of the service's own threads: it is installed with
+    :func:`repro.obs.events.use_event_log` on each request's handler
+    thread and on the self-execution thread, never process-wide.
     """
 
     trace_sink: TraceSink | None = None
     access_log: AccessLog | None = None
     slo: SLOMonitor | None = None
     drift: DriftMonitor | None = None
-
-    @property
-    def enabled(self) -> bool:
-        return any(
-            part is not None
-            for part in (self.trace_sink, self.access_log, self.slo, self.drift)
-        )
+    events: EventLog | None = None
 
     def close(self) -> None:
-        if self.trace_sink is not None:
-            self.trace_sink.close()
-        if self.access_log is not None:
-            self.access_log.close()
-        if self.drift is not None:
-            self.drift.close()
+        for part in (self.trace_sink, self.access_log, self.drift, self.events):
+            if part is not None:
+                part.close()
 
 
 class EstimationService:
@@ -473,29 +470,30 @@ class EstimationService:
 
         truth: TrueCardinalityService | None = None
         registry = obs_metrics.registry()
-        while True:
-            item = self._self_exec_queue.get()
-            if item is None:
-                return
-            model_name, version, estimator, request_id, entry, query = item
-            try:
-                if truth is None:
-                    truth = TrueCardinalityService(self.database)
-                actual = truth.cardinality(query)
-                self.obs.drift.observe(
-                    model=model_name,
-                    version=version,
-                    template=entry["template"],
-                    estimate=entry["estimate"],
-                    actual=float(actual),
-                    estimator=estimator,
-                    request_id=request_id,
-                    source="self_execution",
-                    sql=entry["sql"],
-                )
-                registry.counter("serve.self_execution_pairs").inc()
-            except Exception:
-                registry.counter("serve.self_execution_failures").inc()
+        with obs_events.use_event_log(self.obs.events):
+            while True:
+                item = self._self_exec_queue.get()
+                if item is None:
+                    return
+                model_name, version, estimator, request_id, entry, query = item
+                try:
+                    if truth is None:
+                        truth = TrueCardinalityService(self.database)
+                    actual = truth.cardinality(query)
+                    self.obs.drift.observe(
+                        model=model_name,
+                        version=version,
+                        template=entry["template"],
+                        estimate=entry["estimate"],
+                        actual=float(actual),
+                        estimator=estimator,
+                        request_id=request_id,
+                        source="self_execution",
+                        sql=entry["sql"],
+                    )
+                    registry.counter("serve.self_execution_pairs").inc()
+                except Exception:
+                    registry.counter("serve.self_execution_failures").inc()
 
     def promote(
         self,

@@ -110,13 +110,11 @@ class TestLiveTelemetryStreaming:
         estimator = PostgresEstimator().fit(stats_db)
         events_path = tmp_path / "live.events.jsonl"
         snapshot_path = tmp_path / "live.prom"
-        obs_events.activate(events_path, level="debug")
-        tracker = obs_progress.activate(snapshot_path=snapshot_path)
-        try:
+        with (
+            obs_events.use_event_log(events_path, level="debug"),
+            obs_progress.use_progress(snapshot_path) as tracker,
+        ):
             run = pool_bench.run(estimator, queries=subset)
-        finally:
-            obs_progress.deactivate()
-            obs_events.deactivate()
 
         assert len(run.query_runs) == len(subset)
         # The parent aggregated every streamed completion.

@@ -2,35 +2,45 @@
 
 import numpy as np
 
-from repro.engine.database import SortedKeyIndex
 from repro.engine.types import ColumnKind, pages_for
 
 
+def _lookup(index, key) -> np.ndarray:
+    starts, counts = index.match(np.array([key]))
+    return index.positions[starts[0] : starts[0] + counts[0]]
+
+
 class TestSortedKeyIndex:
+    """The sorted key index ``Database.index`` returns."""
+
     def test_lookup_and_count(self, tiny_db):
-        index = SortedKeyIndex.build(tiny_db.tables["posts"], "OwnerUserId")
+        index = tiny_db.index("posts", "OwnerUserId")
         owner = tiny_db.tables["posts"].column("OwnerUserId").values
         for key in (0, 17, 499):
-            rows = index.lookup(key)
-            assert sorted(rows) == sorted(np.nonzero(owner == key)[0])
-            assert index.counts(np.array([key]))[0] == len(rows)
+            rows = _lookup(index, key)
+            # Row order within a key is table order.
+            assert rows.tolist() == np.nonzero(owner == key)[0].tolist()
 
     def test_counts_vectorised(self, tiny_db):
-        index = SortedKeyIndex.build(tiny_db.tables["posts"], "OwnerUserId")
+        index = tiny_db.index("posts", "OwnerUserId")
         keys = np.array([0, 1, 2, 10**9])
-        counts = index.counts(keys)
+        starts, counts = index.match(keys)
         assert counts[-1] == 0
+        # Element for element what binary search over the sorted keys gives.
+        left = np.searchsorted(index.sorted_keys, keys, side="left")
+        right = np.searchsorted(index.sorted_keys, keys, side="right")
+        assert starts.tolist() == left.tolist()
+        assert counts.tolist() == (right - left).tolist()
         for key, count in zip(keys[:-1], counts[:-1]):
-            assert count == len(index.lookup(int(key)))
+            assert count == len(_lookup(index, int(key)))
 
     def test_excludes_nulls(self, stats_db):
-        index = SortedKeyIndex.build(stats_db.tables["votes"], "UserId")
+        index = stats_db.index("votes", "UserId")
         votes = stats_db.tables["votes"].column("UserId")
-        assert len(index.sorted_row_ids) == int((~votes.null_mask).sum())
+        assert len(index.positions) == int((~votes.null_mask).sum())
 
     def test_nbytes(self, tiny_db):
-        index = SortedKeyIndex.build(tiny_db.tables["posts"], "OwnerUserId")
-        assert index.nbytes() > 0
+        assert tiny_db.index("posts", "OwnerUserId").nbytes > 0
 
 
 class TestDatabase:
@@ -52,7 +62,7 @@ class TestDatabase:
         assert database.tables["comments"].num_rows == rows_before + 5
         index_after = database.index("comments", "PostId")
         assert index_after is not index_before
-        assert len(index_after.sorted_row_ids) == rows_before + 5
+        assert len(index_after.positions) == rows_before + 5
         assert tiny_db.tables["comments"].num_rows == rows_before
 
     def test_key_columns(self, stats_db):

@@ -46,12 +46,11 @@ class TestDashboardRendering:
         checkpoint_path = tmp_path / "campaign.ckpt.jsonl"
         events_path = tmp_path / "campaign.events.jsonl"
         bench = EndToEndBenchmark(stats_db, stats_workload)
-        obs_events.activate(events_path)
-        try:
-            with CampaignCheckpoint(checkpoint_path) as checkpoint:
-                bench.run(postgres, queries=subset, checkpoint=checkpoint)
-        finally:
-            obs_events.deactivate()
+        with (
+            obs_events.use_event_log(events_path),
+            CampaignCheckpoint(checkpoint_path) as checkpoint,
+        ):
+            bench.run(postgres, queries=subset, checkpoint=checkpoint)
 
         out = write_dashboard(
             tmp_path / "dashboard.html",
@@ -93,8 +92,10 @@ class TestKilledCampaign:
             try:
                 killer = WorkerKillingEstimator(postgres, kill_queries={victim})
                 bench = EndToEndBenchmark(stats_db, stats_workload)
-                obs_events.activate(events_path)
-                with CampaignCheckpoint(checkpoint_path) as checkpoint:
+                with (
+                    obs_events.use_event_log(events_path),
+                    CampaignCheckpoint(checkpoint_path) as checkpoint,
+                ):
                     bench.run(killer, queries=subset, checkpoint=checkpoint)
                 status = 0  # not reached: the fault kills the process
             finally:

@@ -1,6 +1,7 @@
 """Structured event log: levels, context, durability, torn-tail reads."""
 
 import json
+import threading
 
 import pytest
 
@@ -10,12 +11,6 @@ from repro.obs.events import (
     load_events,
     use_event_log,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_module_state():
-    yield
-    obs_events.deactivate()
 
 
 def test_emit_writes_one_json_line_per_event(tmp_path):
@@ -55,16 +50,17 @@ def test_unknown_levels_rejected(tmp_path):
 
 def test_bound_context_attached_to_every_event(tmp_path):
     path = tmp_path / "e.jsonl"
-    with EventLog(path) as log:
-        log.bind(estimator="PostgreSQL", workload="stats-ceb")
-        log.emit("query.start", query="q1")
-        log.unbind("workload")
-        log.emit("query.start", query="q2")
+    with use_event_log(path):
+        with obs_events.context(estimator="PostgreSQL", workload="stats-ceb"):
+            obs_events.emit("query.start", query="q1")
+            obs_events.emit("query.start", query="q2", workload="override")
+        obs_events.emit("query.start", query="q3")
     events = load_events(path)
     assert events[0]["estimator"] == "PostgreSQL"
     assert events[0]["workload"] == "stats-ceb"
     assert events[1]["estimator"] == "PostgreSQL"
-    assert "workload" not in events[1]
+    assert events[1]["workload"] == "override"  # explicit fields win
+    assert "estimator" not in events[2] and "workload" not in events[2]
 
 
 def test_module_emit_is_noop_when_inactive(tmp_path):
@@ -77,14 +73,77 @@ def test_module_emit_is_noop_when_inactive(tmp_path):
 
 def test_use_event_log_scopes_activation(tmp_path):
     path = tmp_path / "scoped.jsonl"
-    assert not obs_events.is_active()
     with use_event_log(path) as log:
-        assert obs_events.is_active()
-        assert obs_events.active_log() is log
         obs_events.emit("inside")
-    assert not obs_events.is_active()
+        with use_event_log(None):
+            obs_events.emit("switched-off")  # dropped
+        obs_events.emit("restored")
     obs_events.emit("outside")  # dropped
-    assert [e["event"] for e in load_events(path)] == ["inside"]
+    assert [e["event"] for e in load_events(path)] == ["inside", "restored"]
+    assert log.count == 2
+    log.emit("after-close")  # a log opened from a path is closed on exit
+    assert log.count == 2
+
+
+def test_use_event_log_leaves_a_passed_log_open(tmp_path):
+    path = tmp_path / "shared.jsonl"
+    with EventLog(path) as log:
+        with use_event_log(log) as installed:
+            assert installed is log
+            obs_events.emit("scoped")
+        log.emit("direct")
+    assert [e["event"] for e in load_events(path)] == ["scoped", "direct"]
+
+
+def test_threads_start_without_the_installing_threads_log(tmp_path):
+    path = tmp_path / "main.jsonl"
+    with use_event_log(path):
+        thread = threading.Thread(target=obs_events.emit, args=("from-thread",))
+        thread.start()
+        thread.join()
+        obs_events.emit("from-main")
+    assert [e["event"] for e in load_events(path)] == ["from-main"]
+
+
+def test_threads_sharing_a_log_keep_their_own_context_fields(tmp_path):
+    """Nested ``context`` scopes on one shared log never leak fields
+    across threads, and no line or count is lost, however the threads'
+    scopes interleave (more threads than cores, short switch interval)."""
+    import sys
+
+    path = tmp_path / "shared.jsonl"
+    names, rounds = "abcd", 100
+    barrier = threading.Barrier(len(names))
+
+    def worker(log, name):
+        with use_event_log(log), obs_events.context(worker=name):
+            barrier.wait(timeout=10.0)
+            for index in range(rounds):
+                with obs_events.context(query=f"{name}-{index}"):
+                    obs_events.emit("query.start")
+                obs_events.emit("between")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with EventLog(path) as log:
+            threads = [
+                threading.Thread(target=worker, args=(log, name)) for name in names
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    events = load_events(path)
+    assert len(events) == log.count == 2 * rounds * len(names)
+    for event in events:
+        if event["event"] == "query.start":
+            assert event["query"].startswith(event["worker"] + "-")
+        else:
+            assert "query" not in event
 
 
 def test_context_manager_restores_previous_values(tmp_path):

@@ -10,11 +10,8 @@ from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
-def _clean_collector():
-    obs_manifest.disable_collection()
+def _clean_metrics():
     obs_metrics.reset()
-    yield
-    obs_manifest.disable_collection()
 
 
 def _fake_run() -> EstimatorRun:
@@ -116,17 +113,18 @@ class TestManifest:
         assert obs_manifest.load_run_manifest(path)["schema_version"] == 1
 
     def test_collector_gates_on_enable(self):
-        obs_manifest.collect_run("ignored", _fake_run())
-        assert obs_manifest.collected_runs() == []
-        obs_manifest.enable_collection()
+        obs_manifest.collect_run("ignored", _fake_run())  # no block open
         run = _fake_run()
-        obs_manifest.collect_run("kept", run)
-        assert obs_manifest.collected_runs() == [("kept", run)]
-        obs_manifest.disable_collection()
-        assert obs_manifest.collected_runs() == []
+        with obs_manifest.collecting() as runs:
+            obs_manifest.collect_run("kept", run)
+            with obs_manifest.collecting() as inner:
+                obs_manifest.collect_run("inner", run)
+        obs_manifest.collect_run("after", run)
+        assert runs == [("kept", run)]
+        assert inner == [("inner", run)]
 
-    def test_manifest_defaults_to_collected_runs(self, tmp_path):
-        obs_manifest.enable_collection()
-        obs_manifest.collect_run("a", _fake_run())
-        manifest = obs_manifest.run_manifest({"mode": "quick"})
+    def test_manifest_from_collected_runs(self):
+        with obs_manifest.collecting() as runs:
+            obs_manifest.collect_run("a", _fake_run())
+        manifest = obs_manifest.run_manifest({"mode": "quick"}, runs)
         assert [run["label"] for run in manifest["runs"]] == ["a"]

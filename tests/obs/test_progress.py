@@ -39,12 +39,6 @@ class _Run:
         self.aborted = aborted
 
 
-@pytest.fixture(autouse=True)
-def _clean_module_state():
-    yield
-    obs_progress.deactivate()
-
-
 # -- ProgressTracker ----------------------------------------------------------
 
 
@@ -185,42 +179,46 @@ def test_snapshot_writer_throttles_and_forces(tmp_path):
 # -- module hooks -------------------------------------------------------------
 
 
-def test_module_hooks_are_noops_when_inactive():
+def test_module_hooks_are_noops_when_inactive(tmp_path):
+    snapshot_path = tmp_path / "ended.prom"
+    with obs_progress.use_progress(snapshot_path) as ended:
+        pass
     obs_progress.begin_campaign(total=3)
     obs_progress.record_claim(0, worker=1)
     obs_progress.heartbeat(1)
     obs_progress.record_result(_Run(), index=0)
     obs_progress.end_campaign()
-    assert obs_progress.active_tracker() is None
+    # The tracker of a block that has ended sees nothing, nor its file.
+    assert (ended.total, ended.done) == (0, 0)
+    assert not snapshot_path.exists()
 
 
 def test_live_telemetry_cost_is_bounded(tmp_path):
     """What live telemetry adds per campaign query — two events and a
     progress update with a snapshot writer active — stays under 500 us."""
-    obs_events.activate(tmp_path / "live.events.jsonl")
-    obs_progress.activate(snapshot_path=tmp_path / "live.prom")
-    obs_progress.begin_campaign(total=50, estimator="PostgreSQL", workload="stats")
     cycles = []
-    try:
+    with (
+        obs_events.use_event_log(tmp_path / "live.events.jsonl"),
+        obs_progress.use_progress(tmp_path / "live.prom"),
+    ):
+        obs_progress.begin_campaign(total=50, estimator="PostgreSQL", workload="stats")
         for index in range(50):
             started = time.perf_counter()
             obs_events.emit("query.start", query=f"q{index}")
             obs_progress.record_result(_Run(), index=index)
             obs_events.emit("query.completed", query=f"q{index}", seconds=0.001)
             cycles.append(time.perf_counter() - started)
-    finally:
         obs_progress.end_campaign()
-        obs_events.deactivate()
     assert statistics.median(cycles) < 500e-6, cycles
 
 
 def test_module_hooks_drive_tracker_and_snapshot(tmp_path):
     snapshot_path = tmp_path / "live.prom"
-    tracker = obs_progress.activate(snapshot_path=snapshot_path)
-    obs_progress.begin_campaign(total=2, estimator="PostgreSQL", workload="stats")
-    obs_progress.record_claim(0, worker=11)
-    obs_progress.record_result(_Run(), index=0)
-    obs_progress.end_campaign()
+    with obs_progress.use_progress(snapshot_path) as tracker:
+        obs_progress.begin_campaign(total=2, estimator="PostgreSQL", workload="stats")
+        obs_progress.record_claim(0, worker=11)
+        obs_progress.record_result(_Run(), index=0)
+        obs_progress.end_campaign()
     assert tracker.done == 1
     assert snapshot_path.exists()
     assert "repro_campaign_queries_done 1.0" in snapshot_path.read_text()
@@ -230,11 +228,10 @@ def test_module_hooks_drive_tracker_and_snapshot(tmp_path):
 
 
 def test_metrics_server_serves_metrics_and_progress():
-    tracker = obs_progress.activate()
-    obs_progress.begin_campaign(total=3, estimator="PostgreSQL", workload="stats")
+    tracker = ProgressTracker(total=3, estimator="PostgreSQL", workload="stats")
     tracker.record_result(_Run())
 
-    server = MetricsServer("127.0.0.1:0").start()
+    server = MetricsServer("127.0.0.1:0", tracker=tracker).start()
     try:
         host, port = server.address
         base = f"http://{host}:{port}"
@@ -251,6 +248,26 @@ def test_metrics_server_serves_metrics_and_progress():
             urllib.request.urlopen(f"{base}/nope", timeout=5)
     finally:
         server.close()
+
+
+def test_metrics_server_serves_the_tracker_it_was_given():
+    """The server thread cannot see the campaign thread's installed
+    tracker, so ``/progress`` serves the one passed to the constructor —
+    not whichever tracker the constructing thread has installed."""
+    given = ProgressTracker(total=7, estimator="given", workload="stats")
+    with obs_progress.use_progress() as installed:
+        obs_progress.begin_campaign(total=99, estimator="installed")
+        server = MetricsServer("127.0.0.1:0", tracker=given).start()
+        try:
+            host, port = server.address
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/progress", timeout=5
+            ) as response:
+                payload = json.loads(response.read().decode())
+        finally:
+            server.close()
+    assert (payload["estimator"], payload["total"]) == ("given", 7)
+    assert installed.total == 99
 
 
 def test_metrics_server_rejects_bad_addr():
@@ -371,9 +388,8 @@ def test_concurrent_scrapes_during_campaign_mutation():
     """Satellite: hammer ``/metrics`` and ``/progress`` from threads
     while a campaign mutates the tracker and metrics registry; every
     response must be a 200 with coherent (untorn) content."""
-    tracker = obs_progress.activate()
-    obs_progress.begin_campaign(total=500, estimator="PostgreSQL", workload="stats")
-    server = MetricsServer("127.0.0.1:0").start()
+    tracker = ProgressTracker(total=500, estimator="PostgreSQL", workload="stats")
+    server = MetricsServer("127.0.0.1:0", tracker=tracker).start()
     errors: list[str] = []
     stop = threading.Event()
 

@@ -54,11 +54,8 @@ class TestCrashRecovery:
         )
         events_path = tmp_path / "crash.events.jsonl"
         obs_metrics.reset()
-        obs_events.activate(events_path, level="debug")
-        try:
+        with obs_events.use_event_log(events_path, level="debug"):
             run = bench.run(estimator, queries=subset)
-        finally:
-            obs_events.deactivate()
 
         assert len(run.query_runs) == len(subset)
         assert run.failed_count == 0

@@ -49,8 +49,7 @@ class TestDriftMonitor:
 
     def test_fires_once_per_episode_and_recovers(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        obs_events.activate(events_path)
-        try:
+        with obs_events.use_event_log(events_path):
             monitor = DriftMonitor(
                 DriftConfig(window=8, min_count=4, threshold=4.0),
                 pairs_path=tmp_path / "pairs.jsonl",
@@ -74,8 +73,6 @@ class TestDriftMonitor:
             _observe_n(monitor, 8, q=20.0)
             assert len(monitor.events()) == 2
             monitor.close()
-        finally:
-            obs_events.deactivate()
         logged = [
             record
             for record in obs_events.load_events(events_path)
@@ -314,6 +311,51 @@ class TestFeedbackRoute:
         assert events[-1]["median_q_error"] == pytest.approx(50.0)
         status, health, _headers = _post(address, "/estimate", {"sql": SINGLE})
         assert status == 200  # serving keeps working while degraded
+
+
+class TestServiceEventLog:
+    def test_drift_event_lands_in_the_service_log_not_the_campaign_log(
+        self, tiny_db, tmp_path
+    ):
+        """Handler threads emit into ``obs.events``, which the app
+        installs per request; a log the main thread has installed (a
+        campaign running in the same process) never sees them."""
+        registry = ModelRegistry()
+        registry.promote(PostgresEstimator().fit(tiny_db))
+        service_path = tmp_path / "serve.events.jsonl"
+        campaign_path = tmp_path / "campaign.events.jsonl"
+        obs = ServeObservability(
+            drift=DriftMonitor(DriftConfig(window=8, min_count=4, threshold=4.0)),
+            events=obs_events.EventLog(service_path),
+        )
+        service = EstimationService(
+            tiny_db, registry=registry, batch_window_seconds=0.0, obs=obs
+        ).start()
+        server = build_server(service, "127.0.0.1:0")
+        server.start()
+        try:
+            with obs_events.use_event_log(campaign_path):
+                obs_events.emit("campaign.begin")
+                for _ in range(4):
+                    status, _reply, _ = _post(
+                        server.address,
+                        "/feedback",
+                        {"sql": JOIN, "estimate": 1.0, "actual": 500.0},
+                    )
+                    assert status == 200
+                obs_events.emit("campaign.end")
+        finally:
+            server.close()
+            service.close()
+        served = [record["event"] for record in obs_events.load_events(service_path)]
+        assert served == ["serve.drift"]
+        campaign = [
+            record["event"] for record in obs_events.load_events(campaign_path)
+        ]
+        assert campaign == ["campaign.begin", "campaign.end"]
+        assert obs.events.count == 1
+        obs.events.emit("after-close")  # service.close() closed the log
+        assert obs.events.count == 1
 
 
 class TestSelfExecution:

@@ -331,6 +331,58 @@ class TestDashboardCommand:
         assert out.exists()
 
 
+class TestTelemetryScoping:
+    """A command that fails early leaves no telemetry sink behind."""
+
+    def test_bench_bind_failure_uninstalls_events_and_progress(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import events as obs_events
+        from repro.obs import progress as obs_progress
+
+        events_path = tmp_path / "bench.events.jsonl"
+        snapshot_path = tmp_path / "bench.prom"
+        code = main(
+            ["--mode", "quick", "bench", "--database", "stats",
+             "--estimator", "PostgreSQL", "--metrics-addr", "not-an-addr",
+             "--events-out", str(events_path),
+             "--progress-out", str(snapshot_path)]
+        )
+        assert code == 2
+        assert "--metrics-addr" in capsys.readouterr().out
+        obs_events.emit("after.bench")
+        # begin_campaign force-writes the snapshot of an installed tracker.
+        obs_progress.begin_campaign(total=3)
+        obs_progress.end_campaign()
+        assert "after.bench" not in [
+            record["event"] for record in obs_events.load_events(events_path)
+        ]
+        assert not snapshot_path.exists()
+
+    def test_serve_bind_failure_leaks_no_writer_or_event_log(
+        self, tmp_path, capsys
+    ):
+        import threading
+
+        from repro.obs import events as obs_events
+
+        obs_dir = tmp_path / "serve-obs"
+        code = main(
+            ["--mode", "quick", "serve", "--database", "stats",
+             "--estimator", "PostgreSQL", "--serve-addr", "not-an-addr",
+             "--obs-dir", str(obs_dir)]
+        )
+        assert code == 2
+        assert "--serve-addr" in capsys.readouterr().out
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("jsonl-writer:")
+        ]
+        obs_events.emit("after.serve")
+        assert obs_events.load_events(obs_dir / "serve.events.jsonl") == []
+
+
 def test_entry_points_leave_scipy_stats_unimported():
     """``scipy.stats`` costs ~66 MiB of RSS to import; scipy is a
     test-only dependency, so no entry point may import it."""
