@@ -45,18 +45,13 @@ def signed_bias(estimator, pairs):
 
 
 class TestFanoutJointness:
-    def test_joint_fanout_removes_underestimation_bias(self, context, eval_pairs, benchmark):
+    def test_joint_fanout_removes_underestimation_bias(self, context, eval_pairs):
         database = context.database("stats")
         joint = BayesCardEstimator(joint_fanout=True).fit(database)
         independent = BayesCardEstimator(joint_fanout=False).fit(database)
 
-        def measure():
-            return (
-                signed_bias(joint, eval_pairs),
-                signed_bias(independent, eval_pairs),
-            )
-
-        joint_bias, independent_bias = benchmark.pedantic(measure, rounds=1, iterations=1)
+        joint_bias = signed_bias(joint, eval_pairs)
+        independent_bias = signed_bias(independent, eval_pairs)
         print(
             f"\nAblation (fan-out expectations): joint bias {joint_bias:+.2f} "
             f"vs independent bias {independent_bias:+.2f} (log scale)"
@@ -67,21 +62,18 @@ class TestFanoutJointness:
 
 
 class TestKeyBucketResolution:
-    def test_more_buckets_do_not_hurt_accuracy(self, context, eval_pairs, benchmark):
+    def test_more_buckets_do_not_hurt_accuracy(self, context, eval_pairs):
         database = context.database("stats")
         coarse = BayesCardEstimator(key_buckets=4).fit(database)
         fine = BayesCardEstimator(key_buckets=32).fit(database)
 
-        def measure():
-            return median_q(coarse, eval_pairs), median_q(fine, eval_pairs)
-
-        coarse_q, fine_q = benchmark.pedantic(measure, rounds=1, iterations=1)
+        coarse_q, fine_q = median_q(coarse, eval_pairs), median_q(fine, eval_pairs)
         print(f"\nAblation (key buckets): 4 -> q50 {coarse_q:.2f}, 32 -> q50 {fine_q:.2f}")
         assert fine_q <= coarse_q * 1.3
 
 
 class TestWildcardSkipping:
-    def test_skipping_cuts_inference_latency(self, benchmark):
+    def test_skipping_cuts_inference_latency(self):
         rng = np.random.default_rng(0)
         columns = 16
         data = rng.integers(0, 8, size=(4_000, columns))
@@ -95,11 +87,8 @@ class TestWildcardSkipping:
 
         everything = [cov.copy() for _ in range(columns)]
 
-        def one_constrained():
-            return model.prob(constrained, num_samples=64)
-
         started = time.perf_counter()
-        one_constrained()
+        model.prob(constrained, num_samples=64)
         skipped = time.perf_counter() - started
         started = time.perf_counter()
         model.prob(everything, num_samples=64)
@@ -108,25 +97,18 @@ class TestWildcardSkipping:
             f"\nAblation (wildcard skipping): 1 constrained col {skipped * 1000:.1f}ms "
             f"vs all constrained {full * 1000:.1f}ms"
         )
-        benchmark.pedantic(one_constrained, rounds=3, iterations=1)
         assert skipped < full
 
 
 class TestPessEstResolution:
-    def test_more_buckets_tighten_bound(self, context, eval_pairs, benchmark):
+    def test_more_buckets_tighten_bound(self, context, eval_pairs):
         database = context.database("stats")
         coarse = PessimisticEstimator(num_buckets=2).fit(database)
         fine = PessimisticEstimator(num_buckets=64).fit(database)
 
-        def measure():
-            pairs = eval_pairs[:150]
-            coarse_over = np.mean(
-                [coarse.estimate(q) / max(c, 1) for q, c in pairs]
-            )
-            fine_over = np.mean([fine.estimate(q) / max(c, 1) for q, c in pairs])
-            return float(coarse_over), float(fine_over)
-
-        coarse_over, fine_over = benchmark.pedantic(measure, rounds=1, iterations=1)
+        pairs = eval_pairs[:150]
+        coarse_over = float(np.mean([coarse.estimate(q) / max(c, 1) for q, c in pairs]))
+        fine_over = float(np.mean([fine.estimate(q) / max(c, 1) for q, c in pairs]))
         print(
             f"\nAblation (PessEst buckets): 2 -> mean over-estimation {coarse_over:.1f}x, "
             f"64 -> {fine_over:.1f}x"

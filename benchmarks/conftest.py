@@ -56,20 +56,3 @@ def obs_session():
                 trace_file=str(trace_path),
             )
             print(f"\n[obs: trace -> {trace_path}, manifest -> {manifest_path}]")
-
-
-@pytest.fixture(scope="session")
-def stats_records(context):
-    """Evaluation passes of the core method set on STATS-CEB."""
-    names = (
-        "TrueCard",
-        "PostgreSQL",
-        "MultiHist",
-        "UniSample",
-        "WJSample",
-        "PessEst",
-        "BayesCard",
-        "DeepDB",
-        "FLAT",
-    )
-    return context.evaluate_all("stats-ceb", names)

@@ -33,12 +33,24 @@ from repro.engine.sql import parse_query
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ESTIMATOR_ORDER, ExperimentContext
 from repro.obs import trace as obs_trace
-from repro.obs.httpd import ServerStartError
+from repro.obs.httpd import ServerStartError, parse_address
 from repro.resilience import CampaignCheckpoint
 
 
 def _context(args) -> ExperimentContext:
     return ExperimentContext(ExperimentConfig.named(args.mode))
+
+
+def _bad_address(addr: str | None, flag: str) -> bool:
+    """Report a malformed ``HOST:PORT`` flag before any model is fitted."""
+    if not addr:
+        return False
+    try:
+        parse_address(addr, flag=flag)
+    except ValueError as error:
+        print(f"error: {error}")
+        return True
+    return False
 
 
 def cmd_info(args) -> int:
@@ -140,6 +152,8 @@ def cmd_bench(args) -> int:
     from repro.obs import manifest as obs_manifest
     from repro.obs import progress as obs_progress
 
+    if _bad_address(args.metrics_addr, "--metrics-addr"):
+        return 2
     checkpoint_path = args.resume or args.checkpoint
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode),
@@ -242,6 +256,8 @@ def cmd_serve(args) -> int:
         build_server,
     )
 
+    if _bad_address(args.serve_addr, "--serve-addr"):
+        return 2
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode), max_retries=max(0, args.max_retries)
     )

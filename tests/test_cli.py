@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import os
+import socket
 import subprocess
 import sys
 
@@ -331,8 +333,38 @@ class TestDashboardCommand:
         assert out.exists()
 
 
+@contextlib.contextmanager
+def _occupied_address():
+    """A well-formed ``HOST:PORT`` that another socket listens on."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        host, port = holder.getsockname()
+        yield f"{host}:{port}"
+
+
 class TestTelemetryScoping:
     """A command that fails early leaves no telemetry sink behind."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("bench", "--metrics-addr"), ("serve", "--serve-addr")],
+    )
+    def test_malformed_address_fails_before_training(
+        self, command, flag, monkeypatch, capsys
+    ):
+        from repro.experiments.context import ExperimentContext
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the model was fitted before the address check")
+
+        monkeypatch.setattr(ExperimentContext, "fitted_estimator", no_fit)
+        code = main(
+            ["--mode", "quick", command, "--database", "stats",
+             "--estimator", "PostgreSQL", flag, "not-an-addr"]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().out
 
     def test_bench_bind_failure_uninstalls_events_and_progress(
         self, tmp_path, capsys
@@ -342,12 +374,13 @@ class TestTelemetryScoping:
 
         events_path = tmp_path / "bench.events.jsonl"
         snapshot_path = tmp_path / "bench.prom"
-        code = main(
-            ["--mode", "quick", "bench", "--database", "stats",
-             "--estimator", "PostgreSQL", "--metrics-addr", "not-an-addr",
-             "--events-out", str(events_path),
-             "--progress-out", str(snapshot_path)]
-        )
+        with _occupied_address() as addr:
+            code = main(
+                ["--mode", "quick", "bench", "--database", "stats",
+                 "--estimator", "PostgreSQL", "--metrics-addr", addr,
+                 "--events-out", str(events_path),
+                 "--progress-out", str(snapshot_path)]
+            )
         assert code == 2
         assert "--metrics-addr" in capsys.readouterr().out
         obs_events.emit("after.bench")
@@ -367,11 +400,12 @@ class TestTelemetryScoping:
         from repro.obs import events as obs_events
 
         obs_dir = tmp_path / "serve-obs"
-        code = main(
-            ["--mode", "quick", "serve", "--database", "stats",
-             "--estimator", "PostgreSQL", "--serve-addr", "not-an-addr",
-             "--obs-dir", str(obs_dir)]
-        )
+        with _occupied_address() as addr:
+            code = main(
+                ["--mode", "quick", "serve", "--database", "stats",
+                 "--estimator", "PostgreSQL", "--serve-addr", addr,
+                 "--obs-dir", str(obs_dir)]
+            )
         assert code == 2
         assert "--serve-addr" in capsys.readouterr().out
         assert not [
