@@ -158,7 +158,6 @@ def cmd_bench(args) -> int:
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode),
         workers=default_workers() if args.workers <= 0 else args.workers,
-        max_retries=max(0, args.max_retries),
         query_timeout_seconds=args.query_timeout,
         campaign_timeout_seconds=args.campaign_timeout,
     )
@@ -203,13 +202,11 @@ def cmd_bench(args) -> int:
         for query_run in run.query_runs
         if not math.isnan(query_run.p_error)
     ]
-    attempts = sum(query_run.attempts for query_run in run.query_runs)
     fallbacks = sum(query_run.fallback_estimates for query_run in run.query_runs)
     print(f"Campaign: {run.estimator_name} on {run.workload_name}")
     print(f"  queries:             {len(run.query_runs)}")
     print(f"  failed:              {run.failed_count}")
     print(f"  aborted:             {run.aborted_count}")
-    print(f"  retried attempts:    {attempts - len(run.query_runs)}")
     print(f"  fallback estimates:  {fallbacks}")
     if p_errors:
         print(f"  median P-Error:      {statistics.median(p_errors):.3f}")
@@ -258,10 +255,7 @@ def cmd_serve(args) -> int:
 
     if _bad_address(args.serve_addr, "--serve-addr"):
         return 2
-    config = dataclasses.replace(
-        ExperimentConfig.named(args.mode), max_retries=max(0, args.max_retries)
-    )
-    context = ExperimentContext(config)
+    context = ExperimentContext(ExperimentConfig.named(args.mode))
     workload_name = _workload_for(args.database)
     database = context.database(args.database)
     run_id = uuid.uuid4().hex[:12]
@@ -289,7 +283,6 @@ def cmd_serve(args) -> int:
             database,
             registry,
             trainer=lambda name: context.fitted_estimator(name, workload_name),
-            retry=context.retry_policy(),
             request_timeout_seconds=args.request_timeout,
             batch_window_seconds=args.batch_window_ms / 1000.0,
             max_queue=args.max_queue,
@@ -500,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench",
         help="run one fault-tolerant benchmark campaign "
-        "(failure isolation, retries, checkpoint/resume)",
+        "(failure isolation, fallback estimates, checkpoint/resume)",
     )
     bench.add_argument("--database", default="stats", choices=["stats", "imdb"])
     bench.add_argument(
@@ -516,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="forked worker processes (with crash recovery; 1 = serial, "
         "0 = all schedulable cores)",
-    )
-    bench.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra attempts per failed estimator/planner/executor call",
     )
     bench.add_argument(
         "--query-timeout",
@@ -617,13 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         metavar="N",
         help="admission control: queued requests beyond N get 429",
-    )
-    serve.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra attempts per failed estimation request",
     )
     serve.add_argument(
         "--request-timeout",

@@ -19,7 +19,6 @@ from repro.core.benchmark import (
 from repro.core.injection import estimate_sub_plans, sub_plan_queries, sub_plan_sets
 from repro.core.metrics import p_error, percentiles, q_error, rank_correlation
 from repro.core.truecards import TrueCardinalityService
-from repro.core.tuning import TuningResult, grid_search, score_estimator
 from repro.core.update_bench import UpdateResult, run_update_experiment
 from repro.core.workload_split import SplitTimes, split_query_names, split_times
 
@@ -29,7 +28,6 @@ __all__ = [
     "QueryRun",
     "SplitTimes",
     "TrueCardinalityService",
-    "TuningResult",
     "UpdateResult",
     "abort_penalties",
     "estimate_sub_plans",
@@ -38,8 +36,6 @@ __all__ = [
     "q_error",
     "rank_correlation",
     "run_update_experiment",
-    "grid_search",
-    "score_estimator",
     "split_query_names",
     "split_times",
     "sub_plan_queries",

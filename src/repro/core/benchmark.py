@@ -21,8 +21,10 @@ of aborting the campaign.  ``failed`` and ``aborted`` are distinct
 outcomes: *aborted* means the chosen plan blew its row/time budget
 (an estimator-quality signal the paper reports); *failed* means the
 machinery around the query broke (an infrastructure signal the paper's
-aggregates must exclude).  A retry/timeout policy applies to
-inference, planning and execution, and completed runs can stream to a
+aggregates must exclude).  Each phase runs once: estimation, planning
+and execution are deterministic, so a failed call is recorded, not
+retried.  A timeout policy bounds each execution, each query and the
+campaign, and completed runs can stream to a
 :class:`~repro.resilience.checkpoint.CampaignCheckpoint` so an
 interrupted campaign resumes where it stopped.
 """
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 from repro.core.injection import price_sub_plans
 from repro.core.metrics import p_error, q_error, true_plan_cost
 from repro.core.parallel import fork_available, run_parallel
-from repro.engine.cost import MissingCardinalityError
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted, Executor
 from repro.engine.planner import Planner
@@ -48,12 +49,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 from repro.resilience.fallback import PostgresDefaultFallback
-from repro.resilience.policy import (
-    Deadline,
-    RetryPolicy,
-    TimeoutPolicy,
-    call_with_retry,
-)
+from repro.resilience.policy import Deadline, TimeoutPolicy
 from repro.workloads.generator import Workload
 
 
@@ -82,9 +78,6 @@ class QueryRun:
     failed: bool = False
     #: Final error text when ``failed`` (None otherwise).
     error: str | None = None
-    #: Highest attempt count any phase of this query needed under the
-    #: retry policy (1 = everything succeeded first try).
-    attempts: int = 1
     #: Sub-plan estimates served by the PostgreSQL-default fallback
     #: because the estimator failed on them.
     fallback_estimates: int = 0
@@ -210,16 +203,13 @@ class EndToEndBenchmark:
         workload: Workload,
         max_intermediate_rows: int = 20_000_000,
         workers: int = 1,
-        retry_policy: RetryPolicy | None = None,
         timeout_policy: TimeoutPolicy | None = None,
     ):
         self._database = database
         self.workload = workload
         self._planner = Planner(database)
-        #: ``retry_policy=None`` means single attempts.  The timeout
-        #: policy is the one source of every deadline, the per-execution
-        #: one included (120 s by default).
-        self._retry_policy = retry_policy
+        #: The timeout policy is the one source of every deadline, the
+        #: per-execution one included (120 s by default).
         self._timeout_policy = timeout_policy or TimeoutPolicy()
         self._fallback = PostgresDefaultFallback(database)
         # Measurement fidelity: timed executions pay the real cost of
@@ -330,7 +320,6 @@ class EndToEndBenchmark:
                     failed=run.failed,
                     aborted=run.aborted,
                     seconds=round(run.end_to_end_seconds, 6),
-                    attempts=run.attempts,
                     error=run.error,
                 )
 
@@ -400,7 +389,6 @@ class EndToEndBenchmark:
             subset: float(count)
             for subset, count in labeled.sub_plan_true_cards.items()
         }
-        retry = self._retry_policy
         policy = self._timeout_policy
         deadline = Deadline.earliest(
             Deadline.after(policy.per_query_seconds), campaign_deadline
@@ -408,7 +396,6 @@ class EndToEndBenchmark:
         registry = obs_metrics.registry()
         failed = False
         errors: list[str] = []
-        attempts = 1
 
         with obs_trace.span(
             "query", name=query.name, estimator=estimator.name
@@ -423,12 +410,10 @@ class EndToEndBenchmark:
                 estimator,
                 query,
                 fallback=self._fallback,
-                retry=retry,
                 deadline=deadline,
             )
             inference_seconds = time.perf_counter() - started
             estimates = inference.cards
-            attempts = max(attempts, inference.max_attempts)
             if inference.failed:
                 failed = True
                 errors.append(inference.error_summary())
@@ -437,22 +422,9 @@ class EndToEndBenchmark:
             planned = None
             with obs_trace.span("planning", query=query.name):
                 try:
-                    planned, planning_attempts = call_with_retry(
-                        lambda: self._planner.plan(query, estimates),
-                        retry,
-                        deadline=deadline,
-                        # A cards map missing a connected sub-plan is
-                        # deterministic — replanning can only fail the
-                        # same way, so fall through to fallback at once.
-                        non_retryable=(MissingCardinalityError,),
-                        on_retry=lambda *_: registry.counter(
-                            "resilience.planning_retries"
-                        ).inc(),
-                    )
-                    attempts = max(attempts, planning_attempts)
+                    planned = self._planner.plan(query, estimates)
                 except Exception as exc:
                     failed = True
-                    attempts = max(attempts, getattr(exc, "attempts", 1))
                     errors.append(f"planning failed: {type(exc).__name__}: {exc}")
             planning_seconds = time.perf_counter() - started
 
@@ -479,33 +451,15 @@ class EndToEndBenchmark:
             cardinality = -1
             execution_seconds = 0.0
             if planned is not None:
-                attempt_started = time.perf_counter()
-
-                def execute_once():
-                    # Reset per-attempt so an abort (or failure) is
-                    # charged its own elapsed time, not the wall time
-                    # since the first attempt started.
-                    nonlocal attempt_started
-                    attempt_started = time.perf_counter()
-                    return self._executor.execute(
-                        planned.plan,
-                        timeout_seconds=deadline.tightest(policy.execution_seconds),
-                    )
-
                 with obs_trace.span(
                     "execution", query=query.name
                 ) as execution_span:
+                    started = time.perf_counter()
                     try:
-                        execution, execution_attempts = call_with_retry(
-                            execute_once,
-                            retry,
-                            non_retryable=(ExecutionAborted,),
-                            deadline=deadline,
-                            on_retry=lambda *_: registry.counter(
-                                "resilience.execution_retries"
-                            ).inc(),
+                        execution = self._executor.execute(
+                            planned.plan,
+                            timeout_seconds=deadline.tightest(policy.execution_seconds),
                         )
-                        attempts = max(attempts, execution_attempts)
                         execution_seconds = execution.elapsed_seconds
                         cardinality = execution.cardinality
                         execution_span.set(rows=cardinality)
@@ -513,14 +467,12 @@ class EndToEndBenchmark:
                         # The paper's "> 25h" outcome: the plan blew its
                         # row/time budget.
                         aborted = True
-                        execution_seconds = time.perf_counter() - attempt_started
+                        execution_seconds = time.perf_counter() - started
                         execution_span.set(aborted=True)
                         registry.counter("benchmark.aborted_queries").inc()
                     except Exception as exc:
                         failed = True
-                        attempts = max(attempts, getattr(exc, "attempts", 1))
-                        execution_seconds = time.perf_counter() - attempt_started
-                        cardinality = -1
+                        execution_seconds = time.perf_counter() - started
                         errors.append(
                             f"execution failed: {type(exc).__name__}: {exc}"
                         )
@@ -545,6 +497,5 @@ class EndToEndBenchmark:
             trace_id=trace_id,
             failed=failed,
             error="; ".join(errors) if errors else None,
-            attempts=attempts,
             fallback_estimates=inference.fallback_count,
         )

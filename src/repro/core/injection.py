@@ -24,10 +24,10 @@ Given a ``fallback`` the pass is **failure-isolated**: a failed batch
 call (any exception, or a malformed result) and a *bounded* per-query
 deadline (a batch call is indivisible, so only a loop can check the
 budget between sub-plans) price one sub-plan at a time instead.  Each
-``estimator.estimate`` call then runs under the campaign's
-:class:`~repro.resilience.policy.RetryPolicy`; a sub-plan whose
-estimate ultimately fails (or whose deadline has expired) is served by
-the fallback instead of aborting the query — the query is *marked
+``estimator.estimate`` call runs once — estimators are deterministic
+per query, so a second attempt could only fail the same way — and a
+sub-plan whose estimate fails (or whose deadline has expired) is served
+by the fallback instead of aborting the query: the query is *marked
 failed* by the caller, but the campaign keeps moving.  The batch path
 only ever serves complete, successful passes.
 """
@@ -43,7 +43,7 @@ from repro.estimators.base import CardinalityEstimator, EstimationError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
+from repro.resilience.policy import Deadline
 
 
 def sub_plan_sets(query: Query) -> list[frozenset[str]]:
@@ -96,13 +96,8 @@ class InferenceOutcome:
 
     #: per-sub-plan cardinalities (clamped to >= 1), fallbacks included.
     cards: dict[frozenset[str], float] = field(default_factory=dict)
-    #: sub-plans whose estimator call failed, with the final error text.
+    #: sub-plans whose estimator call failed, with the error text.
     failures: dict[frozenset[str], str] = field(default_factory=dict)
-    #: total estimate attempts across all sub-plans (== number of
-    #: sub-plans on a retry-free, fault-free pass).
-    attempts: int = 0
-    #: highest attempt count any single sub-plan estimate needed.
-    max_attempts: int = 1
     #: sub-plans skipped because the per-query deadline expired.
     deadline_skipped: int = 0
 
@@ -153,7 +148,6 @@ def price_sub_plans(
     query: Query,
     *,
     fallback=None,
-    retry: RetryPolicy | None = None,
     deadline: Deadline | None = None,
 ) -> InferenceOutcome:
     """Ask ``estimator`` for the cardinality of every sub-plan of ``query``.
@@ -167,11 +161,8 @@ def price_sub_plans(
     one (any object with ``estimate(query) -> float``; see
     :class:`~repro.resilience.fallback.PostgresDefaultFallback`) a
     failed batch call, or a ``deadline`` with a bounded budget, prices
-    each sub-plan on its own under ``retry`` and serves failed or
-    skipped sub-plans from the fallback; ``retry`` and ``deadline`` have
-    no effect without it.
-    :class:`~repro.estimators.base.EstimationError` is treated as
-    deterministic and never retried.
+    each sub-plan on its own, once, and serves failed or skipped
+    sub-plans from the fallback; ``deadline`` has no effect without it.
 
     When a tracer is active the pass is wrapped in an ``inference``
     span carrying the batch latency, and the per-sub-plan metrics keep
@@ -216,9 +207,9 @@ def price_sub_plans(
                 if obs_trace.is_active():
                     span.set(batch_seconds=elapsed)
                     record_batch_inference(estimator_name, len(sub_queries), elapsed)
-                return InferenceOutcome(cards=cards, attempts=len(sub_queries))
+                return InferenceOutcome(cards=cards)
         return _price_one_by_one(
-            estimator, estimator_name, sub_queries, fallback, retry, deadline
+            estimator, estimator_name, sub_queries, fallback, deadline
         )
 
 
@@ -227,10 +218,9 @@ def _price_one_by_one(
     estimator_name: str,
     sub_queries: dict[frozenset[str], Query],
     fallback,
-    retry: RetryPolicy | None,
     deadline: Deadline | None,
 ) -> InferenceOutcome:
-    """The degraded pass: per-sub-plan retry, deadline check and fallback."""
+    """The degraded pass: per-sub-plan estimate, deadline check and fallback."""
     outcome = InferenceOutcome()
     registry = obs_metrics.registry()
 
@@ -256,21 +246,10 @@ def _price_one_by_one(
             continue
         started = time.perf_counter()
         try:
-            value, attempts = call_with_retry(
-                lambda sq=subquery: float(estimator.estimate(sq)),
-                retry,
-                non_retryable=(EstimationError,),
-                deadline=deadline,
-                on_retry=lambda *_: registry.counter(
-                    "resilience.inference_retries"
-                ).inc(),
-            )
+            value = float(estimator.estimate(subquery))
         except Exception as exc:
-            attempts = getattr(exc, "attempts", 1)
             outcome.failures[subset] = f"{type(exc).__name__}: {exc}"
             value = serve_fallback(subset, subquery, outcome.failures[subset])
-        outcome.attempts += attempts
-        outcome.max_attempts = max(outcome.max_attempts, attempts)
         if histogram is not None:
             histogram.observe(time.perf_counter() - started)
         outcome.cards[subset] = max(1.0, value)

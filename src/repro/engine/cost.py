@@ -34,8 +34,8 @@ class MissingCardinalityError(KeyError):
     Raised instead of a bare ``KeyError`` so callers can tell a broken
     cardinality injection (an estimator silently dropped a sub-plan)
     apart from ordinary mapping bugs.  Deterministic for a given query
-    and cards map, hence classified as non-retryable by the resilience
-    layer.  Subclasses ``KeyError`` so existing ``except KeyError``
+    and cards map; the benchmark records it as a planning failure of
+    that query.  Subclasses ``KeyError`` so existing ``except KeyError``
     handlers keep working.
     """
 

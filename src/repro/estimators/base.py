@@ -34,16 +34,15 @@ def stable_hash(value: object) -> int:
 
 
 class EstimationError(RuntimeError):
-    """A *deterministic* inference failure.
+    """A typed inference failure.
 
-    Estimators raise this (instead of a generic exception) when an
-    estimate cannot succeed no matter how often it is retried — a model
-    that never saw the queried column, corrupted persisted state, an
-    unsupported join shape.  The benchmark's resilience layer treats
-    any exception from :meth:`CardinalityEstimator.estimate` as a
-    per-query failure rather than a campaign abort, but retries only
-    errors *other* than this one; an ``EstimationError`` goes straight
-    to the graceful-degradation fallback.
+    Raised (instead of a generic exception) when an estimate cannot
+    succeed for this query — a model that never saw the queried column,
+    corrupted persisted state, an unsupported join shape, a batch of the
+    wrong length.  The benchmark's resilience layer treats any exception
+    from :meth:`CardinalityEstimator.estimate` as a per-query failure
+    rather than a campaign abort, and serves the failed sub-plan from
+    the graceful-degradation fallback.
     """
 
 

@@ -33,9 +33,6 @@ class ExperimentConfig:
     query_model_epochs: int = 25
     #: worker processes for benchmark runs (1 = serial; >1 forks).
     workers: int = 1
-    #: extra attempts per failed inference/planning/execution call
-    #: (0 = no retry; per-query failure isolation is always on).
-    max_retries: int = 0
     #: wall-clock budget per (estimator, query) pair, seconds
     #: (None = only the per-execution timeout applies).
     query_timeout_seconds: float | None = None

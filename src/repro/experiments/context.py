@@ -41,7 +41,7 @@ from repro.estimators.unisample import UniSampleEstimator
 from repro.estimators.wjsample import WanderJoinEstimator
 from repro.experiments.config import ExperimentConfig
 from repro.obs import manifest as obs_manifest
-from repro.resilience import CampaignCheckpoint, RetryPolicy, TimeoutPolicy
+from repro.resilience import CampaignCheckpoint, TimeoutPolicy
 from repro.workloads import cache as workload_cache
 from repro.workloads.generator import Workload
 from repro.workloads.job_light import build_job_light
@@ -177,17 +177,11 @@ class ExperimentContext:
                 self.database_for_workload(workload_name),
                 self.workload(workload_name),
                 workers=self.config.workers,
-                retry_policy=self.retry_policy(),
                 timeout_policy=self.timeout_policy(),
             )
         return self._benchmarks[workload_name]
 
     # -- resilience -----------------------------------------------------------------
-
-    def retry_policy(self) -> RetryPolicy | None:
-        if self.config.max_retries <= 0:
-            return None
-        return RetryPolicy(max_attempts=self.config.max_retries + 1)
 
     def timeout_policy(self) -> TimeoutPolicy | None:
         config = self.config

@@ -83,15 +83,6 @@ def main(argv=None) -> int:
         "(results and metrics are deterministic; 1 = serial)",
     )
     parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry failed estimator/planner/executor calls up to N extra "
-        "times (exponential backoff); failures past the budget fall back "
-        "per query instead of aborting the campaign",
-    )
-    parser.add_argument(
         "--query-timeout",
         type=float,
         default=None,
@@ -137,7 +128,6 @@ def main(argv=None) -> int:
     config = dataclasses.replace(
         ExperimentConfig.named(args.mode),
         workers=max(1, args.workers),
-        max_retries=max(0, args.max_retries),
         query_timeout_seconds=args.query_timeout,
         campaign_timeout_seconds=args.campaign_timeout,
     )

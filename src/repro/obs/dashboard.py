@@ -6,8 +6,7 @@ campaign artifacts exist:
 
 - the **checkpoint** (completed per-query runs, the durable ground
   truth even for a killed campaign),
-- the **event log** (campaign begin/end, retries, fallbacks, worker
-  crashes — also the source of the campaign's intended query total, so
+- the **event log** (campaign begin/end, fallbacks, worker crashes — also the source of the campaign's intended query total, so
   partial progress renders as ``done / total``),
 - the **run manifest** (config + metrics snapshot),
 - a **blame report** (per-sub-plan misestimation attribution), and
@@ -94,7 +93,6 @@ def _load_checkpoint_runs(path) -> list[dict]:
                 "num_tables": run.num_tables,
                 "p_error": run.p_error,
                 "end_to_end_seconds": run.end_to_end_seconds,
-                "attempts": run.attempts,
                 "failed": run.failed,
                 "aborted": run.aborted,
                 "error": run.error,
@@ -161,7 +159,7 @@ def _runs_section(runs: list[dict]) -> list[str]:
     lines = ["<h2>Completed queries (from checkpoint)</h2>", "<table>"]
     lines.append(
         "<tr><th>query</th><th>estimator</th><th>tables</th><th>P-Error</th>"
-        "<th>end-to-end</th><th>attempts</th><th>status</th></tr>"
+        "<th>end-to-end</th><th>status</th></tr>"
     )
     for run in runs:
         lines.append(
@@ -171,7 +169,6 @@ def _runs_section(runs: list[dict]) -> list[str]:
             f'<td class="num">{run["num_tables"]}</td>'
             f'<td class="num">{_fmt(run["p_error"])}</td>'
             f'<td class="num">{_fmt(run["end_to_end_seconds"], 4)}s</td>'
-            f'<td class="num">{run["attempts"]}</td>'
             f"<td>{_status(run)}</td>"
             "</tr>"
         )

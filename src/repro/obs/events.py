@@ -17,7 +17,7 @@ Design rules, mirroring the tracer:
   one log never see each other's fields.
 - **No-op when disabled.**  :func:`emit` is a single context-variable
   read until a log is installed, so instrumented call sites (benchmark
-  driver, retry path, executor abort path) stay free on untelemetered
+  driver, fallback path, executor abort path) stay free on untelemetered
   runs.
 - **Durable per line.**  Every event is written and flushed as one
   ``\\n``-terminated line, so a campaign killed at any instant leaves a

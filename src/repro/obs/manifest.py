@@ -75,7 +75,6 @@ def _query_entry(query_run) -> dict:
         "trace_id": query_run.trace_id,
         "failed": query_run.failed,
         "error": query_run.error,
-        "attempts": query_run.attempts,
         "fallback_estimates": query_run.fallback_estimates,
     }
 

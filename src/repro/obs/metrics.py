@@ -16,8 +16,7 @@ accumulates runtime signals the benchmark cares about:
   infrastructure failures isolated by the resilience layer (estimator
   exceptions, planner/executor errors, dead fork workers),
 - ``resilience.fallback_estimates`` and
-  ``resilience.{inference,planning,execution}_retries`` — graceful
-  degradation and retry-policy activity.
+  ``resilience.batch_inference_degraded`` — graceful degradation.
 
 Metrics are plain Python objects with no locking: the engine is
 single-process and instrumented call sites record aggregates (one

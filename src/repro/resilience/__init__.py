@@ -5,8 +5,8 @@ query) pairs; this package keeps such campaigns alive through
 estimator exceptions, hung executions, dead fork workers and process
 kills:
 
-- :mod:`~repro.resilience.policy` — declarative retry/backoff and
-  per-execution / per-query / per-campaign timeout policies,
+- :mod:`~repro.resilience.policy` — per-execution / per-query /
+  per-campaign timeout policies,
 - :mod:`~repro.resilience.fallback` — PostgreSQL-default estimates
   injected for failed sub-plans,
 - :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints
@@ -14,8 +14,11 @@ kills:
 - :mod:`~repro.resilience.faults` — deterministic fault injection used
   by the tests to prove all of the above.
 
-Failure-isolated sub-plan estimation itself — the consumer of the
-retry policy and the fallback — is
+Nothing is retried: estimation, planning and execution are
+deterministic, so a second attempt could only fail the same way.  A
+failed call is isolated to its query instead, and a failed sub-plan
+estimate is served by the fallback.  Failure-isolated sub-plan
+estimation itself — the consumer of the deadline and the fallback — is
 :func:`repro.core.injection.price_sub_plans`.
 
 The checkpoint symbols are loaded lazily (PEP 562): that module imports
@@ -24,12 +27,7 @@ so an eager import here would close an import cycle.
 """
 
 from repro.resilience.fallback import PostgresDefaultFallback
-from repro.resilience.policy import (
-    Deadline,
-    RetryPolicy,
-    TimeoutPolicy,
-    call_with_retry,
-)
+from repro.resilience.policy import Deadline, TimeoutPolicy
 
 _LAZY = {
     "CampaignCheckpoint": ("repro.resilience.checkpoint", "CampaignCheckpoint"),
@@ -41,9 +39,7 @@ __all__ = [
     "CampaignCheckpoint",
     "Deadline",
     "PostgresDefaultFallback",
-    "RetryPolicy",
     "TimeoutPolicy",
-    "call_with_retry",
     "query_run_from_dict",
     "query_run_to_dict",
 ]

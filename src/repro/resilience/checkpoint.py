@@ -43,7 +43,8 @@ def query_run_from_dict(payload: dict) -> QueryRun:
     """Rebuild a QueryRun from :func:`query_run_to_dict` output.
 
     Tolerates records written by older schema revisions: missing
-    resilience fields default to their no-fault values.
+    resilience fields default to their no-fault values, and fields no
+    longer kept (``attempts``) are ignored.
     """
     return QueryRun(
         query_name=payload["query_name"],
@@ -60,7 +61,6 @@ def query_run_from_dict(payload: dict) -> QueryRun:
         trace_id=payload.get("trace_id"),
         failed=payload.get("failed", False),
         error=payload.get("error"),
-        attempts=payload.get("attempts", 1),
         fallback_estimates=payload.get("fallback_estimates", 0),
     )
 

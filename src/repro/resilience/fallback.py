@@ -1,6 +1,6 @@
 """Graceful-degradation cardinality estimates.
 
-When an estimator raises (or runs out of retry budget) on a sub-plan
+When an estimator raises (or runs out of its deadline) on a sub-plan
 query, the benchmark must still hand the planner *some* cardinality for
 that sub-plan — losing the whole campaign over one inference failure is
 exactly the failure mode this subsystem removes.  The fallback mirrors

@@ -3,7 +3,7 @@
 Deterministic wrappers that make an estimator or executor fail, stall,
 flake, or kill its worker process on demand.  They exist so the test
 suite can *prove* the fault-tolerance properties the benchmark claims —
-failure isolation, retry recovery, worker-crash requeue, checkpoint
+failure isolation, fallback estimates, worker-crash requeue, checkpoint
 resume — rather than assert them on faith.  Nothing here is random:
 faults trigger on query names, call counts, or filesystem markers.
 """
@@ -66,7 +66,8 @@ class FlakyEstimator(EstimatorFaultWrapper):
     """Fails the first ``failures`` calls per sub-plan, then succeeds.
 
     Keyed by the sub-plan's table set, so each sub-plan estimate flakes
-    independently — exercising per-call retry rather than per-query.
+    independently: a flake fails the one call it hits, and nothing
+    retries it.
     """
 
     def __init__(self, inner: CardinalityEstimator, failures: int = 1):
@@ -134,23 +135,14 @@ class WorkerKillingEstimator(EstimatorFaultWrapper):
 
 
 class FaultyExecutor:
-    """Executor wrapper that fails/stalls selected executions.
+    """Executor wrapper whose every ``execute`` call raises.
 
     Drop-in for :class:`repro.engine.executor.Executor` where the
-    benchmark only calls ``execute``.  ``failures`` bounds how many
-    calls raise before the wrapper becomes transparent (``None`` =
-    always fail); ``delay_seconds`` stalls every call first.
+    benchmark only calls ``execute``.
     """
 
-    def __init__(
-        self,
-        inner,
-        failures: int | None = None,
-        delay_seconds: float = 0.0,
-    ):
+    def __init__(self, inner):
         self._inner = inner
-        self._failures = failures
-        self._delay = delay_seconds
         self.calls = 0
 
     def __getattr__(self, attribute):
@@ -158,8 +150,4 @@ class FaultyExecutor:
 
     def execute(self, plan, collect_stats: bool = False, **kwargs):
         self.calls += 1
-        if self._delay:
-            time.sleep(self._delay)
-        if self._failures is None or self.calls <= self._failures:
-            raise InjectedFault(f"injected executor failure (call {self.calls})")
-        return self._inner.execute(plan, collect_stats, **kwargs)
+        raise InjectedFault(f"injected executor failure (call {self.calls})")

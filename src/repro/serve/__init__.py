@@ -11,7 +11,7 @@ long-lived process answering estimation requests over HTTP:
   ``estimate_batch`` call, a lone one is priced on its own thread;
   bounded queue with admission control (429 on overflow);
 - :mod:`repro.serve.service` — the transport-free service core:
-  parse-cached SQL, per-request retry/timeout/fallback via the
+  parse-cached SQL, per-request timeout/fallback via the
   :mod:`repro.resilience` policies, sub-plan-space pricing through the
   batched :mod:`repro.core.injection` path;
 - :mod:`repro.serve.app` — the HTTP surface (``POST /estimate``,

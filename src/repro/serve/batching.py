@@ -91,8 +91,11 @@ class MicroBatcher:
     ``run_batch(model_name, queries) -> (values, version)`` is the
     execution hook — the service resolves the model name when the round
     *executes*, so a promotion applies atomically to every queued
-    request.  A round runs on the thread of one of its own submitters;
-    one lock guards the closed flag, the queue and who leads.
+    request.  The hook returns one value per query or raises; the
+    service's hook checks that through
+    :func:`repro.core.injection.clamped_batch`.  A round runs on the
+    thread of one of its own submitters; one lock guards the closed
+    flag, the queue and who leads.
     """
 
     def __init__(
@@ -246,11 +249,6 @@ class MicroBatcher:
                         batch_span.set(version=version)
                 else:
                     values, version = self._run_batch(model, queries)
-                if len(values) != len(queries):
-                    raise RuntimeError(
-                        f"batch returned {len(values)} values "
-                        f"for {len(queries)} queries"
-                    )
             except BaseException as error:  # noqa: BLE001 — handed to waiters
                 for job in group:
                     job.fail(error)

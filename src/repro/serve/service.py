@@ -7,10 +7,11 @@ One :class:`EstimationService` owns everything a request needs:
   the serving analogue of a plan cache);
 - a :class:`~repro.serve.registry.ModelRegistry` of hot-swappable
   estimators (promotion trains/loads *offline*, then swaps atomically);
-- the :mod:`repro.resilience` policies applied per request: bounded
-  retries, a per-request deadline, and the PostgreSQL-default
-  fallback so an estimator failure degrades a response instead of
-  erroring it;
+- the :mod:`repro.resilience` policies applied per request: a
+  per-request deadline and the PostgreSQL-default fallback, so an
+  estimator failure degrades a response instead of erroring it (a
+  request is priced once: estimators are deterministic, so nothing is
+  retried);
 - the :class:`~repro.serve.batching.MicroBatcher` every estimate
   request goes through, coalescing concurrent requests into one
   ``estimate_batch`` call (its bounded queue is the admission
@@ -24,8 +25,8 @@ planner's whole sub-plan space in one call.
 Requests trace through :mod:`repro.obs.trace`: whatever tracer the
 calling thread installed (the HTTP layer installs one per request)
 receives the ``parse`` and ``queue_wait`` spans here and every span
-the shared code records on the way — ``retry`` from the retry policy,
-``inference`` from ``price_sub_plans``.
+the shared code records on the way, such as ``inference`` from
+``price_sub_plans``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from repro.core.injection import clamped_batch, price_sub_plans
 from repro.engine.database import Database
 from repro.engine.query import Query
 from repro.engine.sql import parse_query
-from repro.estimators.base import EstimationError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog
 from repro.resilience.fallback import PostgresDefaultFallback
-from repro.resilience.policy import Deadline, RetryPolicy, call_with_retry
+from repro.resilience.policy import Deadline
 from repro.serve.batching import AdmissionError, MicroBatcher
 from repro.serve.drift import DriftMonitor
 from repro.serve.registry import ModelRegistry
@@ -79,8 +79,8 @@ class ServeObservability:
     and per-batch spans, the access log records one line per served
     request, the SLO monitor turns outcomes into burn rates, the drift
     monitor folds est-vs-actual feedback into windowed q-errors, and the
-    event log receives the structured events (``serve.drift``, retries)
-    of the service's own threads: it is installed with
+    event log receives the structured events (``serve.drift``, sub-plan
+    fallbacks) of the service's own threads: it is installed with
     :func:`repro.obs.events.use_event_log` on each request's handler
     thread and on the self-execution thread, never process-wide.
     """
@@ -106,7 +106,6 @@ class EstimationService:
         registry: ModelRegistry | None = None,
         trainer=None,
         fallback=None,
-        retry: RetryPolicy | None = None,
         request_timeout_seconds: float | None = None,
         batch_window_seconds: float = 0.001,
         max_queue: int = 256,
@@ -122,7 +121,6 @@ class EstimationService:
         self._fallback = (
             fallback if fallback is not None else PostgresDefaultFallback(database)
         )
-        self._retry = retry
         self._request_timeout = request_timeout_seconds
         self._parse_cache: OrderedDict[str, Query] = OrderedDict()
         self._parse_lock = threading.Lock()
@@ -230,11 +228,10 @@ class EstimationService:
 
         The queries may share an ``estimate_batch`` call with other
         clients' requests (a request nothing contends with is priced at
-        once on this thread).  The request is wrapped in the service's
-        retry policy, and a final failure degrades to the
-        PostgreSQL-default fallback (flagged in the response) instead
-        of erroring — the serving analogue of campaign failure
-        isolation.
+        once on this thread).  Any failure but admission control
+        degrades to the PostgreSQL-default fallback (flagged in the
+        response) instead of erroring — the serving analogue of campaign
+        failure isolation.
         """
         if not isinstance(sqls, list) or not sqls:
             raise BadRequestError("'sql' must be a non-empty string or list")
@@ -244,15 +241,7 @@ class EstimationService:
         deadline = Deadline.after(self._request_timeout)
         fallback_used = False
         try:
-            values, version = call_with_retry(
-                lambda: self._submit(model_name, queries, deadline),
-                self._retry,
-                non_retryable=(EstimationError, AdmissionError),
-                deadline=deadline,
-                on_retry=lambda *_: obs_metrics.registry()
-                .counter("serve.request_retries")
-                .inc(),
-            )[0]
+            values, version = self._submit(model_name, queries, deadline)
         except AdmissionError:
             raise
         except Exception as error:
@@ -349,9 +338,9 @@ class EstimationService:
 
         Runs the same failure-isolated batched path the benchmark's
         injection step uses: one ``estimate_batch`` call over every
-        connected sub-plan on the fast path, per-sub-plan
-        retry/fallback when the estimator misbehaves or a per-request
-        deadline needs cooperative checking.
+        connected sub-plan on the fast path, per-sub-plan estimates and
+        fallback when the estimator misbehaves or a per-request deadline
+        needs cooperative checking.
         """
         with obs_trace.span("parse", queries=1):
             query = self.parse(sql)
@@ -360,7 +349,6 @@ class EstimationService:
             active.estimator,
             query,
             fallback=self._fallback,
-            retry=self._retry,
             deadline=Deadline.after(self._request_timeout),
         )
         sub_plans = [
@@ -377,7 +365,6 @@ class EstimationService:
             "sub_plans": sub_plans,
             "failed_sub_plans": len(outcome.failures),
             "fallback_estimates": outcome.fallback_count,
-            "attempts": outcome.attempts,
         }
         if request_id:
             result["request_id"] = request_id

@@ -5,7 +5,7 @@ gets its own :class:`~repro.obs.trace.Tracer` whose trace id *is* the
 request id (minted or adopted from ``X-Request-ID``), installed with
 :func:`~repro.obs.trace.use_tracer` on the handler thread for the
 duration of the request, so what the request runs on that thread —
-parse, retries, ``/subplans`` inference — records into it and into no
+parse, ``queue_wait``, ``/subplans`` inference — records into it and into no
 other request's trace.  Spans cross the micro-batcher's queue boundary
 by **links**:
 the request's ``queue_wait`` span hands a :class:`TraceLink` to the

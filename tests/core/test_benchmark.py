@@ -10,7 +10,7 @@ from repro.engine.planner import Planner
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
 from repro.obs import metrics as obs_metrics
-from repro.resilience import RetryPolicy, TimeoutPolicy
+from repro.resilience import TimeoutPolicy
 
 
 @pytest.fixture(scope="module")
@@ -199,34 +199,29 @@ class TestAbortAccounting:
         # Without penalties the raw (tiny) wall-clock times are used.
         assert run.total_execution_seconds() < total
 
-    def test_aborted_retry_reports_own_elapsed(self, stats_db, stats_workload):
-        """When a retried execution aborts, execution_seconds is that
-        attempt's own elapsed time, not the wall time since the first
-        attempt started."""
-        bench = EndToEndBenchmark(
-            stats_db,
-            stats_workload,
-            retry_policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
-        )
+    def test_aborted_execution_reports_its_own_elapsed(
+        self, stats_db, stats_workload
+    ):
+        """An aborted execution runs once and is charged the time the
+        executor spent before it gave up."""
+        bench = EndToEndBenchmark(stats_db, stats_workload)
         calls = []
-        first_attempt_seconds = 0.2
+        spent_seconds = 0.05
 
-        def flaky_execute(plan, **kwargs):
+        def aborting_execute(plan, **kwargs):
             calls.append(plan)
-            if len(calls) == 1:
-                time.sleep(first_attempt_seconds)
-                raise RuntimeError("transient executor error")
-            raise ExecutionAborted("aborted on attempt 2")
+            time.sleep(spent_seconds)
+            raise ExecutionAborted("row budget exceeded")
 
-        bench._executor.execute = flaky_execute
+        bench._executor.execute = aborting_execute
         estimator = TrueCardEstimator().fit(stats_db)
         run = bench.run(estimator, queries=stats_workload.queries[:1])
 
         (query_run,) = run.query_runs
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert query_run.aborted is True
         assert query_run.failed is False
-        assert query_run.execution_seconds < first_attempt_seconds / 2
+        assert query_run.execution_seconds >= spent_seconds
 
 
 class TestFailedVersusAborted:
@@ -282,7 +277,6 @@ class TestFailedVersusAborted:
         for query_run in postgres_run.query_runs:
             assert query_run.failed is False
             assert query_run.error is None
-            assert query_run.attempts == 1
             assert query_run.fallback_estimates == 0
 
 

@@ -26,7 +26,6 @@ from repro.engine.plans import (
 )
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
-from repro.resilience.policy import RetryPolicy, call_with_retry
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +179,7 @@ class TestDeterministicTieBreaking:
 
 
 class TestMissingCardinality:
-    """Satellite: missing sub-plans raise a typed, non-retryable error."""
+    """Missing sub-plans raise a typed error naming the subset."""
 
     @pytest.mark.parametrize("production", [False, True])
     def test_planner_raises_typed_error(
@@ -202,21 +201,6 @@ class TestMissingCardinality:
     def test_error_is_a_keyerror(self):
         # Existing `except KeyError` handlers must keep working.
         assert issubclass(MissingCardinalityError, KeyError)
-
-    def test_classified_non_retryable(self):
-        calls = []
-
-        def failing():
-            calls.append(1)
-            raise MissingCardinalityError(frozenset({"users"}))
-
-        with pytest.raises(MissingCardinalityError):
-            call_with_retry(
-                failing,
-                RetryPolicy(max_attempts=4, backoff_seconds=0.0),
-                non_retryable=(MissingCardinalityError,),
-            )
-        assert len(calls) == 1  # deterministic failure: never retried
 
 
 class TestInputCheck:

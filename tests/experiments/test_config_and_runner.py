@@ -45,13 +45,7 @@ class TestContextPlumbing:
 class TestResilienceWiring:
     def test_default_config_builds_no_policies(self):
         context = ExperimentContext()
-        assert context.retry_policy() is None
         assert context.timeout_policy() is None
-
-    def test_max_retries_maps_to_attempts(self):
-        config = dataclasses.replace(ExperimentConfig.quick(), max_retries=2)
-        policy = ExperimentContext(config).retry_policy()
-        assert policy.max_attempts == 3
 
     def test_timeouts_map_to_policy(self):
         config = dataclasses.replace(
@@ -112,8 +106,6 @@ class TestRunnerResilienceFlags:
                 [
                     "--experiment",
                     "table1",
-                    "--max-retries",
-                    "2",
                     "--query-timeout",
                     "45",
                     "--campaign-timeout",
@@ -122,6 +114,5 @@ class TestRunnerResilienceFlags:
             )
             == 0
         )
-        assert seen["max_retries"] == 2
         assert seen["query_timeout_seconds"] == 45.0
         assert seen["campaign_timeout_seconds"] == 900.0

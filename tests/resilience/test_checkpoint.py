@@ -29,7 +29,6 @@ def make_run(name="q1", **overrides) -> QueryRun:
         trace_id=None,
         failed=False,
         error=None,
-        attempts=1,
         fallback_estimates=0,
     )
     fields.update(overrides)
@@ -38,7 +37,7 @@ def make_run(name="q1", **overrides) -> QueryRun:
 
 class TestSerialization:
     def test_round_trip(self):
-        run = make_run(failed=True, error="boom", attempts=3, fallback_estimates=2)
+        run = make_run(failed=True, error="boom", fallback_estimates=2)
         assert query_run_from_dict(query_run_to_dict(run)) == run
 
     def test_join_order_tuples_survive_json(self):
@@ -53,15 +52,32 @@ class TestSerialization:
         json.dumps(payload)  # valid JSON, no NaN literal
         assert math.isnan(query_run_from_dict(payload).p_error)
 
-    def test_old_records_default_resilience_fields(self):
+    def test_old_records_default_resilience_fields(self, tmp_path):
         payload = query_run_to_dict(make_run())
-        for key in ("failed", "error", "attempts", "fallback_estimates"):
+        for key in ("failed", "error", "fallback_estimates"):
             del payload[key]
         run = query_run_from_dict(payload)
         assert run.failed is False
         assert run.error is None
-        assert run.attempts == 1
         assert run.fallback_estimates == 0
+
+        # Records written while runs still carried the retired
+        # ``attempts`` field load, and their checkpoint resumes.
+        legacy = dict(query_run_to_dict(make_run()), attempts=3)
+        path = tmp_path / "campaign.jsonl"
+        path.write_text(
+            json.dumps({"kind": "header", "schema_version": 1})
+            + "\n"
+            + json.dumps({"kind": "query_run", "estimator": "PostgreSQL", "run": legacy})
+            + "\n"
+        )
+        with CampaignCheckpoint.resume(path) as checkpoint:
+            assert checkpoint.get("PostgreSQL", "q1") == make_run()
+            checkpoint.append("PostgreSQL", make_run("q2"))
+        assert CampaignCheckpoint.resume(path).completed_queries("PostgreSQL") == {
+            "q1",
+            "q2",
+        }
 
 
 class TestCheckpoint:

@@ -1,10 +1,9 @@
 """Fault-injection proofs for the serial benchmark campaign.
 
-These tests inject deterministic estimator/executor faults and prove
-the resilience contract: failures are isolated per query, retries
-recover transient flakes, fallback estimates keep the pipeline moving,
-deadlines bound runaway campaigns, and checkpointed campaigns resume
-bit-identically.
+These tests inject deterministic estimator/planner/executor faults and
+prove the resilience contract: failures are isolated per query,
+fallback estimates keep the pipeline moving, deadlines bound runaway
+campaigns, and checkpointed campaigns resume bit-identically.
 """
 
 import math
@@ -12,10 +11,9 @@ import math
 import pytest
 
 from repro.core.benchmark import CAMPAIGN_DEADLINE_ERROR, EndToEndBenchmark
-from repro.estimators.base import EstimationError
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs import metrics as obs_metrics
-from repro.resilience import CampaignCheckpoint, RetryPolicy, TimeoutPolicy
+from repro.resilience import CampaignCheckpoint, TimeoutPolicy
 from repro.resilience.faults import (
     EstimatorFaultWrapper,
     FailingEstimator,
@@ -23,9 +21,6 @@ from repro.resilience.faults import (
     FlakyEstimator,
     SlowEstimator,
 )
-
-#: A fast retry policy for tests (no real sleeping).
-FAST_RETRY = RetryPolicy(max_attempts=2, backoff_seconds=0.0, jitter_fraction=0.0)
 
 
 class CountingEstimator(EstimatorFaultWrapper):
@@ -38,18 +33,6 @@ class CountingEstimator(EstimatorFaultWrapper):
     def estimate(self, query):
         self.calls += 1
         return self._inner.estimate(query)
-
-
-class DeterministicFailer(EstimatorFaultWrapper):
-    """Raises the non-retryable :class:`EstimationError` on every call."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.calls = 0
-
-    def estimate(self, query):
-        self.calls += 1
-        raise EstimationError("model never saw this column")
 
 
 @pytest.fixture(scope="module")
@@ -141,63 +124,35 @@ class TestFailureIsolation:
             assert query_run.join_order
             assert math.isfinite(query_run.p_error)
 
-
-class TestRetryRecovery:
-    def test_flaky_estimator_recovers_under_retry_policy(
-        self, stats_db, stats_workload, subset, postgres, baseline
+    def test_planner_failure_marks_failed(
+        self, stats_db, stats_workload, subset, postgres
     ):
-        bench = EndToEndBenchmark(
-            stats_db, stats_workload, retry_policy=FAST_RETRY
-        )
-        obs_metrics.reset()
-        run = bench.run(FlakyEstimator(postgres, failures=1), queries=subset)
-        assert run.failed_count == 0
-        for fault_run, clean_run in zip(run.query_runs, baseline.query_runs):
-            assert fault_run.attempts == 2
-            assert fault_run.fallback_estimates == 0
-            assert correctness_fields(fault_run) == correctness_fields(clean_run)
-        counters = obs_metrics.snapshot()["counters"]
-        assert counters["resilience.inference_retries"] > 0
-        obs_metrics.reset()
+        bench = EndToEndBenchmark(stats_db, stats_workload)
+        calls = []
 
-    def test_flake_without_retry_policy_falls_back(
+        def broken_plan(query, cards):
+            calls.append(query.name)
+            raise RuntimeError("planner blew up")
+
+        bench._planner.plan = broken_plan
+        run = bench.run(postgres, queries=subset)
+        # One planning call per query: a failed plan is recorded, not retried.
+        assert calls == [labeled.query.name for labeled in subset]
+        for query_run in run.query_runs:
+            assert query_run.failed is True
+            assert query_run.aborted is False
+            assert "planning failed: RuntimeError: planner blew up" in query_run.error
+            assert query_run.q_errors
+            assert query_run.join_order == ()
+            assert query_run.result_cardinality == -1
+
+    def test_flaky_estimator_falls_back(
         self, stats_db, stats_workload, subset, postgres
     ):
         bench = EndToEndBenchmark(stats_db, stats_workload)
         run = bench.run(FlakyEstimator(postgres, failures=1), queries=subset)
         assert run.failed_count == len(subset)
         assert all(r.fallback_estimates > 0 for r in run.query_runs)
-
-    def test_estimation_error_is_never_retried(
-        self, stats_db, stats_workload, subset, postgres
-    ):
-        from repro.core.injection import sub_plan_sets
-
-        bench = EndToEndBenchmark(
-            stats_db, stats_workload, retry_policy=RetryPolicy(max_attempts=5)
-        )
-        failer = DeterministicFailer(postgres)
-        run = bench.run(failer, queries=subset[:1])
-        (query_run,) = run.query_runs
-        assert query_run.failed is True
-        # One probing call from the batch fast path (its first sub-plan
-        # raises and the whole batch degrades), then exactly one call
-        # per sub-plan: the deterministic error went straight to the
-        # fallback without burning the 5-attempt retry budget.
-        assert failer.calls == len(sub_plan_sets(subset[0].query)) + 1
-
-    def test_executor_flake_recovers_under_retry_policy(
-        self, stats_db, stats_workload, subset, postgres, baseline
-    ):
-        bench = EndToEndBenchmark(
-            stats_db, stats_workload, retry_policy=FAST_RETRY
-        )
-        bench._executor = FaultyExecutor(bench._executor, failures=1)
-        run = bench.run(postgres, queries=subset)
-        assert run.failed_count == 0
-        assert run.query_runs[0].attempts == 2
-        for fault_run, clean_run in zip(run.query_runs, baseline.query_runs):
-            assert correctness_fields(fault_run) == correctness_fields(clean_run)
 
 
 class TestDeadlines:
@@ -309,20 +264,18 @@ class TestNoFaultParity:
     def test_policies_leave_no_fault_runs_unchanged(
         self, stats_db, stats_workload, subset, postgres, baseline
     ):
-        """Resilience machinery engaged (retry policy, per-query budget,
-        campaign budget) must not change a single correctness field of a
-        healthy campaign."""
+        """Resilience machinery engaged (per-query budget, campaign
+        budget) must not change a single correctness field of a healthy
+        campaign."""
         bench = EndToEndBenchmark(
             stats_db,
             stats_workload,
-            retry_policy=RetryPolicy(),
             timeout_policy=TimeoutPolicy(
                 per_query_seconds=3600.0, campaign_seconds=3600.0
             ),
         )
         run = bench.run(postgres, queries=subset)
         assert run.failed_count == 0
-        assert all(r.attempts == 1 for r in run.query_runs)
         assert all(r.fallback_estimates == 0 for r in run.query_runs)
         for policy_run, clean_run in zip(run.query_runs, baseline.query_runs):
             assert correctness_fields(policy_run) == correctness_fields(clean_run)

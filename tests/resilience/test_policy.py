@@ -1,184 +1,8 @@
-"""Tests for retry/timeout policies and deadline arithmetic."""
-
-import random
+"""Tests for the timeout policy and deadline arithmetic."""
 
 import pytest
 
-from repro.resilience import Deadline, RetryPolicy, TimeoutPolicy, call_with_retry
-
-
-class TestRetryPolicyBackoff:
-    def test_first_attempt_never_sleeps(self):
-        assert RetryPolicy().backoff_for(1) == 0.0
-
-    def test_exponential_schedule(self):
-        policy = RetryPolicy(
-            backoff_seconds=0.05, backoff_multiplier=2.0, jitter_fraction=0.0
-        )
-        assert policy.backoff_for(2) == pytest.approx(0.05)
-        assert policy.backoff_for(3) == pytest.approx(0.10)
-        assert policy.backoff_for(4) == pytest.approx(0.20)
-
-    def test_backoff_capped(self):
-        policy = RetryPolicy(
-            backoff_seconds=1.0,
-            backoff_multiplier=10.0,
-            max_backoff_seconds=2.0,
-            jitter_fraction=0.0,
-        )
-        assert policy.backoff_for(5) == pytest.approx(2.0)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_seconds=1.0, jitter_fraction=0.1)
-        a = policy.backoff_for(2, random.Random(0))
-        b = policy.backoff_for(2, random.Random(0))
-        assert a == b
-        assert 1.0 <= a <= 1.1
-
-    def test_none_is_single_attempt(self):
-        assert RetryPolicy.none().max_attempts == 1
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-
-class TestCallWithRetry:
-    def test_success_first_try(self):
-        value, attempts = call_with_retry(lambda: 42, RetryPolicy())
-        assert (value, attempts) == (42, 1)
-
-    def test_recovers_after_transient_failures(self):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        sleeps = []
-        retries = []
-        value, attempts = call_with_retry(
-            flaky,
-            RetryPolicy(max_attempts=3, backoff_seconds=0.01, jitter_fraction=0.0),
-            sleep=sleeps.append,
-            on_retry=lambda attempt, exc: retries.append(attempt),
-        )
-        assert value == "ok"
-        assert attempts == 3
-        assert sleeps == [pytest.approx(0.01), pytest.approx(0.02)]
-        assert retries == [1, 2]
-
-    def test_exhaustion_reraises_with_attempt_count(self):
-        def broken():
-            raise ValueError("always")
-
-        with pytest.raises(ValueError) as info:
-            call_with_retry(
-                broken, RetryPolicy(max_attempts=3), sleep=lambda _: None
-            )
-        assert info.value.attempts == 3
-
-    def test_non_retryable_short_circuits(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise KeyError("deterministic")
-
-        with pytest.raises(KeyError):
-            call_with_retry(
-                broken,
-                RetryPolicy(max_attempts=5),
-                non_retryable=(KeyError,),
-                sleep=lambda _: None,
-            )
-        assert len(calls) == 1
-
-    def test_none_policy_means_one_attempt(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            call_with_retry(broken, None, sleep=lambda _: None)
-        assert len(calls) == 1
-
-    def test_expired_deadline_stops_retrying(self):
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            call_with_retry(
-                broken,
-                RetryPolicy(max_attempts=5),
-                deadline=Deadline.after(0.0),
-                sleep=lambda _: None,
-            )
-        assert len(calls) == 1
-
-
-class TestRetryObservability:
-    @staticmethod
-    def _flaky(failures: int):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            if len(calls) <= failures:
-                raise RuntimeError(f"transient {len(calls)}")
-            return "ok"
-
-        return fn
-
-    def test_retried_attempts_become_child_spans(self):
-        from repro.obs import trace as obs_trace
-
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.01, jitter_fraction=0.0)
-        with obs_trace.use_tracer() as tracer:
-            with obs_trace.span("query", name="q1"):
-                value, attempts = call_with_retry(
-                    self._flaky(2), policy, sleep=lambda _: None
-                )
-        assert (value, attempts) == ("ok", 3)
-        retries = [s for s in tracer.spans if s.name == "retry"]
-        assert [s.attributes["attempt"] for s in retries] == [2, 3]
-        # Each span records the backoff slept before its attempt.
-        assert retries[0].attributes["backoff_seconds"] == pytest.approx(0.01)
-        assert retries[1].attributes["backoff_seconds"] == pytest.approx(0.02)
-        # Child of the enclosing query span, so trace trees stay connected.
-        query_span = next(s for s in tracer.spans if s.name == "query")
-        assert all(s.parent_id == query_span.span_id for s in retries)
-
-    def test_first_attempt_stays_span_free(self):
-        from repro.obs import trace as obs_trace
-
-        with obs_trace.use_tracer() as tracer:
-            value, attempts = call_with_retry(lambda: 42, RetryPolicy())
-        assert (value, attempts) == (42, 1)
-        assert not [s for s in tracer.spans if s.name == "retry"]
-
-    def test_retry_emits_structured_event(self, tmp_path):
-        from repro.obs import events as obs_events
-        from repro.obs.events import load_events
-
-        policy = RetryPolicy(max_attempts=2, backoff_seconds=0.01, jitter_fraction=0.0)
-        with obs_events.use_event_log(tmp_path / "retry.events.jsonl"):
-            call_with_retry(self._flaky(1), policy, sleep=lambda _: None)
-        events = load_events(tmp_path / "retry.events.jsonl")
-        retry_events = [e for e in events if e["event"] == "retry"]
-        assert len(retry_events) == 1
-        record = retry_events[0]
-        assert record["level"] == "warning"
-        assert record["attempt"] == 2
-        assert record["backoff_seconds"] == pytest.approx(0.01)
-        assert "transient" in record["error"]
+from repro.resilience import Deadline, TimeoutPolicy
 
 
 class TestDeadline:

@@ -144,15 +144,6 @@ def test_estimator_failure_propagates_to_every_job_in_group():
         batcher.close()
 
 
-def test_wrong_length_result_is_an_error():
-    batcher = MicroBatcher(lambda m, q: ([0.0], 1), window_seconds=0.0).start()
-    try:
-        with pytest.raises(RuntimeError, match="returned 1 values"):
-            batcher.submit("default", [1.0, 2.0])
-    finally:
-        batcher.close()
-
-
 def test_jobs_grouped_per_model():
     calls = []
 

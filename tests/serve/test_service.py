@@ -35,6 +35,18 @@ class _BrokenEstimator(CardinalityEstimator):
         raise RuntimeError("model on fire")
 
 
+class _ShortBatchEstimator(CardinalityEstimator):
+    """Answers a batch with one estimate too few."""
+
+    name = "short"
+
+    def _fit(self, database):
+        pass
+
+    def estimate_batch(self, queries):
+        return [1.0] * (len(queries) - 1)
+
+
 @pytest.fixture(scope="module")
 def fitted(tiny_db):
     return PostgresEstimator().fit(tiny_db)
@@ -95,9 +107,10 @@ class TestParseCache:
 
 
 class TestFallback:
-    def test_estimator_failure_degrades_to_fallback(self, tiny_db):
+    @staticmethod
+    def _served_by(tiny_db, estimator):
         registry = ModelRegistry()
-        registry.promote(_BrokenEstimator())
+        registry.promote(estimator)
         svc = EstimationService(
             tiny_db, registry=registry, batch_window_seconds=0.0
         ).start()
@@ -105,14 +118,22 @@ class TestFallback:
             result = svc.estimate_many([SINGLE, JOIN])
         finally:
             svc.close()
-        assert result["fallback"] is True
-        assert "model on fire" in result["error"]
         fallback = PostgresDefaultFallback(tiny_db)
         expected = [
             max(1.0, fallback.estimate(parse_query(sql, tiny_db.join_graph)))
             for sql in (SINGLE, JOIN)
         ]
+        assert result["fallback"] is True
         assert result["estimates"] == pytest.approx(expected)
+        return result
+
+    def test_estimator_failure_degrades_to_fallback(self, tiny_db):
+        result = self._served_by(tiny_db, _BrokenEstimator())
+        assert "model on fire" in result["error"]
+
+    def test_short_batch_degrades_to_fallback(self, tiny_db):
+        result = self._served_by(tiny_db, _ShortBatchEstimator())
+        assert "1 estimates for 2 queries" in result["error"]
 
 
 class TestSubPlans:

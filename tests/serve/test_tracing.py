@@ -19,7 +19,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.httpd import sanitize_request_id
 from repro.obs.jsonl import read_jsonl
 from repro.obs.trace import Tracer, load_trace
-from repro.resilience.policy import RetryPolicy
 from repro.serve.app import build_server
 from repro.serve.loadgen import run_load
 from repro.serve.registry import ModelRegistry
@@ -270,35 +269,21 @@ class TestExportedTraces:
         assert root["status"].startswith("error:")
 
 
-class _FailsFirstBatch:
-    """PostgreSQL whose first ``estimate_batch`` call raises."""
+class _FailingBatch:
+    """An estimator whose every ``estimate_batch`` call raises."""
 
-    name = "flaky"
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+    name = "failing"
 
     def estimate_batch(self, queries):
-        self.calls += 1
-        if self.calls == 1:
-            raise RuntimeError("transient model failure")
-        return self.inner.estimate_batch(queries)
+        raise RuntimeError("model failure")
 
 
-class TestRetriesInRequestTraces:
-    def test_retried_estimate_records_retry_span_in_its_own_trace(
-        self, tiny_db, tmp_path
-    ):
+class TestFallbackInRequestTraces:
+    def test_fallback_keeps_spans_in_own_trace(self, tiny_db, tmp_path):
         registry = ModelRegistry()
-        registry.promote(_FailsFirstBatch(PostgresEstimator().fit(tiny_db)))
+        registry.promote(_FailingBatch())
         obs = ServeObservability(trace_sink=TraceSink(tmp_path / "traces.jsonl"))
-        service = EstimationService(
-            tiny_db,
-            registry=registry,
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0, jitter_fraction=0),
-            obs=obs,
-        ).start()
+        service = EstimationService(tiny_db, registry=registry, obs=obs).start()
         server = build_server(service, "127.0.0.1:0")
         server.start()
         try:
@@ -307,24 +292,23 @@ class TestRetriesInRequestTraces:
                 "POST",
                 "/estimate",
                 {"sql": SINGLE},
-                headers={"X-Request-ID": "retried-1"},
+                headers={"X-Request-ID": "fallback-1"},
             )
         finally:
             server.close()
             service.close()
         assert status == 200
-        assert json.loads(raw)["fallback"] is False
-        assert headers["X-Request-ID"] == "retried-1"
-        trace = _spans_by_trace(tmp_path / "traces.jsonl")["retried-1"]
+        assert json.loads(raw)["fallback"] is True
+        assert headers["X-Request-ID"] == "fallback-1"
+        trace = _spans_by_trace(tmp_path / "traces.jsonl")["fallback-1"]
         by_id = {record["span_id"]: record for record in trace}
-        (retry,) = [r for r in trace if r["name"] == "retry"]
-        assert retry["trace_id"] == "retried-1"
-        assert retry["attributes"]["attempt"] == 2
-        root = retry
-        while root["parent_id"] is not None:
-            root = by_id[root["parent_id"]]
-        assert root["name"] == "request"
-        assert root["attributes"]["request_id"] == "retried-1"
+        for name in ("parse", "queue_wait"):
+            (span,) = [r for r in trace if r["name"] == name]
+            root = span
+            while root["parent_id"] is not None:
+                root = by_id[root["parent_id"]]
+            assert root["name"] == "request"
+            assert root["attributes"]["request_id"] == "fallback-1"
 
 
 class TestAccessLogAndSLOOverHTTP:

@@ -35,7 +35,6 @@ class TestParser:
         assert args.serve_addr == "127.0.0.1:9570"
         assert args.batch_window_ms == pytest.approx(1.0)
         assert args.max_queue == 256
-        assert args.max_retries == 0
         assert args.request_timeout is None
         assert args.max_seconds is None
 
@@ -47,7 +46,6 @@ class TestParser:
                 "--serve-addr", "0.0.0.0:8080",
                 "--batch-window-ms", "2.5",
                 "--max-queue", "64",
-                "--max-retries", "2",
                 "--request-timeout", "1.5",
                 "--max-seconds", "30",
             ]
@@ -83,8 +81,6 @@ class TestParser:
                 "bench",
                 "--estimator",
                 "PostgreSQL",
-                "--max-retries",
-                "2",
                 "--query-timeout",
                 "30",
                 "--workers",
@@ -93,7 +89,6 @@ class TestParser:
                 "campaign.jsonl",
             ]
         )
-        assert args.max_retries == 2
         assert args.query_timeout == 30.0
         assert args.workers == 4
         assert args.resume == "campaign.jsonl"
