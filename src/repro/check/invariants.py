@@ -8,7 +8,9 @@ checks are:
     Triple agreement on every enumerated sub-plan of every query:
     SQLite reference count == :class:`TrueCardinalityService` count ==
     the row count produced by actually executing the planner's chosen
-    plan.
+    plan.  For a query joining two or more tables, also, from every
+    root, :class:`~repro.engine.jointree.JoinTree`'s full outer join
+    size == SQLite's count of the ``LEFT JOIN`` chain from that root.
 ``cache``
     Result reuse must be invisible: a cold service (no selection cache)
     and a warm one (every count and selection vector cached) must both
@@ -83,6 +85,7 @@ from repro.core.injection import sub_plan_queries
 from repro.core.parallel import fork_available
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.executor import Executor
+from repro.engine.jointree import JoinTree
 from repro.engine.planner import Planner
 from repro.engine.plans import (
     JOIN_HASH,
@@ -190,6 +193,20 @@ def check_oracle(case: CheckCase) -> list[Discrepancy]:
                         f"counted {reference[query.tables]}",
                     )
                 )
+            # The join tree's unfiltered full outer join, from every root.
+            edges = list(query.join_edges)
+            for root in sorted(query.tables) if edges else ():
+                total = JoinTree(case.database, edges, root).total
+                outer = oracle.outer_join_count(edges, root)
+                if total != outer:
+                    discrepancies.append(
+                        Discrepancy(
+                            "oracle",
+                            query.name,
+                            f"join tree from {root}: full outer join of "
+                            f"{total:.0f} rows, SQLite counted {outer}",
+                        )
+                    )
     return discrepancies
 
 

@@ -20,6 +20,7 @@ import sqlite3
 import numpy as np
 
 from repro.core.injection import sub_plan_sets
+from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
 from repro.engine.executor import Executor
 from repro.engine.planner import Planner
@@ -112,6 +113,21 @@ class SQLiteOracle:
         to SQL SQLite rejects is itself a reportable bug.
         """
         return self.count(query_to_sql(query))
+
+    def outer_join_count(self, edges: list[JoinEdge], root: str) -> int:
+        """COUNT(*) of the ``LEFT JOIN`` chain over the tree ``edges``,
+        each table joined after its parent on the way from ``root``."""
+        sql, joined, remaining = f"SELECT COUNT(*) FROM {root}", {root}, list(edges)
+        while remaining:
+            edge = next(e for e in remaining if len(e.tables & joined) == 1)
+            remaining.remove(edge)
+            (child,) = edge.tables - joined
+            joined.add(child)
+            sql += (
+                f" LEFT JOIN {child} ON {edge.left}.{edge.left_column}"
+                f" = {edge.right}.{edge.right_column}"
+            )
+        return self.count(sql)
 
     def sub_plan_counts(self, query: Query) -> dict[frozenset[str], int]:
         """Oracle count of every connected sub-plan query of ``query``."""

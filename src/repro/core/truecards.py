@@ -7,8 +7,8 @@ term of P-Error.  It counts every connected sub-plan of a query by
 acyclic by construction), never by joining row ids:
 
 - every join edge ``e`` maps the values of both of its key columns into
-  one shared code domain, so "the keys match" becomes "the codes are
-  equal";
+  one shared code domain (:class:`repro.engine.jointree.EdgeCodes`), so
+  "the keys match" becomes "the codes are equal";
 - the *message* a connected component ``T`` sends over an edge ``e``
   leaving it through its table ``t`` is, per key code, the number of
   tuples of ``T`` whose ``e`` key has that code: ``np.bincount`` of
@@ -21,28 +21,27 @@ Messages are memoised per ``(T, e)`` for one call and freed when it
 returns, so a count costs work proportional to the filtered base tables
 and the key domains, whatever the size of the intermediate results.
 
-Selection vectors are reused across queries through an
-:class:`repro.engine.cache.ExecutionContext`, and counts through a
-per-(sub-)query LRU cache bounded by a byte budget.  Both are exact, and
-both are dropped — together with the key-code domains — by
-:meth:`TrueCardinalityService.invalidate` or automatically when the
-database's ``data_version`` moves after an insert batch.  Nothing in
-this module is part of a *timed* benchmark measurement.
+Selection vectors (row ids per ``(table, predicates)``) are reused
+across queries through a byte-budgeted LRU cache, and counts through a
+per-(sub-)query one.  Both are exact, and both are dropped — together
+with the key-code domains — by :meth:`TrueCardinalityService.invalidate`
+or automatically when the database's ``data_version`` moves after an
+insert batch.  Nothing in this module is part of a *timed* benchmark
+measurement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.cache import ExecutionContext, LRUByteCache
+from repro.engine.cache import SELECTION_CACHE_BYTES, LRUByteCache, predicates_key
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted
-from repro.engine.join_build import DIRECTORY_SPAN_FACTOR
-from repro.engine.predicates import conjunction_mask
+from repro.engine.jointree import EdgeCodes
+from repro.engine.predicates import Predicate, conjunction_mask
 from repro.engine.query import Query
 from repro.engine.subsets import connected_subsets, leaf_split
-from repro.engine.table import Column
 
 #: Budget for the per-(sub-)query exact-count cache.  Counts are tiny;
 #: this bounds the formerly unbounded dict at a fixed byte footprint.
@@ -63,7 +62,12 @@ class TrueCardinalityService:
         # sub_plan_cards for why no partial value exceeds the budget.
         assert max_intermediate_rows < 2**53
         self._database = database
-        self._context = ExecutionContext(database) if use_exec_cache else None
+        #: Row ids per ``(table, predicates_key)``, shared across queries.
+        self._selections = (
+            LRUByteCache(SELECTION_CACHE_BYTES, metric_prefix="cache.selection")
+            if use_exec_cache
+            else None
+        )
         self._max_rows = max_intermediate_rows
         self._cache = LRUByteCache(
             count_cache_budget_bytes,
@@ -71,7 +75,7 @@ class TrueCardinalityService:
             sizer=lambda value: 160,  # key tuple + int, nominal charge
         )
         #: Key-code domain of every join edge counted so far.
-        self._domains: dict[tuple, _KeyDomain] = {}
+        self._domains: dict[tuple, EdgeCodes] = {}
         self._seen_version = getattr(database, "data_version", 0)
 
     @property
@@ -79,16 +83,16 @@ class TrueCardinalityService:
         return self._database
 
     @property
-    def context(self) -> ExecutionContext | None:
-        """The execution context carrying the selection cache (or None)."""
-        return self._context
+    def selection_cache(self) -> LRUByteCache | None:
+        """The selection-vector cache (None without ``use_exec_cache``)."""
+        return self._selections
 
     def invalidate(self) -> None:
         """Drop all cached counts, key domains and selection vectors."""
         self._cache.clear()
         self._domains.clear()
-        if self._context is not None:
-            self._context.invalidate()
+        if self._selections is not None:
+            self._selections.clear()
 
     # -- public API ------------------------------------------------------------
 
@@ -99,11 +103,13 @@ class TrueCardinalityService:
             self._seen_version = version
 
     def cardinality(self, query: Query) -> int:
-        """Exact result cardinality of ``query``."""
+        """Exact result cardinality of ``query``; a multi-table count
+        above the row budget aborts, whether cached or not."""
         self._check_version()
         count = self._cache.get(query.key())
         if count is None:
-            count = self.sub_plan_cards(query)[query.tables]
+            return self.sub_plan_cards(query)[query.tables]
+        self._check_budget(query, count)
         return count
 
     def sub_plan_cards(self, query: Query) -> dict[frozenset[str], int]:
@@ -128,75 +134,41 @@ class TrueCardinalityService:
             if count is None:
                 count = messages.count(subset)
                 self._cache.put(key, count)
-            if len(query.tables) > 1 and count > self._max_rows:
-                raise ExecutionAborted(
-                    f"intermediate result of {count} rows exceeds budget {self._max_rows}"
-                )
+            self._check_budget(query, count)
             result[subset] = count
         return result
 
+    def selection_rows(self, table: str, predicates: tuple[Predicate, ...]) -> np.ndarray:
+        """Row ids of ``table`` passing ``predicates``; a cached array is
+        shared across callers and must be treated as read-only."""
+        self._check_version()
+        key = (table, predicates_key(predicates))
+        rows = None if self._selections is None else self._selections.get(key)
+        if rows is None:
+            rows = np.nonzero(conjunction_mask(self._database.tables[table], list(predicates)))[0]
+            if self._selections is not None:
+                self._selections.put(key, rows, rows.nbytes)
+        return rows
+
     # -- internals ----------------------------------------------------------------
 
-    def _selection(self, query: Query, table: str) -> np.ndarray:
-        """Row ids of ``table`` passing ``query``'s filters on it."""
-        predicates = query.predicates_on(table)
-        if self._context is not None:
-            return self._context.selection_rows(table, predicates)
-        mask = conjunction_mask(self._database.tables[table], list(predicates))
-        return np.nonzero(mask)[0]
+    def _check_budget(self, query: Query, count: int) -> None:
+        if len(query.tables) > 1 and count > self._max_rows:
+            raise ExecutionAborted(
+                f"intermediate result of {count} rows exceeds budget {self._max_rows}"
+            )
 
-    def _domain(self, edge: JoinEdge) -> "_KeyDomain":
+    def _domain(self, edge: JoinEdge) -> EdgeCodes:
         key = (edge.left, edge.left_column, edge.right, edge.right_column)
         domain = self._domains.get(key)
         if domain is None:
             tables = self._database.tables
-            domain = _KeyDomain(
+            domain = EdgeCodes(
                 tables[edge.left].column(edge.left_column),
                 tables[edge.right].column(edge.right_column),
             )
             self._domains[key] = domain
         return domain
-
-
-class _KeyDomain:
-    """One code domain for both key columns of a join edge.
-
-    Equal non-NULL keys get equal codes in ``[0, size - 2)``.  A dense
-    INT domain (the span rule of :class:`repro.engine.join_build.
-    JoinBuild`) codes ``value - kmin``; everything else — FLOAT keys,
-    sparse INT domains, empty columns — codes the rank of the value in
-    the sorted union of both columns' non-NULL values.  A NULL key of
-    the left column codes ``size - 2`` and one of the right column
-    ``size - 1``: bins the other side never reaches.
-    """
-
-    __slots__ = ("left", "right", "size")
-
-    def __init__(self, left: Column, right: Column):
-        keys = np.concatenate([left.values[~left.null_mask], right.values[~right.null_mask]])
-        dense = False
-        if len(keys) and left.values.dtype == right.values.dtype == np.int64:
-            # Python ints: the span of int64 extremes does not fit int64.
-            kmin, kmax = int(keys.min()), int(keys.max())
-            dense = kmax - kmin + 1 <= DIRECTORY_SPAN_FACTOR * len(keys)
-        if dense:
-            values = kmax - kmin + 1
-            # A NULL's backing value is arbitrary; its difference may wrap
-            # before it is overwritten below.
-            left_codes = left.values - np.int64(kmin)
-            right_codes = right.values - np.int64(kmin)
-        else:
-            distinct = np.unique(keys)
-            values = len(distinct)
-            left_codes = np.searchsorted(distinct, left.values)
-            right_codes = np.searchsorted(distinct, right.values)
-        left_codes[left.null_mask] = values
-        right_codes[right.null_mask] = values + 1
-        self.left, self.right, self.size = left_codes, right_codes, values + 2
-
-    def codes(self, edge: JoinEdge, table: str) -> np.ndarray:
-        """Code of every row of ``table``, one end of ``edge``."""
-        return self.left if table == edge.left else self.right
 
 
 class _Messages:
@@ -237,7 +209,9 @@ class _Messages:
     def _selection(self, table: str) -> np.ndarray:
         rows = self._rows.get(table)
         if rows is None:
-            rows = self._rows[table] = self._service._selection(self._query, table)
+            rows = self._rows[table] = self._service.selection_rows(
+                table, self._query.predicates_on(table)
+            )
         return rows
 
     def _row_codes(self, table: str, edge: JoinEdge) -> np.ndarray:

@@ -8,10 +8,9 @@ This module provides the reuse layer:
 - :class:`LRUByteCache` — a byte-budgeted least-recently-used cache
   with hit/miss/eviction counters exported through
   :mod:`repro.obs.metrics`;
-- :class:`ExecutionContext` — a **selection-vector cache** (canonical
-  ``(table, predicates)`` key → row-id array), automatically
-  invalidated when the database's ``data_version`` moves (i.e. after
-  inserts).
+- :func:`predicates_key` — the canonical identity of a predicate
+  conjunction, which keys the true-cardinality service's
+  **selection-vector cache** (``(table, predicates)`` → row-id array).
 
 **Measurement-fidelity policy.**  Caching is for *correctness-only*
 work: exact-cardinality labelling (:mod:`repro.core.truecards`).  The
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.predicates import Predicate, conjunction_mask
+from repro.engine.predicates import Predicate
 from repro.obs import metrics as obs_metrics
 
 #: Default byte budget — generous for benchmark-scale synthetic data,
@@ -152,60 +151,3 @@ def predicates_key(predicates: tuple[Predicate, ...]) -> tuple:
             for p in predicates
         )
     )
-
-
-class ExecutionContext:
-    """Selection vectors shared across the queries one service labels.
-
-    Invalidation is wired to the data-update path: every access
-    compares the database's ``data_version`` against the version the
-    cache was filled at and drops everything when they diverge, so
-    Table-6 style insert batches can never serve stale row ids.
-    ``invalidate()`` forces the same drop explicitly.
-    """
-
-    def __init__(
-        self,
-        database,
-        selection_budget_bytes: int = SELECTION_CACHE_BYTES,
-    ):
-        self._database = database
-        self._seen_version = getattr(database, "data_version", 0)
-        self.selection = LRUByteCache(
-            selection_budget_bytes, metric_prefix="cache.selection"
-        )
-
-    @property
-    def database(self):
-        return self._database
-
-    def invalidate(self) -> None:
-        """Drop every cached selection vector."""
-        self.selection.clear()
-
-    def _check_version(self) -> None:
-        version = getattr(self._database, "data_version", 0)
-        if version != self._seen_version:
-            self.invalidate()
-            self._seen_version = version
-
-    # -- cached computations ---------------------------------------------------
-
-    def selection_rows(
-        self, table_name: str, predicates: tuple[Predicate, ...]
-    ) -> np.ndarray:
-        """Row ids of ``table_name`` satisfying ``predicates``.
-
-        The returned array is shared across callers and must be treated
-        as read-only (the engine only ever fancy-indexes row-id
-        arrays, never mutates them).
-        """
-        self._check_version()
-        key = (table_name, predicates_key(predicates))
-        rows = self.selection.get(key)
-        if rows is None:
-            table = self._database.tables[table_name]
-            mask = conjunction_mask(table, list(predicates))
-            rows = np.nonzero(mask)[0]
-            self.selection.put(key, rows, rows.nbytes)
-        return rows

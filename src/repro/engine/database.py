@@ -25,9 +25,9 @@ class Database:
     join_graph: JoinGraph
     _indexes: dict[tuple[str, str], JoinBuild] = field(default_factory=dict)
     #: Monotone content version, bumped on every insert.  Result-reuse
-    #: caches (:class:`repro.engine.cache.ExecutionContext`) compare it
-    #: on access and drop stale entries, so the Table-6 update path
-    #: invalidates them without explicit plumbing.
+    #: caches (:class:`repro.core.truecards.TrueCardinalityService`'s)
+    #: compare it on access and drop stale entries, so the Table-6
+    #: update path invalidates them without explicit plumbing.
     data_version: int = 0
 
     def table(self, name: str) -> Table:

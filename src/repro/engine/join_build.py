@@ -1,11 +1,11 @@
 """The hash join's build side and its probe kernel.
 
-:class:`JoinBuild` is the only code that builds a hash-join build side
-and the only code that matches probe keys against one: the executor's
-materialising hash join and its count-only twin both go through it, and
-``Database.index`` caches one per key column as the key index that the
-index nested-loop join, wander-join sampling and the fan-out degrees
-read.
+:class:`JoinBuild` is the only code that builds a hash-join build side:
+the executor's materialising hash join and its count-only twin probe
+it, and ``Database.index`` caches one per key column for the index
+nested-loop join, wander-join sampling and ``datad/fanout.py``'s
+degrees.  Labelling and join trees match keys as equal codes instead
+(:class:`repro.engine.jointree.EdgeCodes`, under this module's span rule).
 
 A build keeps the valid (not-NULL) build keys stably sorted together
 with their positions in the build input, so the matches of one probe

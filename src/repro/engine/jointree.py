@@ -1,20 +1,21 @@
-"""A join tree rooted at one table, with every edge's key matching done once.
+"""Key codes of join edges, and a join tree rooted at one table.
 
-:class:`JoinTree` orients a tree of join edges away from a root (BFS;
-a table's child edges keep their order in the given edge list) and
-matches each parent row against its child table through one
-:class:`~repro.engine.join_build.JoinBuild` over the child key.  From
-those matches it computes every table's per-row *outer-join weight*:
-the number of rows that row contributes to the full outer join of its
-subtree,
+:class:`EdgeCodes` maps both key columns of a join edge into one code
+domain, so matching keys are equal codes and every per-key quantity is
+an ``np.bincount`` over codes; labelling (:mod:`repro.core.truecards`)
+counts sub-plans on it.  :class:`JoinTree` orients a tree of join edges
+away from a root (BFS; a table's child edges keep their order in the
+given edge list), codes each edge once and computes every table's
+per-row *outer-join weight*, the number of rows that row contributes to
+the full outer join of its subtree:
 
     w(row) = prod over child edges of max(sum of matched child weights, 1)
 
-where an unmatched or NULL-keyed parent row survives NULL-extended
-(a factor of one).  The root's weights sum to the full outer join's
-size.  Table 1's full-join size (``datasets/describe.py``) and
-NeuroCard's full-join sampler (``estimators/datad/neurocard.py``) both
-read it.
+where an unmatched or NULL-keyed parent row survives NULL-extended (a
+factor of one).  The root's weights sum to the full outer join's size,
+Table 1's full-join size (``datasets/describe.py``); NeuroCard's
+full-join sampler and fan-out columns (``estimators/datad/neurocard.py``)
+read the weights, match ranges and degrees.
 """
 
 from __future__ import annotations
@@ -25,22 +26,69 @@ import numpy as np
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
-from repro.engine.join_build import JoinBuild
+from repro.engine.join_build import DIRECTORY_SPAN_FACTOR
+from repro.engine.table import Column
+
+
+class EdgeCodes:
+    """One code domain for both key columns of a join edge.
+
+    Equal non-NULL keys get equal codes in ``[0, size - 2)``.  A dense
+    INT domain (the span rule of :class:`repro.engine.join_build.
+    JoinBuild`) codes ``value - kmin``; everything else — FLOAT keys,
+    sparse INT domains, empty columns — codes the rank of the value in
+    the sorted union of both columns' non-NULL values.  A NULL key of
+    the left column codes ``size - 2`` and one of the right column
+    ``size - 1``: bins the other side never reaches.
+    """
+
+    __slots__ = ("left", "right", "size")
+
+    def __init__(self, left: Column, right: Column):
+        keys = np.concatenate([left.values[~left.null_mask], right.values[~right.null_mask]])
+        dense = False
+        if len(keys) and left.values.dtype == right.values.dtype == np.int64:
+            # Python ints: the span of int64 extremes does not fit int64.
+            kmin, kmax = int(keys.min()), int(keys.max())
+            dense = kmax - kmin + 1 <= DIRECTORY_SPAN_FACTOR * len(keys)
+        if dense:
+            values = kmax - kmin + 1
+            # A NULL's backing value is arbitrary; its difference may wrap
+            # before it is overwritten below.
+            left_codes = left.values - np.int64(kmin)
+            right_codes = right.values - np.int64(kmin)
+        else:
+            distinct = np.unique(keys)
+            values = len(distinct)
+            left_codes = np.searchsorted(distinct, left.values)
+            right_codes = np.searchsorted(distinct, right.values)
+        left_codes[left.null_mask] = values
+        right_codes[right.null_mask] = values + 1
+        self.left, self.right, self.size = left_codes, right_codes, values + 2
+
+    def codes(self, edge: JoinEdge, table: str) -> np.ndarray:
+        """Code of every row of ``table``, one end of ``edge``."""
+        return self.left if table == edge.left else self.right
 
 
 @dataclass(frozen=True)
 class TreeEdge:
-    """One parent -> child edge and every parent row's match range.
+    """One parent -> child edge, its codes, match ranges and degrees.
 
     Parent row ``i`` joins the child rows
-    ``build.positions[starts[i] : starts[i] + counts[i]]``, in child
-    row order within a key; ``counts`` is 0 for a NULL parent key.
+    ``positions[starts[i] : starts[i] + counts[i]]``, in child row order
+    within a key; ``counts`` is 0 for a NULL parent key.  ``forward`` is
+    the number of child rows per parent row and ``reverse`` the number
+    of parent rows per child row, each at least 1 (float64).
     """
 
     edge: JoinEdge  # oriented: ``left`` is the parent, ``right`` the child
-    build: JoinBuild  # over the child key
+    codes: EdgeCodes  # ``left`` codes the parent rows, ``right`` the child rows
     starts: np.ndarray
     counts: np.ndarray
+    positions: np.ndarray
+    forward: np.ndarray
+    reverse: np.ndarray
 
 
 class JoinTree:
@@ -64,11 +112,11 @@ class JoinTree:
         for table in reversed(self.children):
             weight = np.ones(database.tables[table].num_rows, dtype=np.float64)
             for child in self.children[table]:
-                matched = np.zeros(len(child.build.positions) + 1)
-                np.cumsum(self.weights[child.edge.right][child.build.positions], out=matched[1:])
-                weight *= np.maximum(
-                    matched[child.starts + child.counts] - matched[child.starts], 1.0
+                codes = child.codes
+                matched = np.bincount(
+                    codes.right, weights=self.weights[child.edge.right], minlength=codes.size
                 )
+                weight *= np.maximum(matched[codes.left], 1.0)
             self.weights[table] = weight
 
     @property
@@ -78,9 +126,20 @@ class JoinTree:
 
 
 def _match(database: Database, edge: JoinEdge) -> TreeEdge:
-    parent = database.tables[edge.left].column(edge.left_column)
-    child = database.tables[edge.right].column(edge.right_column)
-    build = JoinBuild(child.values, ~child.null_mask, len(parent.values))
-    starts, counts = build.match(parent.values)
-    counts[parent.null_mask] = 0
-    return TreeEdge(edge, build, starts, counts)
+    codes = EdgeCodes(
+        database.tables[edge.left].column(edge.left_column),
+        database.tables[edge.right].column(edge.right_column),
+    )
+    per_code = np.bincount(codes.right, minlength=codes.size)
+    counts = per_code[codes.left]
+    reverse = np.bincount(codes.left, minlength=codes.size)[codes.right]
+    return TreeEdge(
+        edge,
+        codes,
+        # Child rows grouped by code, in row order within a code.
+        starts=(np.cumsum(per_code) - per_code)[codes.left],
+        counts=counts,
+        positions=np.argsort(codes.right, kind="stable"),
+        forward=np.maximum(counts, 1).astype(np.float64),
+        reverse=np.maximum(reverse, 1).astype(np.float64),
+    )

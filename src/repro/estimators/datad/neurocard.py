@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.engine.catalog import JoinEdge
 from repro.engine.database import Database
-from repro.engine.join_build import JoinBuild
 from repro.engine.jointree import JoinTree, TreeEdge
 from repro.engine.query import Query
 from repro.engine.table import Table
@@ -154,7 +153,7 @@ class _TreeModel:
             # query depends on which side of the query subtree the edge
             # hangs from.
             signature = _edge_signature(child.edge)
-            for direction, degrees in zip(("fwd", "rev"), self._fanout_degrees(child)):
+            for direction, degrees in (("fwd", child.forward), ("rev", child.reverse)):
                 binner = FanoutBinner.build(degrees)
                 key = f"fanout::{direction}::{signature}"
                 fanout_binners[key] = binner
@@ -171,18 +170,6 @@ class _TreeModel:
             attribute_index=attr_index,
             fanout_index=fanout_index,
         )
-
-    def _fanout_degrees(self, child: TreeEdge) -> tuple[np.ndarray, np.ndarray]:
-        """Forward degree of every parent row and reverse degree of every
-        child row; an unmatched or NULL key counts as degree 1."""
-        forward = np.maximum(child.counts, 1).astype(np.float64)
-        edge = child.edge
-        parent = self._database.tables[edge.left].column(edge.left_column)
-        key = self._database.tables[edge.right].column(edge.right_column)
-        build = JoinBuild(parent.values, ~parent.null_mask, len(key.values))
-        reverse = np.maximum(build.match(key.values)[1], 1).astype(np.float64)
-        reverse[key.null_mask] = 1.0
-        return forward, reverse
 
     # -- full-outer-join sampling -----------------------------------------------
 
@@ -210,7 +197,7 @@ class _TreeModel:
                 count = child.counts[row]
                 if count:
                     start = child.starts[row]
-                    matches = child.build.positions[start : start + count]
+                    matches = child.positions[start : start + count]
                     child_weights = weights[child.edge.right][matches]
                     chosen = int(rng.choice(matches, p=child_weights / child_weights.sum()))
                     rows[child.edge.right][sample] = chosen
@@ -235,12 +222,11 @@ class _TreeModel:
                 data[present, layout.attribute_index[(table_name, meta.name)]] = codes[chosen]
             for child in join_tree.children[table_name]:
                 signature = _edge_signature(child.edge)
-                forward, reverse = self._fanout_degrees(child)
-                codes = layout.fanout_binners[f"fanout::fwd::{signature}"].encode(forward)
+                codes = layout.fanout_binners[f"fanout::fwd::{signature}"].encode(child.forward)
                 data[present, layout.fanout_index[(signature, "fwd")]] = codes[chosen]
                 # Row -1 (no child sampled) reads the appended degree 1.
                 rev_binner = layout.fanout_binners[f"fanout::rev::{signature}"]
-                codes = rev_binner.encode(np.append(reverse, 1.0))
+                codes = rev_binner.encode(np.append(child.reverse, 1.0))
                 data[present, layout.fanout_index[(signature, "rev")]] = codes[
                     rows[child.edge.right][present]
                 ]

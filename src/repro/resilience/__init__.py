@@ -10,9 +10,7 @@ kills:
 - :mod:`~repro.resilience.fallback` — PostgreSQL-default estimates
   injected for failed sub-plans,
 - :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints
-  and ``--resume`` support,
-- :mod:`~repro.resilience.faults` — deterministic fault injection used
-  by the tests to prove all of the above.
+  and ``--resume`` support.
 
 Nothing is retried: estimation, planning and execution are
 deterministic, so a second attempt could only fail the same way.  A

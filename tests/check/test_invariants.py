@@ -23,6 +23,7 @@ from repro.check.invariants import (
 from repro.core.truecards import TrueCardinalityService
 from repro.engine.cost import CostModel
 from repro.engine.executor import Executor
+from repro.engine.jointree import JoinTree
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs.trace import Tracer
 from repro.serve.batching import MicroBatcher
@@ -89,13 +90,21 @@ class TestDetection:
         assert discrepancies
         assert discrepancies[0].invariant == "oracle"
 
+    def test_oracle_detects_a_wrong_full_outer_join(self, monkeypatch):
+        case = self._multi_table_case()
+        total = JoinTree.total
+        monkeypatch.setattr(JoinTree, "total", property(lambda tree: total.fget(tree) + 1))
+        discrepancies = check_oracle(case)
+        assert discrepancies
+        assert all("join tree from" in d.detail for d in discrepancies)
+
     def test_cache_detects_diverging_services(self, monkeypatch):
         case = self._multi_table_case()
         original = TrueCardinalityService.sub_plan_cards
 
         def biased_when_cached(self, query):
             counts = original(self, query)
-            if self.context is not None:  # the cache-backed service lies
+            if self.selection_cache is not None:  # the cache-backed service lies
                 counts = {s: c + 1 for s, c in counts.items()}
             return counts
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from repro.check.oracle import planned_sub_plan_cards
 from repro.core.injection import sub_plan_sets
-from repro.core.truecards import TrueCardinalityService, _KeyDomain
+from repro.core.truecards import TrueCardinalityService
 from repro.engine.catalog import ColumnMeta, JoinEdge, JoinGraph, TableSchema
 from repro.engine.database import Database
 from repro.engine.executor import ExecutionAborted
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
-from repro.engine.table import Column, Table
+from repro.engine.table import Table
 from repro.engine.types import ColumnKind
 
 from tests.conftest import make_tiny_db
@@ -101,6 +101,27 @@ class TestBudget:
         )
         with pytest.raises(ExecutionAborted):
             service.sub_plan_cards(query)
+
+    def test_cached_count_over_budget_still_aborts(self):
+        """``cardinality`` aborts on a count above the budget every time,
+        also when the count cache serves it on the second call."""
+        graph = JoinGraph()
+        graph.add(JoinEdge("a", "k", "b", "k"))
+        schema = (ColumnMeta("k", kind=ColumnKind.INT, is_key=True, filterable=False),)
+        tables = {
+            name: Table.from_arrays(
+                TableSchema(name, schema),
+                {"k": np.ones(10, dtype=np.int64)},
+                {"k": np.zeros(10, dtype=bool)},
+            )
+            for name in ("a", "b")
+        }
+        database = Database(name="ab", tables=tables, join_graph=graph)
+        query = Query(frozenset(tables), tuple(graph.edges), (), "ab")
+        service = TrueCardinalityService(database, max_intermediate_rows=50)
+        for _ in range(2):
+            with pytest.raises(ExecutionAborted, match="100 rows exceeds budget 50"):
+                service.cardinality(query)
 
 
 def _budget_queries(database):
@@ -289,27 +310,6 @@ class TestMessagePassing:
         cold = TrueCardinalityService(database, use_exec_cache=False)
         assert cold.sub_plan_cards(query) == reference
 
-    def test_key_domain_codes(self):
-        """A dense INT edge codes ``value - kmin``; a sparse one and a
-        FLOAT one code ranks; NULLs take one bin per side."""
-
-        def domain(left, right, nulls=None):
-            null_mask = np.zeros(len(left), dtype=bool) if nulls is None else nulls
-            return _KeyDomain(
-                Column(np.asarray(left), null_mask), Column.from_values(np.asarray(right))
-            )
-
-        dense = domain([7, 5, 9, 0], [6, 5], nulls=np.array([0, 0, 0, 1], dtype=bool))
-        assert dense.left.tolist() == [2, 0, 4, 5] and dense.right.tolist() == [1, 0]
-        assert dense.size == 7
-        sparse = domain([INT64.min, INT64.max], [INT64.max, 0])
-        assert sparse.left.tolist() == [0, 2] and sparse.right.tolist() == [2, 1]
-        assert sparse.size == 5
-        floats = domain([0.5, 0.25], [0.5])
-        assert floats.left.tolist() == [1, 0] and floats.right.tolist() == [1]
-        empty = domain(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        assert empty.size == 2
-
     def test_service_is_freed_without_a_gc_pass(self):
         """Labelling leaves no reference cycle behind: a service dies
         with its last reference, selection cache and all, even while
@@ -321,7 +321,7 @@ class TestMessagePassing:
         try:
             service = TrueCardinalityService(database)
             assert len(service.sub_plan_cards(query)) > 5
-            assert len(service.context.selection) == 5
+            assert len(service.selection_cache) == 5
             alive = weakref.ref(service)
             del service
             assert alive() is None
@@ -347,8 +347,8 @@ class TestBoundedCache:
     def test_invalidate_clears_context_caches(self, tiny_db, query):
         service = TrueCardinalityService(tiny_db)
         service.sub_plan_cards(query)
-        assert len(service.context.selection) > 0 and service._domains
+        assert len(service.selection_cache) > 0 and service._domains
         service.invalidate()
         assert len(service._cache) == 0
-        assert len(service.context.selection) == 0
+        assert len(service.selection_cache) == 0
         assert not service._domains

@@ -1,14 +1,10 @@
-"""Tests for the result-reuse caches (LRU byte cache + ExecutionContext)."""
+"""Tests for the result-reuse caches (LRU byte cache + the selection cache)."""
 
 import numpy as np
 import pytest
 
-from repro.engine.cache import (
-    ExecutionContext,
-    LRUByteCache,
-    default_sizer,
-    predicates_key,
-)
+from repro.core.truecards import TrueCardinalityService
+from repro.engine.cache import LRUByteCache, default_sizer, predicates_key
 from repro.engine.predicates import Predicate, conjunction_mask
 from repro.obs import metrics as obs_metrics
 
@@ -113,39 +109,41 @@ class TestPredicatesKey:
 
 
 class TestExecutionContext:
+    """The selection-vector cache the true-cardinality service keeps."""
+
     @pytest.fixture()
     def db(self):
         return make_tiny_db()
 
     def test_selection_rows_match_mask(self, db):
-        context = ExecutionContext(db)
+        service = TrueCardinalityService(db)
         predicates = (Predicate("posts", "Score", ">=", 10),)
-        rows = context.selection_rows("posts", predicates)
+        rows = service.selection_rows("posts", predicates)
         expected = np.nonzero(conjunction_mask(db.tables["posts"], list(predicates)))[0]
         np.testing.assert_array_equal(rows, expected)
 
     def test_repeated_call_is_cached(self, db):
-        context = ExecutionContext(db)
+        service = TrueCardinalityService(db)
         predicates = (Predicate("posts", "Score", ">=", 10),)
-        first = context.selection_rows("posts", predicates)
-        second = context.selection_rows("posts", predicates)
+        first = service.selection_rows("posts", predicates)
+        second = service.selection_rows("posts", predicates)
         assert first is second  # shared array, no recompute
 
     def test_insert_invalidates(self, db):
-        context = ExecutionContext(db)
+        service = TrueCardinalityService(db)
         predicates = (Predicate("posts", "Score", ">=", 10),)
-        before = context.selection_rows("posts", predicates)
+        before = service.selection_rows("posts", predicates)
         batch = db.tables["posts"].take(np.arange(5))
         db.insert("posts", batch)
-        after = context.selection_rows("posts", predicates)
+        after = service.selection_rows("posts", predicates)
         assert after is not before
         expected = np.nonzero(conjunction_mask(db.tables["posts"], list(predicates)))[0]
         np.testing.assert_array_equal(after, expected)
 
     def test_explicit_invalidate(self, db):
-        context = ExecutionContext(db)
+        service = TrueCardinalityService(db)
         predicates = (Predicate("posts", "Score", ">=", 10),)
-        context.selection_rows("posts", predicates)
-        assert len(context.selection) == 1
-        context.invalidate()
-        assert len(context.selection) == 0
+        service.selection_rows("posts", predicates)
+        assert len(service.selection_cache) == 1
+        service.invalidate()
+        assert len(service.selection_cache) == 0

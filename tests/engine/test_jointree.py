@@ -1,12 +1,13 @@
-"""Tests for the join tree's outer-join weights against nested loops."""
+"""Tests for edge key codes and the join tree's outer-join weights and
+fan-out degrees against nested loops."""
 
 import numpy as np
 import pytest
 
 from repro.engine.catalog import ColumnMeta, JoinEdge, JoinGraph, TableSchema
 from repro.engine.database import Database
-from repro.engine.jointree import JoinTree
-from repro.engine.table import Table
+from repro.engine.jointree import EdgeCodes, JoinTree
+from repro.engine.table import Column, Table
 from repro.engine.types import ColumnKind
 
 #: Every column, ``None`` for NULL.  ``a.id`` has a NULL and an unmatched
@@ -22,6 +23,7 @@ ROWS = {
 #: a NULL that were matched would show.
 NULL_FILL = 1
 EDGES = [JoinEdge("a", "id", "b", "a_id"), JoinEdge("b", "id", "c", "b_id")]
+INT64 = np.iinfo(np.int64)
 
 
 def three_table_db(kind: ColumnKind = ColumnKind.INT) -> Database:
@@ -88,6 +90,26 @@ def test_weights_match_nested_loops(root, kind):
     assert tree.total == sum(expected[root])
 
 
+def brute_force_degrees(edge: JoinEdge, table: str) -> list[int]:
+    """Rows of ``edge``'s other table matching each row of ``table``,
+    at least 1."""
+    other_keys = ROWS[edge.other(table)][edge.key_for(edge.other(table))]
+    return [
+        max(sum(key is not None and other == key for other in other_keys), 1)
+        for key in ROWS[table][edge.key_for(table)]
+    ]
+
+
+@pytest.mark.parametrize("kind", [ColumnKind.INT, ColumnKind.FLOAT])
+@pytest.mark.parametrize("root", ["a", "b", "c"])
+def test_fanout_degrees_match_nested_loops(root, kind):
+    tree = JoinTree(three_table_db(kind), EDGES, root)
+    for children in tree.children.values():
+        for child in children:
+            assert child.forward.tolist() == brute_force_degrees(child.edge, child.edge.left)
+            assert child.reverse.tolist() == brute_force_degrees(child.edge, child.edge.right)
+
+
 def test_orientation_and_matches():
     tree = JoinTree(three_table_db(), EDGES, "b")
     assert list(tree.children) == ["b", "a", "c"]
@@ -96,7 +118,7 @@ def test_orientation_and_matches():
     assert to_c.counts.tolist() == [3, 0, 1, 0, 0]
     # Parent row 0 (key 1) joins c rows 0-2 in row order.
     start, count = to_c.starts[0], to_c.counts[0]
-    assert to_c.build.positions[start : start + count].tolist() == [0, 1, 2]
+    assert to_c.positions[start : start + count].tolist() == [0, 1, 2]
     # NULL parent key (b row 3) matches nothing even though the child has NULLs.
     assert tree.children["b"][0].counts.tolist() == [1, 1, 1, 0, 0]
 
@@ -106,3 +128,25 @@ def test_single_table_tree():
     assert tree.children == {"c": []}
     assert tree.weights["c"].tolist() == [1.0] * 6
     assert tree.total == 6.0
+
+
+def test_key_domain_codes():
+    """A dense INT edge codes ``value - kmin``; a sparse one and a FLOAT
+    one code ranks; NULLs take one bin per side."""
+
+    def domain(left, right, nulls=None):
+        null_mask = np.zeros(len(left), dtype=bool) if nulls is None else nulls
+        return EdgeCodes(
+            Column(np.asarray(left), null_mask), Column.from_values(np.asarray(right))
+        )
+
+    dense = domain([7, 5, 9, 0], [6, 5], nulls=np.array([0, 0, 0, 1], dtype=bool))
+    assert dense.left.tolist() == [2, 0, 4, 5] and dense.right.tolist() == [1, 0]
+    assert dense.size == 7
+    sparse = domain([INT64.min, INT64.max], [INT64.max, 0])
+    assert sparse.left.tolist() == [0, 2] and sparse.right.tolist() == [2, 1]
+    assert sparse.size == 5
+    floats = domain([0.5, 0.25], [0.5])
+    assert floats.left.tolist() == [1, 0] and floats.right.tolist() == [1]
+    empty = domain(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert empty.size == 2

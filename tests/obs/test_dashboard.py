@@ -10,7 +10,8 @@ from repro.obs import events as obs_events
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.events import load_events
 from repro.resilience import CampaignCheckpoint
-from repro.resilience.faults import WorkerKillingEstimator
+
+from tests.resilience.faults import WorkerKillingEstimator
 
 
 @pytest.fixture(scope="module")

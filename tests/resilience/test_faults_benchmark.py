@@ -14,7 +14,8 @@ from repro.core.benchmark import CAMPAIGN_DEADLINE_ERROR, EndToEndBenchmark
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs import metrics as obs_metrics
 from repro.resilience import CampaignCheckpoint, TimeoutPolicy
-from repro.resilience.faults import (
+
+from tests.resilience.faults import (
     EstimatorFaultWrapper,
     FailingEstimator,
     FaultyExecutor,

@@ -17,7 +17,8 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs.events import load_events
 from repro.resilience import CampaignCheckpoint, TimeoutPolicy
-from repro.resilience.faults import FailingEstimator, WorkerKillingEstimator
+
+from tests.resilience.faults import FailingEstimator, WorkerKillingEstimator
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
