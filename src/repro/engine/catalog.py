@@ -7,7 +7,6 @@ it is a PK-FK (one-to-many) or FK-FK (many-to-many) join.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.engine.types import ColumnKind
@@ -148,46 +147,6 @@ class JoinGraph:
 
     def neighbors(self, table: str) -> frozenset[str]:
         return frozenset(edge.other(table) for edge in self.edges_of(table))
-
-    def connected(self, tables: frozenset[str], edges: list[JoinEdge] | None = None) -> bool:
-        """Whether ``tables`` form a connected subgraph.
-
-        If ``edges`` is given, connectivity is checked using only those
-        edges (the edges of a specific query); otherwise all schema
-        edges are used.
-        """
-        if not tables:
-            return False
-        if len(tables) == 1:
-            return True
-        usable = self.edges if edges is None else edges
-        remaining = set(tables)
-        frontier = [next(iter(tables))]
-        remaining.discard(frontier[0])
-        while frontier:
-            current = frontier.pop()
-            for edge in usable:
-                if current in edge.tables:
-                    other = edge.other(current)
-                    if other in remaining:
-                        remaining.discard(other)
-                        frontier.append(other)
-        return not remaining
-
-    def connected_subsets(self, tables: frozenset[str], edges: list[JoinEdge]) -> list[frozenset[str]]:
-        """All connected sub-sets of ``tables`` under ``edges``.
-
-        This is the *sub-plan query space* of a query joining
-        ``tables`` (Section 4.2 of the paper): every connected subset
-        corresponds to a sub-plan whose cardinality the planner needs.
-        """
-        result = []
-        for size in range(1, len(tables) + 1):
-            for combo in itertools.combinations(sorted(tables), size):
-                subset = frozenset(combo)
-                if self.connected(subset, edges):
-                    result.append(subset)
-        return result
 
     def join_form(self, tables: frozenset[str], edges: list[JoinEdge] | None = None) -> str:
         """Classify the join shape over ``tables``: chain, star or mixed.

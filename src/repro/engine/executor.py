@@ -88,26 +88,6 @@ class NodeRuntimeStats:
     elapsed_seconds: float
     rows_in: tuple[int, ...] = ()
 
-    def to_dict(self) -> dict:
-        """JSON-safe form (tables sorted, tuples as lists)."""
-        return {
-            "tables": sorted(self.tables),
-            "method": self.method,
-            "rows_out": int(self.rows_out),
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "rows_in": [int(n) for n in self.rows_in],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NodeRuntimeStats":
-        return cls(
-            tables=frozenset(payload["tables"]),
-            method=payload["method"],
-            rows_out=int(payload["rows_out"]),
-            elapsed_seconds=float(payload["elapsed_seconds"]),
-            rows_in=tuple(int(n) for n in payload.get("rows_in", ())),
-        )
-
 
 @dataclass
 class ExecutionResult:

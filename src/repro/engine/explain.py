@@ -40,43 +40,6 @@ class ExplainResult:
     #: Per-node runtime stats (EXPLAIN ANALYZE only).
     node_stats: dict[frozenset[str], NodeRuntimeStats] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON-safe form, including the per-node est-vs-actual tree.
-
-        Node keys (frozensets) become sorted lists; the node list is
-        ordered by table set so serialization is deterministic.  The
-        inverse is :meth:`from_dict`; blame tooling fed a round-tripped
-        tree sees node stats identical to the in-memory ones.
-        """
-        return {
-            "text": self.text,
-            "estimated_cost": float(self.estimated_cost),
-            "estimated_rows": float(self.estimated_rows),
-            "actual_rows": self.actual_rows,
-            "execution_seconds": self.execution_seconds,
-            "aborted": self.aborted,
-            "node_stats": [
-                self.node_stats[tables].to_dict()
-                for tables in sorted(self.node_stats, key=sorted)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExplainResult":
-        stats = [
-            NodeRuntimeStats.from_dict(entry)
-            for entry in payload.get("node_stats", ())
-        ]
-        return cls(
-            text=payload["text"],
-            estimated_cost=float(payload["estimated_cost"]),
-            estimated_rows=float(payload["estimated_rows"]),
-            actual_rows=payload.get("actual_rows"),
-            execution_seconds=payload.get("execution_seconds"),
-            aborted=payload.get("aborted", False),
-            node_stats={entry.tables: entry for entry in stats},
-        )
-
 
 def explain(
     database: Database,

@@ -32,11 +32,6 @@ class TrueCardEstimator(CardinalityEstimator):
         if self._service is None or self._service.database is not database:
             self._service = TrueCardinalityService(database)
 
-    def preload(self, sub_plan_cards: dict) -> None:
-        """Register known true cardinalities keyed by sub-plan query."""
-        for query, count in sub_plan_cards.items():
-            self._known[query.key()] = count
-
     def preload_labeled(self, labeled) -> None:
         """Register the sub-plan cardinalities of a labelled query."""
         for subset, count in labeled.sub_plan_true_cards.items():

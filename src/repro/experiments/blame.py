@@ -52,16 +52,8 @@ def blame_query(
     planner: Planner | None = None,
     executor: Executor | None = None,
     analyze: bool = True,
-    node_stats: dict[frozenset[str], NodeRuntimeStats] | None = None,
 ) -> QueryBlame:
-    """Attribute one query's plan-quality gap to its sub-plan estimates.
-
-    ``node_stats`` short-circuits the EXPLAIN ANALYZE execution with
-    previously collected per-node stats (e.g. deserialized from an
-    :class:`~repro.engine.explain.ExplainResult` artifact) — the
-    attribution is identical either way, which the round-trip tests
-    assert.
-    """
+    """Attribute one query's plan-quality gap to its sub-plan estimates."""
     planner = planner or Planner(database)
     est_planned = planner.plan(query, estimates)
     true_planned = planner.plan(query, true_cards)
@@ -83,9 +75,9 @@ def blame_query(
     execution_seconds = None
     true_execution_seconds = None
     aborted = False
-    if node_stats is None and analyze:
+    node_stats: dict[frozenset[str], NodeRuntimeStats] = {}
+    if analyze:
         executor = executor or Executor(database)
-        node_stats = {}
         try:
             result = executor.execute(est_planned.plan, collect_stats=True)
             node_stats = result.node_stats
@@ -98,13 +90,6 @@ def blame_query(
             ).elapsed_seconds
         except ExecutionAborted:
             true_execution_seconds = None
-    elif node_stats is not None:
-        execution_seconds = sum(
-            stats.elapsed_seconds
-            for subset, stats in node_stats.items()
-            if subset == query.tables
-        ) or None
-    node_stats = node_stats or {}
 
     est_nodes = plan_subsets(est_planned.plan)
     true_nodes = plan_subsets(true_planned.plan)

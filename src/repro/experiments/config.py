@@ -42,8 +42,9 @@ class ExperimentConfig:
     campaign_timeout_seconds: float | None = None
     #: where evaluation-run caches (resumable campaign checkpoints) live.
     cache_dir: Path = field(default=Path(".cache") / "experiments")
-    #: where labelled-workload caches live (None = the package default,
-    #: shared with direct ``build_stats_ceb``/``build_job_light`` calls).
+    #: where labelled workloads are cached, one ``export-workload`` SQL
+    #: file each (None = the package default, shared with direct
+    #: ``build_stats_ceb``/``build_job_light`` calls).
     workload_cache_dir: Path | None = None
 
     @classmethod

@@ -3,7 +3,8 @@
 The context lazily builds every asset an experiment needs and caches
 the expensive parts on disk:
 
-- labelled workloads (through :mod:`repro.workloads.cache`),
+- labelled workloads, each through :mod:`repro.workloads.cache`'s one
+  builder, as the annotated SQL ``repro export-workload`` writes,
 - full estimator evaluation passes, one
   :class:`~repro.resilience.checkpoint.CampaignCheckpoint` file each,
 

@@ -2,6 +2,8 @@
 
 - :mod:`repro.workloads.templates` — join-template enumeration.
 - :mod:`repro.workloads.generator` — predicate sampling and labelling.
+- :mod:`repro.workloads.cache` — the one cached builder of labelled workloads.
+- :mod:`repro.workloads.sql_io` — annotated SQL, the workloads' one file format.
 - :mod:`repro.workloads.stats_ceb` — the STATS-CEB analog workload.
 - :mod:`repro.workloads.job_light` — the JOB-LIGHT analog workload.
 - :mod:`repro.workloads.describe` — the Table-2 statistics.

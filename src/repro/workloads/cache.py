@@ -1,23 +1,30 @@
-"""Disk cache for labelled workloads.
+"""The one builder of labelled workloads, and its disk cache.
 
 Labelling a workload executes every sub-plan query exactly, which is
 the most expensive step of benchmark preparation.  Since datasets and
 workloads are fully deterministic in their configs, the result is
-cached as JSON keyed by a config fingerprint.
+cached keyed by a config fingerprint — as the annotated SQL of
+:func:`repro.workloads.sql_io.export_workload`, so a cache file is
+byte for byte what ``repro export-workload`` writes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
-from repro.engine.catalog import JoinEdge
-from repro.engine.predicates import Predicate
-from repro.engine.query import LabeledQuery, Query
-from repro.workloads.generator import Workload
+from repro.core.truecards import TrueCardinalityService
+from repro.engine.database import Database
+from repro.workloads.generator import Workload, WorkloadSpec, build_workload
+from repro.workloads.sql_io import export_workload, import_workload
+from repro.workloads.templates import enumerate_templates
 
 DEFAULT_CACHE_DIR = Path(".cache") / "workloads"
+#: Intermediate-row budget of each labelling execution.
+LABEL_ROW_BUDGET = 16_000_000
 
 
 def fingerprint(parts: dict) -> str:
@@ -39,94 +46,54 @@ def database_checksum(database) -> int:
     return total
 
 
-def workload_to_dict(workload: Workload) -> dict:
-    return {
-        "name": workload.name,
-        "database_name": workload.database_name,
-        "queries": [_labeled_to_dict(labeled) for labeled in workload.queries],
-    }
+def labelled_workload(
+    database: Database,
+    spec: WorkloadSpec,
+    num_templates: int,
+    max_tables: int,
+    cache_dir: Path | None = None,
+    use_cache: bool = True,
+) -> Workload:
+    """Build (or load from cache) the workload ``spec`` describes.
 
-
-def workload_from_dict(payload: dict) -> Workload:
-    return Workload(
-        name=payload["name"],
-        database_name=payload["database_name"],
-        queries=[_labeled_from_dict(item) for item in payload["queries"]],
+    Queries fill ``num_templates`` join templates of 2 to
+    ``max_tables`` tables.  The cache file is
+    ``<cache_dir>/<spec.name>-<key>.sql``; a missing or unparseable
+    one is a miss, and the rebuilt workload replaces it atomically.
+    """
+    key = fingerprint(
+        {
+            "database": database.name,
+            "rows": database.total_rows(),
+            "checksum": database_checksum(database),
+            "spec": dataclasses.asdict(spec),
+            "num_templates": num_templates,
+            "max_tables": max_tables,
+        }
     )
+    path = (cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR) / f"{spec.name}-{key}.sql"
+    if use_cache:
+        try:
+            return import_workload(path, database.join_graph, spec.name, database.name)
+        except (OSError, ValueError):
+            pass
 
-
-def save(workload: Workload, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(workload_to_dict(workload)))
-
-
-def load(path: Path) -> Workload | None:
-    if not path.exists():
-        return None
-    try:
-        return workload_from_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError):
-        return None
-
-
-def cached_path(name: str, key: str, cache_dir: Path | None = None) -> Path:
-    directory = cache_dir if cache_dir is not None else DEFAULT_CACHE_DIR
-    return directory / f"{name}-{key}.json"
-
-
-# -- serialization details -------------------------------------------------
-
-
-def _labeled_to_dict(labeled: LabeledQuery) -> dict:
-    return {
-        "query": _query_to_dict(labeled.query),
-        "true_cardinality": labeled.true_cardinality,
-        "sub_plan_true_cards": [
-            [sorted(tables), count]
-            for tables, count in sorted(
-                labeled.sub_plan_true_cards.items(),
-                key=lambda kv: (len(kv[0]), sorted(kv[0])),
-            )
-        ],
-    }
-
-
-def _labeled_from_dict(payload: dict) -> LabeledQuery:
-    return LabeledQuery(
-        query=_query_from_dict(payload["query"]),
-        true_cardinality=payload["true_cardinality"],
-        sub_plan_true_cards={
-            frozenset(tables): count
-            for tables, count in payload["sub_plan_true_cards"]
-        },
+    templates = enumerate_templates(
+        database.join_graph,
+        count=num_templates,
+        seed=spec.seed,
+        min_tables=2,
+        max_tables=max_tables,
     )
-
-
-def _query_to_dict(query: Query) -> dict:
-    return {
-        "name": query.name,
-        "tables": sorted(query.tables),
-        "join_edges": [
-            [e.left, e.left_column, e.right, e.right_column, e.one_to_many]
-            for e in query.join_edges
-        ],
-        "predicates": [
-            [p.table, p.column, p.op, list(p.value) if isinstance(p.value, tuple) else p.value]
-            for p in query.predicates
-        ],
-    }
-
-
-def _query_from_dict(payload: dict) -> Query:
-    return Query(
-        tables=frozenset(payload["tables"]),
-        join_edges=tuple(
-            JoinEdge(left, lc, right, rc, one_to_many=otm)
-            for left, lc, right, rc, otm in payload["join_edges"]
-        ),
-        predicates=tuple(
-            Predicate(table, column, op, tuple(value) if isinstance(value, list) else value)
-            for table, column, op, value in payload["predicates"]
-        ),
-        name=payload["name"],
-    )
+    service = TrueCardinalityService(database, max_intermediate_rows=LABEL_ROW_BUDGET)
+    workload = build_workload(database, templates, spec, service)
+    if use_cache:
+        # Export beside the target, then rename: a reader sees no file or
+        # the whole one, never a prefix that parses as fewer queries.
+        temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            export_workload(workload, temporary)
+            os.replace(temporary, path)
+        finally:
+            temporary.unlink(missing_ok=True)
+    return workload

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.truecards import TrueCardinalityService
 from repro.engine.database import Database
-from repro.workloads import cache
-from repro.workloads.generator import Workload, WorkloadSpec, build_workload
-from repro.workloads.templates import enumerate_templates
+from repro.workloads.cache import labelled_workload
+from repro.workloads.generator import Workload, WorkloadSpec
 
 NUM_QUERIES = 70
 NUM_TEMPLATES = 23
@@ -30,31 +28,6 @@ def build_job_light(
     use_cache: bool = True,
 ) -> Workload:
     """Build (or load from cache) the JOB-LIGHT analog workload."""
-    key = cache.fingerprint(
-        {
-            "database": database.name,
-            "rows": database.total_rows(),
-            "checksum": cache.database_checksum(database),
-            "seed": seed,
-            "num_queries": num_queries,
-            "num_templates": num_templates,
-            "max_cardinality": max_cardinality,
-            "min_cardinality": min_cardinality,
-        }
-    )
-    path = cache.cached_path("job-light", key, cache_dir)
-    if use_cache:
-        cached = cache.load(path)
-        if cached is not None:
-            return cached
-
-    templates = enumerate_templates(
-        database.join_graph,
-        count=num_templates,
-        seed=seed,
-        min_tables=2,
-        max_tables=5,
-    )
     spec = WorkloadSpec(
         name="job-light",
         total_queries=num_queries,
@@ -64,8 +37,4 @@ def build_job_light(
         max_cardinality=max_cardinality,
         seed=seed,
     )
-    service = TrueCardinalityService(database, max_intermediate_rows=16_000_000)
-    workload = build_workload(database, templates, spec, service)
-    if use_cache:
-        cache.save(workload, path)
-    return workload
+    return labelled_workload(database, spec, num_templates, 5, cache_dir, use_cache)

@@ -3,12 +3,16 @@
 Mirrors how the paper's benchmark releases STATS-CEB: one query per
 line in the benchmark SQL dialect, annotated with its true cardinality
 (and, here, the full sub-plan cardinalities) in trailing comments so a
-downstream system can consume the labels without re-executing.
+downstream system can consume the labels without re-executing.  It is
+also the on-disk form of the labelled-workload cache
+(:mod:`repro.workloads.cache`): ``import_workload(export_workload(w))``
+equals ``w`` query by query, labels included.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from repro.engine.catalog import JoinGraph
@@ -18,6 +22,7 @@ from repro.workloads.generator import Workload
 
 _CARD_MARKER = "-- true_cardinality:"
 _SUBPLAN_MARKER = "-- sub_plan_cardinalities:"
+_HEADER = re.compile(r"-- workload: .* \((\d+) queries, database .*\)")
 
 
 def export_workload(workload: Workload, path: Path) -> None:
@@ -53,12 +58,16 @@ def import_workload(
 
     Plain ``.sql`` files (queries only, no annotations) import too;
     such queries carry a true cardinality of -1 and no sub-plan labels.
+    A file whose ``-- workload:`` header declares more or fewer queries
+    than it holds, or that does not end in a newline, is torn and
+    raises :class:`ValueError`.
     """
     workload = Workload(name=name, database_name=database_name)
     current_name = ""
     cardinality = -1
     sub_plans: dict = {}
-    for raw_line in path.read_text().splitlines():
+    text = path.read_text()
+    for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
             continue
@@ -85,4 +94,7 @@ def import_workload(
         current_name = ""
         cardinality = -1
         sub_plans = {}
+    header = _HEADER.match(text)
+    if header and (int(header[1]) != len(workload) or not text.endswith("\n")):
+        raise ValueError(f"{path} is torn: its header declares {header[1]} queries")
     return workload

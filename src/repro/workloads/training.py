@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.truecards import TrueCardinalityService
 from repro.engine.database import Database
 from repro.engine.query import Query
-from repro.workloads import cache
-from repro.workloads.generator import Workload, WorkloadSpec, build_workload
-from repro.workloads.templates import enumerate_templates
+from repro.workloads.cache import labelled_workload
+from repro.workloads.generator import Workload, WorkloadSpec
 
 
 def build_training_workload(
@@ -34,31 +32,6 @@ def build_training_workload(
     use_cache: bool = True,
 ) -> Workload:
     """A generated (not hand-picked) workload for model training."""
-    key = cache.fingerprint(
-        {
-            "database": database.name,
-            "rows": database.total_rows(),
-            "checksum": cache.database_checksum(database),
-            "kind": "training",
-            "seed": seed,
-            "num_queries": num_queries,
-            "max_tables": max_tables,
-            "max_cardinality": max_cardinality,
-        }
-    )
-    path = cache.cached_path(f"training-{database.name}", key, cache_dir)
-    if use_cache:
-        cached = cache.load(path)
-        if cached is not None:
-            return cached
-
-    templates = enumerate_templates(
-        database.join_graph,
-        count=max(num_queries // 5, 10),
-        seed=seed,
-        min_tables=2,
-        max_tables=max_tables,
-    )
     spec = WorkloadSpec(
         name=f"training-{database.name}",
         total_queries=num_queries,
@@ -69,11 +42,9 @@ def build_training_workload(
         seed=seed,
         attempts_per_query=6,
     )
-    service = TrueCardinalityService(database, max_intermediate_rows=16_000_000)
-    workload = build_workload(database, templates, spec, service)
-    if use_cache:
-        cache.save(workload, path)
-    return workload
+    return labelled_workload(
+        database, spec, max(num_queries // 5, 10), max_tables, cache_dir, use_cache
+    )
 
 
 def flatten_to_examples(workload: Workload) -> list[tuple[Query, int]]:

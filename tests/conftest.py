@@ -1,8 +1,8 @@
 """Shared fixtures: small-scale databases and workloads.
 
 Tests run against reduced-scale versions of the benchmark databases so
-the whole suite stays fast; workload labelling results are cached under
-``.cache/test-workloads`` across runs.
+the whole suite stays fast; labelled workloads are cached under
+``tests/.workload-cache`` across runs.
 """
 
 from __future__ import annotations

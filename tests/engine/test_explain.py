@@ -64,27 +64,6 @@ class TestExplain:
                 actual = float(line.split("actual=")[1].split(" ")[0])
                 assert estimated == pytest.approx(actual)
 
-    def test_round_trip_preserves_node_stats_exactly(self, tiny_db, setup):
-        """to_dict/from_dict is lossless: blame tooling fed the revived
-        artifact sees node stats identical to the in-memory ones."""
-        import json
-
-        from repro.engine.explain import ExplainResult
-
-        query, cards = setup
-        result = explain(tiny_db, query, cards, analyze=True)
-        payload = json.loads(json.dumps(result.to_dict()))  # through real JSON
-        revived = ExplainResult.from_dict(payload)
-
-        assert revived.text == result.text
-        assert revived.estimated_cost == result.estimated_cost
-        assert revived.actual_rows == result.actual_rows
-        assert revived.execution_seconds == result.execution_seconds
-        assert revived.aborted == result.aborted
-        assert set(revived.node_stats) == set(result.node_stats)
-        for tables, stats in result.node_stats.items():
-            assert revived.node_stats[tables] == stats
-
     def test_aborted_execution_flagged(self, tiny_db, setup):
         from repro.engine.executor import Executor
 

@@ -6,12 +6,10 @@ import types
 import pytest
 
 from repro.core.injection import estimate_sub_plans
-from repro.engine.explain import ExplainResult
-from repro.engine.executor import Executor
 from repro.engine.planner import Planner
 from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
-from repro.experiments.blame import blame_query, blame_workload, plan_subsets
+from repro.experiments.blame import blame_workload, plan_subsets
 from repro.obs.blame import (
     load_blame_json,
     render_blame_report,
@@ -142,50 +140,6 @@ class TestBlameArtifacts:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="schema"):
             load_blame_json(path)
-
-
-class TestBlameFromNodeStats:
-    def test_round_tripped_explain_gives_identical_attribution(
-        self, stats_db, subset, postgres
-    ):
-        """Blame fed node stats deserialized from an ExplainResult
-        artifact matches blame fed the in-memory stats exactly."""
-        labeled = subset[0]
-        estimates = estimate_sub_plans(postgres, labeled.query)
-        true_cards = {
-            s: float(c) for s, c in labeled.sub_plan_true_cards.items()
-        }
-        planner = Planner(stats_db)
-        est_plan = planner.plan(labeled.query, estimates)
-        result = Executor(stats_db).execute(est_plan.plan, collect_stats=True)
-        explain = ExplainResult(
-            text="",
-            estimated_cost=est_plan.estimated_cost,
-            estimated_rows=estimates[labeled.query.tables],
-            actual_rows=result.cardinality,
-            execution_seconds=result.elapsed_seconds,
-            node_stats=result.node_stats,
-        )
-        revived = ExplainResult.from_dict(explain.to_dict())
-
-        direct = blame_query(
-            stats_db,
-            labeled.query,
-            estimates,
-            true_cards,
-            node_stats=result.node_stats,
-        )
-        from_artifact = blame_query(
-            stats_db,
-            labeled.query,
-            estimates,
-            true_cards,
-            node_stats=revived.node_stats,
-        )
-        assert direct.attributions == from_artifact.attributions
-        assert direct.p_error == from_artifact.p_error
-        # The artifact path must carry the EXPLAIN ANALYZE facts.
-        assert any(a.actual_rows is not None for a in from_artifact.attributions)
 
 
 def postgres_name() -> str:
