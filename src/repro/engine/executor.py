@@ -7,21 +7,24 @@ whose row ids some ancestor join still reads as a join key.  A join
 takes its key arrays from its full inputs, emits the ``keep`` columns
 and returns ``(columns, count)``; the root of a ``COUNT(*)`` plan keeps
 nothing, so it sums its per-probe match counts and materialises no
-output at all.  The cost of an operator therefore scales with the
-cardinalities flowing through it times the key columns still live above
-it — PostgreSQL's narrow tuples — which is what makes end-to-end time a
-meaningful signal for plan quality.
+output at all — a hash join then probes ``COUNT_CHUNK_ROWS`` rows at a
+time, so its working set is its build plus a few chunk-sized arrays,
+however large its probe side.  The cost of an operator therefore
+scales with the cardinalities flowing through it times the key columns
+still live above it — PostgreSQL's narrow tuples — which is what makes
+end-to-end time a meaningful signal for plan quality.
 
 The three join operators do physically different work:
 
 - **hash join**: builds a :class:`repro.engine.join_build.JoinBuild`
-  over the build side's *keys only* and probes it once per outer key —
-  a direct-address directory look-up on dense INT key domains, so the
+  over the build side's *keys only* — radix-ordered for INT keys whose
+  span is below ``2**32`` — and probes it once per outer key — a
+  direct-address directory look-up on dense INT key domains, so the
   operator does the linear build + probe + output work the cost model
   charges it; FLOAT keys and sparse domains probe by binary search;
 - **merge join**: fully reorders *both* inputs (keys and every kept
-  row-id column) by the join key before matching — the expensive sort
-  PostgreSQL charges for;
+  row-id column) by the join key with a comparison sort before matching
+  — the expensive sort PostgreSQL charges for;
 - **index nested-loop join**: probes the inner base table's key index
   per outer row, fetching all key matches and applying the inner
   filters *after* the fetch, exactly like an index scan qual.
@@ -62,6 +65,10 @@ from repro.engine.table import Table
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+
+#: Probe rows a count-only hash join matches at a time: its working set
+#: is a few arrays of this length, whatever the size of its probe side.
+COUNT_CHUNK_ROWS = 65_536
 
 
 class ExecutionAborted(RuntimeError):
@@ -288,13 +295,16 @@ class Executor:
     ) -> tuple[dict[str, np.ndarray], int]:
         """The one join kernel: keys from the full inputs, then only the
         ``keep`` columns reach the operator, which emits what it is given
-        and returns ``(columns, count)``."""
+        and returns ``(columns, count)``.  A hash join that keeps nothing
+        counts its probe side in chunks instead (:meth:`_count_probe`)."""
         edge = node.edge
-        left_keys, left_valid = self._key_values(left, edge.left, edge.left_column)
+        if node.method == JOIN_HASH and not keep:
+            return {}, self._count_probe(left[edge.left], right[edge.right], edge, deadline)
+        left_keys, left_valid = self._key_values(left[edge.left], edge.left, edge.left_column)
         left = {name: ids for name, ids in left.items() if name in keep}
         if node.method == JOIN_INDEX_NL:
             return self._index_nl_join(node, left, left_keys, left_valid, keep, deadline)
-        right_keys, right_valid = self._key_values(right, edge.right, edge.right_column)
+        right_keys, right_valid = self._key_values(right[edge.right], edge.right, edge.right_column)
         right = {name: ids for name, ids in right.items() if name in keep}
         if node.method == JOIN_HASH:
             build = JoinBuild(right_keys, right_valid, len(left_keys))
@@ -306,24 +316,43 @@ class Executor:
 
     def _key_values(
         self,
-        rows: dict[str, np.ndarray],
+        ids: np.ndarray,
         table: str,
         column: str,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Key array of the join column plus a not-NULL validity mask."""
+        """Key array of the join column at row ``ids`` plus a not-NULL
+        validity mask."""
         stored = self._database.tables[table].column(column)
-        ids = rows[table]
         return stored.values[ids], ~stored.null_mask[ids]
+
+    def _count_probe(self, probe_ids, build_ids, edge, deadline) -> int:
+        """The hash join with nothing kept: probe ``COUNT_CHUNK_ROWS``
+        rows at a time and sum their match counts.  Nothing the size of
+        the probe side is allocated, the row budget aborts as soon as
+        the running total passes it, and the deadline is checked between
+        chunks."""
+        build_keys, build_valid = self._key_values(build_ids, edge.right, edge.right_column)
+        build = JoinBuild(build_keys, build_valid, len(probe_ids))
+        total = 0
+        for begin in range(0, len(probe_ids), COUNT_CHUNK_ROWS):
+            if begin and deadline is not None and time.perf_counter() > deadline:
+                raise ExecutionAborted("execution timed out (hash probe)")
+            keys, valid = self._key_values(
+                probe_ids[begin : begin + COUNT_CHUNK_ROWS], edge.left, edge.left_column
+            )
+            total += int(build.match(keys[valid])[1].sum())
+            if total > self._max_rows:
+                raise ExecutionAborted(
+                    f"join would produce over {total} rows, exceeding budget {self._max_rows}"
+                )
+        return total
 
     def _hash_join(self, left, left_keys, left_valid, right, build: JoinBuild):
         starts, counts = build.match(left_keys[left_valid])
         total = self._check_budget(counts)
 
         # Expand a side's matches only when one of its columns is kept.
-        columns = {}
-        if left:
-            probe_take = np.repeat(np.nonzero(left_valid)[0], counts)
-            columns.update((name, ids[probe_take]) for name, ids in left.items())
+        columns = {name: np.repeat(ids[left_valid], counts) for name, ids in left.items()}
         if right:
             build_take = build.positions[_expand_ranges(starts, counts)]
             columns.update((name, ids[build_take]) for name, ids in right.items())
@@ -345,10 +374,7 @@ class Executor:
         counts = ends - starts
         total = self._check_budget(counts)
 
-        columns = {}
-        if left_sorted:
-            probe_take = np.repeat(np.arange(len(left_sorted_keys)), counts)
-            columns.update((name, ids[probe_take]) for name, ids in left_sorted.items())
+        columns = {name: np.repeat(ids, counts) for name, ids in left_sorted.items()}
         if right_sorted:
             build_take = _expand_ranges(starts, counts)
             columns.update((name, ids[build_take]) for name, ids in right_sorted.items())
@@ -425,11 +451,13 @@ class Executor:
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], starts[i] + counts[i])`` for all i.
 
-    Vectorised building block for expanding per-probe match ranges.
+    Vectorised building block for expanding per-probe match ranges:
+    range ``i`` begins at output position ``begins[i]``, so its entries
+    are ``starts[i] - begins[i]`` plus their output position — one
+    ``repeat`` and one ``arange``, added in place.
     """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    begins = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(begins, counts)
-    return np.repeat(starts.astype(np.int64), counts) + offsets
+    shift = starts - np.cumsum(counts)
+    shift += counts
+    expanded = np.repeat(shift, counts)
+    expanded += np.arange(len(expanded))
+    return expanded

@@ -1,24 +1,33 @@
 """The hash join's build side and its probe kernel.
 
 :class:`JoinBuild` is the only code that builds a hash-join build side:
-the executor's materialising hash join and its count-only twin probe
-it, and ``Database.index`` caches one per key column for the index
-nested-loop join, wander-join sampling and ``datad/fanout.py``'s
-degrees.  Labelling and join trees match keys as equal codes instead
+the executor's materialising hash join probes it with its whole probe
+side and its count-only twin chunk by chunk, and ``Database.index``
+caches one per key column for the index nested-loop join, wander-join
+sampling and ``datad/fanout.py``'s degrees.  Labelling and join trees
+match keys as equal codes instead
 (:class:`repro.engine.jointree.EdgeCodes`, under this module's span rule).
 
 A build keeps the valid (not-NULL) build keys stably sorted together
 with their positions in the build input, so the matches of one probe
 key are one contiguous range ``[start, start + count)`` of
 ``positions`` — in build-input order within a key, which fixes the
-join's output row order.  ``match`` finds those ranges in one of two
-ways and returns the same ``(starts, counts)`` either way:
+join's output row order.  The order is exactly
+``np.argsort(keys, kind="stable")``'s, computed by :func:`stable_order`:
+INT keys whose span is below ``2**32`` are ordered by one or two stable
+16-bit radix passes over ``key - kmin`` (least significant digit
+first), so building is linear in the build rows; FLOAT keys and wider
+spans keep the comparison sort.
+
+``match`` finds the ranges in one of two ways and returns the same
+``(starts, counts)`` either way:
 
 - **direct address** — for INT keys whose domain is dense enough, a
   directory indexed by ``key - kmin`` holds the prefix sums of the
   per-key counts (``np.bincount``), so a probe is two array look-ups:
-  O(1) per probe key, O(build + probe + span) per join, which is the
-  linear charge ``engine/cost.py`` prices a hash join at;
+  O(1) per probe key, O(build + probe + span) per join with the radix
+  order, which is the linear charge ``engine/cost.py`` prices a hash
+  join at;
 - **binary search** — for FLOAT keys and sparse key domains, where a
   directory would cost more to fill than the join it serves.
 
@@ -35,6 +44,32 @@ import numpy as np
 #: in the join's inputs, and its footprint is bounded by them.
 DIRECTORY_SPAN_FACTOR = 4
 
+#: INT keys whose span ``kmax - kmin`` is below this are radix-ordered.
+RADIX_SPAN_LIMIT = 2**32
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, in linear time for INT keys
+    whose span is below :data:`RADIX_SPAN_LIMIT`.
+
+    numpy sorts 16-bit integers stably by radix, so ``key - kmin`` is
+    ordered by its low 16 bits and then, stably, by its high 16 bits:
+    the permutation a stable comparison sort gives, at O(n).
+    """
+    if keys.dtype != np.int64 or len(keys) == 0:
+        return np.argsort(keys, kind="stable")
+    kmin = int(keys.min())
+    span = int(keys.max()) - kmin
+    if span >= RADIX_SPAN_LIMIT:
+        return np.argsort(keys, kind="stable")
+    # Below the limit ``keys - kmin`` cannot wrap.
+    shifted = keys - kmin
+    order = np.argsort(shifted.astype(np.uint16), kind="stable")
+    if span >= 2**16:
+        shifted >>= 16
+        order = order[np.argsort(shifted.astype(np.uint16)[order], kind="stable")]
+    return order
+
 
 class JoinBuild:
     """Build side of one hash join.
@@ -50,7 +85,7 @@ class JoinBuild:
     def __init__(self, keys: np.ndarray, valid: np.ndarray, probe_rows: int):
         build_ids = np.nonzero(valid)[0]
         build_keys = keys[build_ids]
-        order = np.argsort(build_keys, kind="stable")
+        order = stable_order(build_keys)
         #: Valid build keys in ascending order.
         self.sorted_keys = build_keys[order]
         #: Position in the build input of each entry of ``sorted_keys``.

@@ -8,13 +8,18 @@ row-id columns an ancestor still reads, the root none, with every count
 equal to a walk that materialises everything.
 """
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import executor as executor_module
 from repro.engine.catalog import ColumnMeta, JoinEdge, TableSchema
 from repro.engine.executor import ExecutionAborted, Executor, _expand_ranges
+from repro.engine.join_build import JoinBuild
 from repro.engine.plans import (
     JOIN_HASH,
     JOIN_INDEX_NL,
@@ -434,9 +439,90 @@ def test_join_count_equals_join_rows_length(left, right, picks, method):
     expected = sum(
         left[i] is not None and left[i] == key for i in outer["l"] for key in right
     )
-    assert executor.join_count(node, outer, inner) == expected
+    # The count-only hash probe streams in chunks: every size counts alike.
+    for chunk in (1, 2, 3, executor_module.COUNT_CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(executor_module, "COUNT_CHUNK_ROWS", chunk)
+            assert executor.join_count(node, outer, inner) == expected
     assert {len(ids) for ids in rows.values()} == {expected}
     assert executor.join_rows(node, outer, inner, keep=frozenset()) == {}
+
+
+def fan_out_db(probe_rows, build_rows, domain, seed=0):
+    """``l`` (probe) and ``r`` (build) with keys in ``[0, domain)``, a
+    tenth of them NULL, and the hash-join root counting their join."""
+    rng = np.random.default_rng(seed)
+    sides = [
+        (rng.integers(0, domain, rows), rng.random(rows) >= 0.1)
+        for rows in (probe_rows, build_rows)
+    ]
+    db = make_key_db(*sides[0], *sides[1])
+    return db, join(scan("l"), scan("r"), db.join_graph.edges[0], JOIN_HASH)
+
+
+class TestChunkedCount:
+    """The count-only hash join probes ``COUNT_CHUNK_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_aborts_iff_the_total_exceeds_the_budget(self, monkeypatch, chunk):
+        db, plan = fan_out_db(probe_rows=60, build_rows=40, domain=5)
+        total = Executor(db).execute(plan).cardinality
+        assert total > 60  # the scans stay within every budget below
+        monkeypatch.setattr(executor_module, "COUNT_CHUNK_ROWS", chunk)
+        assert Executor(db, max_intermediate_rows=total).execute(plan).cardinality == total
+        with pytest.raises(ExecutionAborted):
+            Executor(db, max_intermediate_rows=total - 1).execute(plan)
+
+        # The running total aborts as soon as it passes the budget.
+        probes = []
+        match = JoinBuild.match
+
+        def spy(build, keys):
+            probes.append(len(keys))
+            return match(build, keys)
+
+        monkeypatch.setattr(JoinBuild, "match", spy)
+        with pytest.raises(ExecutionAborted):
+            Executor(db, max_intermediate_rows=60).execute(plan)
+        assert len(probes) < 60 // chunk
+
+    def test_deadline_is_checked_between_chunks(self, monkeypatch):
+        db, plan = fan_out_db(probe_rows=10, build_rows=10, domain=3)
+        # A clock that advances one second per chunk matched.
+        clock = SimpleNamespace(now=0.0)
+        fake_time = SimpleNamespace(perf_counter=lambda: clock.now)
+        monkeypatch.setattr(executor_module, "time", fake_time)
+        match = JoinBuild.match
+
+        def slow(build, keys):
+            clock.now += 1.0
+            return match(build, keys)
+
+        monkeypatch.setattr(JoinBuild, "match", slow)
+        executor = Executor(db, timeout_seconds=2.5)
+        assert executor.execute(plan).cardinality > 0  # one chunk: one second
+        monkeypatch.setattr(executor_module, "COUNT_CHUNK_ROWS", 2)
+        clock.now = 0.0
+        with pytest.raises(ExecutionAborted, match="timed out"):
+            executor.execute(plan)
+        assert clock.now == 3.0  # aborted before the fourth of five chunks
+
+    def test_working_set_is_bounded_by_the_probe_ids(self):
+        """A ``COUNT(*)`` root over a large probe side needs the scan's row
+        ids plus a few chunk-sized buffers; gathering and matching the
+        probe keys whole took about six times the ids."""
+        db, plan = fan_out_db(probe_rows=400_000, build_rows=2_000, domain=1_000)
+        executor = Executor(db)
+        expected = executor.execute(plan).cardinality
+        tracemalloc.start()
+        try:
+            assert executor.execute(plan).cardinality == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        probe_id_bytes = 400_000 * np.dtype(np.intp).itemsize
+        chunk_bytes = executor_module.COUNT_CHUNK_ROWS * 8
+        assert peak < 2 * probe_id_bytes + 6 * chunk_bytes
 
 
 class TestIndexNestedLoop:

@@ -2,12 +2,17 @@
 
 ``JoinBuild.match`` is checked against a brute-force dict join and
 against its own binary-search branch (forced by building for the same
-input with the directory disabled), and ``Executor.join_rows`` against
-the argsort + double-``searchsorted`` join it replaced.
+input with the directory disabled), the radix-ordered build against a
+stable ``argsort``, and ``Executor.join_rows`` against the argsort +
+double-``searchsorted`` join it replaced.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import join_build
 from repro.engine.executor import Executor, _expand_ranges
@@ -159,6 +164,109 @@ class TestMatch:
         sparse = JoinBuild(keys, all_valid(keys), probe_rows=0)
         dense = JoinBuild(keys, all_valid(keys), probe_rows=100)
         assert dense.nbytes == sparse.nbytes + 102 * 8
+
+
+@contextmanager
+def sorted_dtypes():
+    """Records the dtype of every array ``np.argsort`` is given."""
+    seen = []
+    argsort = np.argsort
+
+    def spy(values, *args, **kwargs):
+        seen.append(values.dtype)
+        return argsort(values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argsort", spy)
+        yield seen
+
+
+#: Spans at and around the one-pass and the radix limits, and the widest.
+SPANS = [
+    *(0, 1, 7, 2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1),
+    *(2**32 - 1, 2**32, 2**32 + 1, 2**40, INT64.max, INT64.max - INT64.min),
+]
+
+
+@st.composite
+def int_build_inputs(draw):
+    """INT build keys with NULLs over a strided, offset domain whose span
+    is drawn around 2**16 and 2**32, up to the int64 extremes."""
+    span = draw(st.sampled_from(SPANS))
+    stride = draw(st.sampled_from([1, 2, 3, 1000, 2**16 + 3]))
+    steps = span // stride
+    span = steps * stride
+    kmin = draw(
+        st.one_of(
+            st.just(INT64.min),
+            st.just(INT64.max - span),
+            st.integers(INT64.min, INT64.max - span),
+        )
+    )
+    middle = draw(st.lists(st.integers(0, steps), max_size=60))
+    keys = [kmin + stride * step for step in [0, steps, *middle]]
+    keys = draw(st.permutations(keys))
+    valid = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return ints(keys), np.asarray(valid, dtype=bool)
+
+
+@st.composite
+def float_build_inputs(draw):
+    """FLOAT build keys with NULLs and duplicates."""
+    pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=40))
+    valid = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return np.asarray(keys, dtype=np.float64), np.asarray(valid, dtype=bool)
+
+
+class TestStableOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=st.one_of(int_build_inputs(), float_build_inputs()))
+    def test_build_order_is_stable_argsort_order(self, inputs):
+        """Property: the radix-ordered build is argsort's permutation, and
+        it takes the radix path exactly where the span allows it."""
+        keys, valid = inputs
+        build_ids = np.nonzero(valid)[0]
+        order = np.argsort(keys[build_ids], kind="stable")
+        with sorted_dtypes() as dtypes:
+            build = JoinBuild(keys, valid, probe_rows=0)
+        np.testing.assert_array_equal(build.sorted_keys, keys[build_ids][order])
+        np.testing.assert_array_equal(build.positions, build_ids[order])
+        assert build.sorted_keys.dtype == keys.dtype
+        assert build.positions.dtype == build_ids.dtype
+
+        if keys.dtype != np.int64 or len(build_ids) == 0:
+            expected = [keys.dtype]
+        else:
+            span = int(keys[build_ids].max()) - int(keys[build_ids].min())
+            if span < 2**16:
+                expected = [np.uint16]
+            elif span < join_build.RADIX_SPAN_LIMIT:
+                expected = [np.uint16, np.uint16]
+            else:
+                expected = [np.int64]
+        assert dtypes == expected
+
+    @pytest.mark.parametrize("span, passes", [(2**16 - 1, 1), (2**16, 2), (2**32 - 1, 2)])
+    def test_dense_domains_take_the_radix_path(self, span, passes):
+        rng = np.random.default_rng(span)
+        keys = rng.integers(-5, span - 5, 5_000, endpoint=True)
+        keys[:2] = -5, span - 5
+        valid = rng.random(len(keys)) < 0.9
+        valid[:2] = True
+        with sorted_dtypes() as dtypes:
+            build = JoinBuild(keys, valid, probe_rows=len(keys))
+        assert dtypes == [np.uint16] * passes
+        order = np.argsort(keys[valid], kind="stable")
+        np.testing.assert_array_equal(build.positions, np.nonzero(valid)[0][order])
+
+    def test_database_index_is_radix_ordered(self):
+        keys = np.arange(1_000, dtype=np.int64)[::-1] % 300
+        db = make_key_db(keys, all_valid(keys), keys, all_valid(keys))
+        with sorted_dtypes() as dtypes:
+            index = db.index("r", "k")
+        assert dtypes == [np.uint16]
+        np.testing.assert_array_equal(index.positions, np.argsort(keys, kind="stable"))
 
 
 def parent_hash_join(left, left_keys, left_valid, right, right_keys, right_valid):
