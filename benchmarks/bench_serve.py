@@ -51,7 +51,6 @@ def _serving_stack(database, estimator):
     service = EstimationService(
         database,
         registry=registry,
-        batch_window_seconds=0.002,
         max_queue=1024,
     ).start()
     server = build_server(service, "127.0.0.1:0")

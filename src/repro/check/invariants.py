@@ -49,19 +49,20 @@ checks are:
     micro-batcher rely on.
 
 ``serve``
-    Served answers are the offline answers: an in-process
+    Served answers are the offline answers: an
     :class:`~repro.serve.service.EstimationService` under a seeded
-    schedule of concurrent ``estimate_many`` / ``sub_plans`` calls with
-    one promotion fired mid-schedule must answer every request exactly
-    once, never from the fallback, and with exactly
+    schedule of concurrent ``/estimate``, ``/estimate_batch`` and
+    ``/subplans`` requests with one promotion fired mid-schedule, sent
+    once as in-process calls and once over HTTP through
+    :func:`~repro.serve.app.build_server`, must answer every request
+    exactly once, never from the fallback, and with exactly
     ``max(1, estimate_batch([query])[0])`` of the estimator whose version
-    the response names, although the micro-batcher may price a query
-    beside other clients' queries.  Every call runs under its own
-    tracer, and its trace must be its own: every span carries the
-    call's trace id and hangs off its one ``request`` root, and an
-    estimate's ``queue_wait`` span names a ``batch`` span in the trace
-    sink that links it back and served the version the answer names.
-    HTTP and injected faults are not covered yet.
+    the response names, although a round may price a query beside other
+    clients' queries.  Every request is traced, and its trace must be its
+    own: every span carries the request's trace id and hangs off its one
+    ``request`` root, and an estimate's one ``queue_wait`` span names a
+    ``batch`` span in the trace sink that links it back and served the
+    version the answer names.  Injected faults are not covered yet.
 
 ``parallel`` and ``resume`` run the full benchmark harness per case,
 so the runner only samples them on a fraction of cases.
@@ -69,6 +70,8 @@ so the runner only samples them on a fraction of cases.
 
 from __future__ import annotations
 
+import http.client
+import json
 import sys
 import tempfile
 import threading
@@ -107,6 +110,7 @@ from repro.estimators.postgres import PostgresEstimator
 from repro.estimators.truecard import TrueCardEstimator
 from repro.obs.trace import Tracer, load_trace, use_tracer
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.serve.app import build_server
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import EstimationService, ServeObservability
 from repro.serve.tracing import TraceSink
@@ -119,12 +123,12 @@ from repro.workloads.generator import Workload
 MAX_PLANS_PER_MASK = 8
 MAX_PLANS_PER_QUERY = 48
 
-#: The ``serve`` schedule: concurrent in-process clients and requests per
-#: client.  A request on a fuzz database takes ~50 us, about what waking
-#: a thread does, so a client needs this many for the schedules to
-#: overlap and some requests to be coalesced into one round.
+#: The ``serve`` schedule: concurrent clients and requests per client,
+#: sent in process and again over HTTP.  Over HTTP the four clients'
+#: requests overlap and share rounds at this length; each case's HTTP
+#: pass costs ~20 ms of the check's time budget.
 SERVE_CLIENTS = 4
-SERVE_REQUESTS_PER_CLIENT = 24
+SERVE_REQUESTS_PER_CLIENT = 12
 
 
 @dataclass(frozen=True)
@@ -595,35 +599,33 @@ def _serve_mismatch(served: list, wanted: list, degraded, version: int) -> str:
 
 
 def _serve_trace_problem(
-    tracer: Tracer, trace_id: str, kind: str, answer: dict, batches: dict[str, dict]
+    spans: list[dict], trace_id: str, kind: str, answer: dict, batches: dict[str, dict]
 ) -> str:
     """Why the trace of one served call is not that call's own, or ''."""
-    spans = tracer.spans
-    foreign = sum(span.trace_id != trace_id for span in spans)
+    foreign = sum(span["trace_id"] != trace_id for span in spans)
     if foreign:
         return f"{foreign} of {len(spans)} spans of trace {trace_id} carry another trace id"
     children: dict[str | None, list] = {}
     for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
+        children.setdefault(span["parent_id"], []).append(span)
     roots = children.get(None, [])
-    if [root.name for root in roots] != ["request"]:
-        return f"trace {trace_id} has roots {[root.name for root in roots]}, not one request"
+    if [root["name"] for root in roots] != ["request"]:
+        return f"trace {trace_id} has roots {[root['name'] for root in roots]}, not one request"
     reached, frontier = 0, list(roots)
     while frontier:
         reached += 1
-        frontier.extend(children.get(frontier.pop().span_id, []))
+        frontier.extend(children.get(frontier.pop()["span_id"], []))
     if reached != len(spans):
         return f"{len(spans) - reached} spans of trace {trace_id} are not under its root"
-    if kind == "sub_plans":
-        return ""
-    waits = [span for span in spans if span.name == "queue_wait"]
-    if not waits:
-        return f"trace {trace_id} has no queue_wait span"
+    waits = [span for span in spans if span["name"] == "queue_wait"]
+    parses = sum(span["name"] == "parse" for span in spans)
+    if (len(waits), parses) != (0 if kind == "sub_plans" else 1, 1):
+        return f"trace {trace_id} has {parses} parse and {len(waits)} queue_wait spans"
     for wait in waits:
-        batch = batches.get(wait.attributes.get("batch_span_id"))
+        batch = batches.get(wait["attributes"].get("batch_span_id"))
         if batch is None:
             return f"queue_wait of trace {trace_id} names no batch span in the sink"
-        if wait.span_id not in batch["attributes"]["links"]:
+        if wait["span_id"] not in batch["attributes"]["links"]:
             return f"batch {batch['span_id']} does not link queue_wait of trace {trace_id}"
         if batch["attributes"].get("version") != answer["version"]:
             return (
@@ -633,15 +635,101 @@ def _serve_trace_problem(
     return ""
 
 
+def _serve_answers(schedule, call, promote) -> list[list]:
+    """Per client thread, ``call(client, kind, picks, trace_id)`` (or what it
+    raised) of each request in order, ``trace_id`` being ``{client}-{step}``;
+    client 0 calls ``promote()`` halfway."""
+    answers: list[list] = [[] for _ in schedule]
+    barrier = threading.Barrier(len(schedule))
+
+    def client(index: int) -> None:
+        barrier.wait(timeout=60.0)
+        for step, (kind, picks) in enumerate(schedule[index]):
+            if index == 0 and step == SERVE_REQUESTS_PER_CLIENT // 2:
+                promote()
+            try:
+                answers[index].append(call(index, kind, picks, f"{index}-{step}"))
+            except Exception as error:  # noqa: BLE001 — reported by the caller
+                answers[index].append(error)
+
+    threads = [
+        threading.Thread(target=client, args=(index,), name=f"check-serve-{index}")
+        for index in range(len(schedule))
+    ]
+    # A request takes about one default switch interval, so without a
+    # short one the clients rarely interleave inside a request and a
+    # tracer that leaked between them would go unseen.
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(previous_interval)
+    return answers
+
+
+def _serve_in_process(service, schedule, sqls) -> list[list]:
+    """The answers of ``service``'s own methods, each call under a tracer
+    of its own whose spans go to the service's trace sink."""
+
+    def call(index: int, kind: str, picks: list[int], trace_id: str) -> dict:
+        tracer = Tracer(trace_id=trace_id)
+        try:
+            with use_tracer(tracer), tracer.span("request"):
+                if kind == "sub_plans":
+                    return service.sub_plans(sqls[picks[0]])
+                return service.estimate_many([sqls[pick] for pick in picks])
+        finally:
+            service.obs.trace_sink.write_spans(tracer.spans)
+
+    return _serve_answers(schedule, call, lambda: service.promote(estimator_name="MultiHist"))
+
+
+def _serve_over_http(service, schedule, sqls) -> list[list]:
+    """The answers of ``service`` behind :func:`build_server`, over one
+    keep-alive connection per client, each request sent with its trace id
+    as ``X-Request-ID``."""
+    server = build_server(service, "127.0.0.1:0").start()
+    connections = [http.client.HTTPConnection(*server.address, timeout=60.0) for _ in schedule]
+
+    def post(index: int, path: str, payload: dict, request_id: str) -> dict:
+        connections[index].request(
+            "POST", path, body=json.dumps(payload), headers={"X-Request-ID": request_id}
+        )
+        response = connections[index].getresponse()
+        body = json.loads(response.read())
+        if response.status != 200:
+            raise RuntimeError(f"HTTP {response.status}: {body.get('error')}")
+        return body
+
+    def call(index: int, kind: str, picks: list[int], trace_id: str) -> dict:
+        if kind == "estimate_batch":
+            return post(index, "/estimate_batch", {"sql": [sqls[p] for p in picks]}, trace_id)
+        path = "/subplans" if kind == "sub_plans" else "/estimate"
+        return post(index, path, {"sql": sqls[picks[0]]}, trace_id)
+
+    try:
+        return _serve_answers(
+            schedule, call, lambda: post(0, "/admin/promote", {"estimator": "MultiHist"}, "p")
+        )
+    finally:
+        for connection in connections:
+            connection.close()
+        server.close()
+
+
 def check_serve(case: CheckCase) -> list[Discrepancy]:
     """Served estimates equal the offline ones of the version they name.
 
-    PostgreSQL serves as version 1; client 0 promotes MultiHist halfway
-    through its requests, so answers of both versions interleave and a
-    job queued before the promotion may be priced after it.  Call
-    ``step`` of client ``i`` runs under a tracer of trace id
-    ``c{i}-{step}`` with a ``request`` root span; batch spans go to a
-    trace sink in a temporary directory.
+    The schedule runs against a fresh service twice, as in-process calls
+    and over HTTP (:func:`repro.serve.app.build_server`, promoting with a
+    ``POST /admin/promote``).  PostgreSQL serves as version 1 until
+    client 0 promotes MultiHist halfway, so answers of both versions
+    interleave and a job queued before the promotion may be priced after
+    it.  Traces and batch spans go to a sink in a temporary directory.
     """
     if not case.queries:
         return []
@@ -651,58 +739,6 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
     }
     sqls = [query_to_sql(query) for query in case.queries]
     schedule = _serve_schedule(case)
-    registry = ModelRegistry()
-    registry.promote(estimators[1], source="check:PostgreSQL")
-    answers: list[list] = [[] for _ in schedule]
-    tracers: list[list[Tracer]] = [[] for _ in schedule]
-    barrier = threading.Barrier(len(schedule))
-
-    def client(index: int) -> None:
-        barrier.wait(timeout=60.0)
-        for step, (kind, picks) in enumerate(schedule[index]):
-            if index == 0 and step == SERVE_REQUESTS_PER_CLIENT // 2:
-                registry.promote(estimators[2], source="check:MultiHist")
-            tracer = Tracer(trace_id=f"c{index}-{step}")
-            tracers[index].append(tracer)
-            try:
-                with use_tracer(tracer), tracer.span("request"):
-                    if kind == "sub_plans":
-                        answers[index].append(service.sub_plans(sqls[picks[0]]))
-                    else:
-                        answers[index].append(
-                            service.estimate_many([sqls[pick] for pick in picks])
-                        )
-            except Exception as error:  # noqa: BLE001 — reported below
-                answers[index].append(error)
-
-    with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
-        sink = TraceSink(Path(tmp) / "traces.jsonl")
-        service = EstimationService(
-            case.database, registry=registry, obs=ServeObservability(trace_sink=sink)
-        ).start()
-        threads = [
-            threading.Thread(target=client, args=(index,), name=f"check-serve-{index}")
-            for index in range(len(schedule))
-        ]
-        # A request takes about one default switch interval, so without a
-        # short one the clients rarely interleave inside a request and a
-        # tracer that leaked between threads would go unseen.
-        previous_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(previous_interval)
-            service.close()  # drains the sink
-        batches = {
-            record["span_id"]: record
-            for record in load_trace(sink.path)
-            if record["name"] == "batch"
-        }
-
     discrepancies: list[Discrepancy] = []
     memo: dict[tuple, float] = {}
 
@@ -713,53 +749,72 @@ def check_serve(case: CheckCase) -> list[Discrepancy]:
             memo[key] = max(1.0, float(estimate))
         return memo[key]
 
-    for index, requests in enumerate(schedule):
-        if len(answers[index]) != len(requests):
-            discrepancies.append(
-                Discrepancy(
-                    "serve",
-                    case.name,
-                    f"client {index} sent {len(requests)} requests and got "
-                    f"{len(answers[index])} answers",
-                )
-            )
-        for step, ((kind, picks), answer, tracer) in enumerate(
-            zip(requests, answers[index], tracers[index])
-        ):
-            queries = [case.queries[pick] for pick in picks]
-            if isinstance(answer, Exception):
-                detail = f"raised {type(answer).__name__}: {answer}"
-            elif (version := answer["version"]) not in estimators:
-                detail = f"names unknown version {version}"
-            elif kind == "sub_plans":
-                served = sorted(
-                    (entry["tables"], entry["estimate"])
-                    for entry in answer["sub_plans"]
-                )
-                wanted = sorted(
-                    (sorted(subset), offline(version, sub_query))
-                    for subset, sub_query in sub_plan_queries(queries[0]).items()
-                )
-                degraded = answer["failed_sub_plans"] or answer["fallback_estimates"]
-                detail = _serve_mismatch(served, wanted, degraded, version)
-            else:
-                served = list(enumerate(answer["estimates"]))
-                wanted = [
-                    (position, offline(version, query))
-                    for position, query in enumerate(queries)
-                ]
-                detail = _serve_mismatch(served, wanted, answer["fallback"], version)
-            detail = detail or _serve_trace_problem(
-                tracer, f"c{index}-{step}", kind, answer, batches
-            )
-            if detail:
+    for transport, serve in (("in-process", _serve_in_process), ("http", _serve_over_http)):
+        registry = ModelRegistry()
+        registry.promote(estimators[1], source="check:PostgreSQL")
+        with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
+            sink = TraceSink(Path(tmp) / "traces.jsonl")
+            service = EstimationService(
+                case.database,
+                registry=registry,
+                trainer=lambda name: estimators[2],
+                obs=ServeObservability(trace_sink=sink),
+            ).start()
+            try:
+                answers = serve(service, schedule, sqls)
+            finally:
+                service.close()  # drains the sink
+            records = load_trace(sink.path)
+        traces: dict[str, list[dict]] = {}
+        for record in records:
+            traces.setdefault(record["trace_id"], []).append(record)
+        batches = {record["span_id"]: record for record in records if record["name"] == "batch"}
+        for index, requests in enumerate(schedule):
+            if len(answers[index]) != len(requests):
                 discrepancies.append(
                     Discrepancy(
                         "serve",
-                        ", ".join(query.name for query in queries),
-                        f"client {index} request {step} ({kind}): {detail}",
+                        case.name,
+                        f"{transport} client {index} sent {len(requests)} requests "
+                        f"and got {len(answers[index])} answers",
                     )
                 )
+            for step, ((kind, picks), answer) in enumerate(zip(requests, answers[index])):
+                queries = [case.queries[pick] for pick in picks]
+                if isinstance(answer, Exception):
+                    detail = f"raised {type(answer).__name__}: {answer}"
+                elif (version := answer["version"]) not in estimators:
+                    detail = f"names unknown version {version}"
+                elif kind == "sub_plans":
+                    served = sorted(
+                        (entry["tables"], entry["estimate"])
+                        for entry in answer["sub_plans"]
+                    )
+                    wanted = sorted(
+                        (sorted(subset), offline(version, sub_query))
+                        for subset, sub_query in sub_plan_queries(queries[0]).items()
+                    )
+                    degraded = answer["failed_sub_plans"] or answer["fallback_estimates"]
+                    detail = _serve_mismatch(served, wanted, degraded, version)
+                else:
+                    served = list(enumerate(answer["estimates"]))
+                    wanted = [
+                        (position, offline(version, query))
+                        for position, query in enumerate(queries)
+                    ]
+                    detail = _serve_mismatch(served, wanted, answer["fallback"], version)
+                trace_id = f"{index}-{step}"
+                detail = detail or _serve_trace_problem(
+                    traces.get(trace_id, []), trace_id, kind, answer, batches
+                )
+                if detail:
+                    discrepancies.append(
+                        Discrepancy(
+                            "serve",
+                            ", ".join(query.name for query in queries),
+                            f"{transport} client {index} request {step} ({kind}): {detail}",
+                        )
+                    )
     return discrepancies
 
 

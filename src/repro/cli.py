@@ -284,7 +284,6 @@ def cmd_serve(args) -> int:
             registry,
             trainer=lambda name: context.fitted_estimator(name, workload_name),
             request_timeout_seconds=args.request_timeout,
-            batch_window_seconds=args.batch_window_ms / 1000.0,
             max_queue=args.max_queue,
             run_id=run_id,
             obs=obs,
@@ -573,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the estimation-as-a-service HTTP process: trained "
         "estimators answer /estimate, /estimate_batch and /subplans "
-        "with cross-client micro-batching, hot-swap promotion and "
+        "on one event-loop thread, pricing each round of estimate "
+        "requests in one batch, with hot-swap promotion and "
         "admission control",
     )
     serve.add_argument("--database", default="stats", choices=["stats", "imdb"])
@@ -590,19 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="address to serve on (:0 picks a free port)",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=1.0,
-        metavar="MS",
-        help="max extra wait for the requests a micro-batch expects; a "
-        "lone request never waits (default 1ms)",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=256,
         metavar="N",
-        help="admission control: queued requests beyond N get 429",
+        help="admission control: estimate requests beyond N in one round get 429",
     )
     serve.add_argument(
         "--request-timeout",

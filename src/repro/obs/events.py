@@ -13,7 +13,7 @@ Design rules, mirroring the tracer:
   by :func:`context` live in one :class:`~contextvars.ContextVar`,
   set by :func:`use_event_log` for a ``with`` block.  A thread started
   inside the block begins with no log, so a serving process installs
-  its log per request on the handler thread, and two threads sharing
+  its log in each request's own context, and two threads sharing
   one log never see each other's fields.
 - **No-op when disabled.**  :func:`emit` is a single context-variable
   read until a log is installed, so instrumented call sites (benchmark

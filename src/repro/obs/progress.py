@@ -325,24 +325,17 @@ class SnapshotWriter:
 # -- HTTP endpoint ------------------------------------------------------------
 
 
-class MetricsServer:
-    """Stdlib HTTP server exposing ``/metrics``, ``/progress``, ``/healthz``.
+class MetricsServer(RoutedHTTPServer):
+    """The campaign's ``/metrics``, ``/progress`` and ``/healthz`` endpoint.
 
-    Built on the shared :class:`repro.obs.httpd.RoutedHTTPServer`: the
-    constructor binds the address (an occupied port raises
-    :class:`repro.obs.httpd.ServerStartError` before any thread
-    starts), :meth:`start` begins serving on a daemon thread, and
-    paths are matched on the path component only, so query strings
-    (``/healthz?probe=1``) route normally.  ``address`` reports the
-    bound (host, port) so callers (and tests) can pass port 0.  Never
-    required for a campaign — the snapshot file covers
-    scrape-from-disk setups.  ``/healthz`` answers 200 with the
-    campaign's ``run_id`` whenever the server thread is alive, so
-    external watchdogs can distinguish "the campaign is slow" from
-    "the process is gone".
-
-    ``tracker`` is the campaign whose ``/progress`` and gauges are
-    served (``None`` serves the registry alone).
+    A :class:`repro.obs.httpd.RoutedHTTPServer` (bound by the
+    constructor, served from :meth:`start`).  Never required for a
+    campaign — the snapshot file covers scrape-from-disk setups.
+    ``/healthz`` answers 200 with the campaign's ``run_id`` whenever the
+    server thread is alive, so external watchdogs can distinguish "the
+    campaign is slow" from "the process is gone".  ``tracker`` is the
+    campaign whose ``/progress`` and gauges are served (``None`` serves
+    the registry alone).
     """
 
     def __init__(
@@ -351,15 +344,13 @@ class MetricsServer:
         run_id: str = "",
         tracker: ProgressTracker | None = None,
     ):
+        super().__init__(addr, flag="--metrics-addr", thread_name="repro-metrics")
         self.run_id = run_id
         self.tracker = tracker
-        self._http = RoutedHTTPServer(
-            addr, flag="--metrics-addr", thread_name="repro-metrics"
-        )
-        self._http.add_route("GET", "/", self._metrics)
-        self._http.add_route("GET", "/metrics", self._metrics)
-        self._http.add_route("GET", "/progress", self._progress)
-        self._http.add_route("GET", "/healthz", self._healthz)
+        self.add_route("GET", "/", self._metrics)
+        self.add_route("GET", "/metrics", self._metrics)
+        self.add_route("GET", "/progress", self._progress)
+        self.add_route("GET", "/healthz", self._healthz)
 
     def _metrics(self, request: Request) -> Response:
         return text_response(
@@ -373,19 +364,6 @@ class MetricsServer:
 
     def _healthz(self, request: Request) -> Response:
         return json_response({"status": "ok", "run_id": self.run_id})
-
-    def start(self) -> "MetricsServer":
-        """Begin serving (separate from the bind in the constructor)."""
-        self._http.start()
-        return self
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._http.address
-
-    def close(self, timeout: float = 5.0) -> bool:
-        """Stop serving; idempotent.  True iff the thread joined."""
-        return self._http.close(timeout=timeout)
 
 
 # -- the current live view ---------------------------------------------------

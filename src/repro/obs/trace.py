@@ -20,10 +20,10 @@ module-level :func:`span` context manager, which is a shared no-op
 unless a tracer has been installed with :func:`use_tracer`.  The
 current tracer lives in a :class:`~contextvars.ContextVar`, so it is
 scoped per thread: a campaign installs one for its whole run, and a
-serving process installs one per request on the handler thread while
-other requests trace into their own.  The disabled path is a single
-context-variable read plus a constant context-manager enter/exit, so
-leaving instrumentation in hot call sites is safe.
+serving process installs one per request in that request's own
+context while other requests trace into their own.  The disabled path
+is a single context-variable read plus a constant context-manager
+enter/exit, so leaving instrumentation in hot call sites is safe.
 
 Traces serialize one span per line as JSON (:meth:`Tracer.export_jsonl`)
 and can be reloaded and pretty-printed with :func:`load_trace` /
@@ -77,6 +77,7 @@ class _NullSpan:
     """Shared do-nothing span: the disabled-mode recorder."""
 
     __slots__ = ()
+    span_id = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -127,9 +128,9 @@ class Tracer:
         """Append an already-measured span under the current parent.
 
         For work that finished before a tracer could wrap it (e.g. the
-        micro-batcher's assembly window, which elapses before the batch
-        group is known): the span is backdated so its start lines up
-        with when the measured work began.
+        time a round's batch waited to be assembled, which elapses
+        before the batch tracer exists): the span is backdated so its
+        start lines up with when the measured work began.
         """
         self._next_id += 1
         span = Span(

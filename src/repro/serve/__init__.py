@@ -6,41 +6,37 @@ long-lived process answering estimation requests over HTTP:
 
 - :mod:`repro.serve.registry` — named estimator versions with atomic
   hot-swap (train offline, promote under a lock);
-- :mod:`repro.serve.batching` — cross-client micro-batching: requests
-  that arrive while one is being priced share the next
-  ``estimate_batch`` call, a lone one is priced on its own thread;
-  bounded queue with admission control (429 on overflow);
 - :mod:`repro.serve.service` — the transport-free service core:
-  parse-cached SQL, per-request timeout/fallback via the
-  :mod:`repro.resilience` policies, sub-plan-space pricing through the
-  batched :mod:`repro.core.injection` path;
+  parse-cached SQL, rounds of estimate requests priced with one
+  ``estimate_batch`` per model (429 beyond a round cap), timeout and
+  fallback via :mod:`repro.resilience`, sub-plan-space pricing through
+  the batched :mod:`repro.core.injection` path;
 - :mod:`repro.serve.app` — the HTTP surface (``POST /estimate``,
   ``/estimate_batch``, ``/subplans``, ``/admin/promote``, plus
-  ``/metrics`` and ``/healthz``) on the shared
-  :mod:`repro.obs.httpd` machinery;
+  ``/metrics`` and ``/healthz``) on the shared single-threaded
+  :mod:`repro.obs.httpd` loop, one round per wake-up;
 - :mod:`repro.serve.loadgen` — the closed-loop load generator behind
   ``benchmarks/bench_serve.py`` (QPS, p50/p99 at 1/8/64 clients);
-- :mod:`repro.serve.tracing` — the append-only span sink, the
-  batch links between request and batch traces, and the structured
-  access log (request tracers are :mod:`repro.obs.trace`'s);
+- :mod:`repro.serve.tracing` — the append-only span sink and the
+  structured access log (request tracers are :mod:`repro.obs.trace`'s);
 - :mod:`repro.serve.slo` — sliding-window burn-rate SLO accounting;
 - :mod:`repro.serve.drift` — windowed est-vs-actual q-error
   monitoring fed by ``POST /feedback`` or self-execution sampling.
 """
 
 from repro.serve.app import build_server
-from repro.serve.batching import AdmissionError, MicroBatcher
 from repro.serve.drift import DriftConfig, DriftMonitor
 from repro.serve.loadgen import LoadReport, RequestSample, run_load
 from repro.serve.registry import ModelRegistry, ModelVersion, UnknownModelError
 from repro.serve.service import (
+    AdmissionError,
     BadRequestError,
     EstimationService,
     ServeObservability,
     ServiceError,
 )
 from repro.serve.slo import SLOConfig, SLOMonitor
-from repro.serve.tracing import AccessLog, TraceLink, TraceSink
+from repro.serve.tracing import AccessLog, TraceSink
 
 __all__ = [
     "AccessLog",
@@ -50,7 +46,6 @@ __all__ = [
     "DriftMonitor",
     "EstimationService",
     "LoadReport",
-    "MicroBatcher",
     "ModelRegistry",
     "ModelVersion",
     "RequestSample",
@@ -58,7 +53,6 @@ __all__ = [
     "SLOMonitor",
     "ServeObservability",
     "ServiceError",
-    "TraceLink",
     "TraceSink",
     "UnknownModelError",
     "build_server",

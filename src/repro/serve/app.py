@@ -3,7 +3,7 @@
 Routes (all JSON bodies/responses):
 
 - ``POST /estimate``        — ``{"sql": "...", "model": "name"?}`` ->
-  one estimate (micro-batched across clients);
+  one estimate (priced together with the rest of its round);
 - ``POST /estimate_batch``  — ``{"sql": ["...", ...], "model": ...}``;
 - ``POST /subplans``        — the whole connected-sub-plan space of
   one query, priced through the batched injection path;
@@ -11,16 +11,17 @@ Routes (all JSON bodies/responses):
   request (``{"request_id": ..., "actuals": [...]}``) or a standalone
   pair, folded into the accuracy-drift monitor;
 - ``POST /admin/promote``   — ``{"estimator": "LW-XGB"}`` (train) or
-  ``{"path": "model.pkl"}`` (load), then atomic hot-swap;
+  ``{"path": "model.pkl"}`` (load), then atomic hot-swap; it runs on the
+  server's worker thread, so estimates keep flowing meanwhile;
 - ``POST /admin/shutdown``  — ask the serving process to exit cleanly;
 - ``GET /models`` ``/healthz`` ``/metrics`` (Prometheus text, the
   whole obs registry — request counters, latency histograms with
   ``_bucket`` series, SLO burn rates, drift gauges).
 
 Status mapping: 400 malformed request, 404 unknown model/route, 405
-wrong method, 429 admission control, 504 request deadline, 500
-anything else (still JSON).  Every route is instrumented into the
-:mod:`repro.obs.metrics` registry: ``serve.requests.<route>``,
+wrong method, 429 admission control, 503 shutting down, 504 request
+deadline, 500 anything else (still JSON).  Every route is instrumented
+into the :mod:`repro.obs.metrics` registry: ``serve.requests.<route>``,
 ``serve.errors.<route>`` and ``serve.latency_seconds.<route>``.
 
 Every response carries ``X-Request-ID`` (adopted from the client or
@@ -28,8 +29,8 @@ minted in :mod:`repro.obs.httpd`).  When a
 :class:`~repro.serve.service.ServeObservability` bundle is attached,
 the instrumented wrapper additionally gives each request its own
 trace (trace id == request id) exported to the shared sink, installs
-the bundle's event log on the handler thread for the request, appends
-one access-log line, and folds the outcome into the SLO monitor —
+the bundle's event log in the request's context, appends one
+access-log line, and folds the outcome into the SLO monitor —
 whatever the status, including error paths.
 """
 
@@ -47,19 +48,24 @@ from repro.obs.httpd import (
     Response,
     RoutedHTTPServer,
     json_response,
+    run_route,
     text_response,
 )
 from repro.obs.progress import prometheus_text
-from repro.serve.batching import AdmissionError, BatcherClosedError
 from repro.serve.registry import UnknownModelError
-from repro.serve.service import BadRequestError, EstimationService
+from repro.serve.service import (
+    AdmissionError,
+    BadRequestError,
+    EstimationService,
+    ServiceClosedError,
+)
 
 #: service exception -> HTTP status.
 _STATUS_OF = (
     (BadRequestError, 400),
     (UnknownModelError, 404),
     (AdmissionError, 429),
-    (BatcherClosedError, 503),
+    (ServiceClosedError, 503),
     (TimeoutError, 504),
 )
 
@@ -72,12 +78,14 @@ def _status_of(error: Exception) -> int:
 
 
 def _instrumented(route_name: str, fn, service: EstimationService):
-    """Wrap a route with metrics, status mapping, tracing and logging."""
-    obs = service.obs
-    if obs.events is not None:
-        fn = _with_event_log(fn, obs.events)
+    """Wrap a route with metrics, status mapping, tracing and logging.
 
-    def route(request: Request) -> Response:
+    The wrapper is a generator, so ``fn`` may be one too: what it yields
+    passes through to the server's round.
+    """
+    obs = service.obs
+
+    def route(request: Request):
         registry = obs_metrics.registry()
         registry.counter(f"serve.requests.{route_name}").inc()
         started = time.perf_counter()
@@ -88,18 +96,18 @@ def _instrumented(route_name: str, fn, service: EstimationService):
         )
         status = 200
         try:
-            with obs_trace.use_tracer(tracer):
-                if tracer is None:
-                    response = fn(request)
-                else:
-                    with tracer.span(
-                        "request",
-                        route=route_name,
-                        method=request.method,
-                        request_id=request.request_id,
-                    ) as root:
-                        response = fn(request)
-                        root.set(status=response.status)
+            with (
+                obs_events.use_event_log(obs.events),
+                obs_trace.use_tracer(tracer),
+                obs_trace.span(
+                    "request",
+                    route=route_name,
+                    method=request.method,
+                    request_id=request.request_id,
+                ) as root,
+            ):
+                response = yield from run_route(fn, request)
+                root.set(status=response.status)
             status = response.status
             return response
         except HTTPError as error:
@@ -133,16 +141,6 @@ def _instrumented(route_name: str, fn, service: EstimationService):
     return route
 
 
-def _with_event_log(fn, log):
-    """``fn`` with ``log`` installed on the calling (handler) thread."""
-
-    def route(request: Request) -> Response:
-        with obs_events.use_event_log(log):
-            return fn(request)
-
-    return route
-
-
 def _sql_list(payload: dict) -> list:
     sqls = payload.get("sql")
     if isinstance(sqls, str):
@@ -155,12 +153,15 @@ def _sql_list(payload: dict) -> list:
 def build_server(
     service: EstimationService, addr: str, flag: str = "--serve-addr"
 ) -> RoutedHTTPServer:
-    """Bind (not start) a routed HTTP server around ``service``."""
-    server = RoutedHTTPServer(addr, flag=flag, thread_name="repro-serve")
+    """Bind (not start) a routed HTTP server around ``service``; each
+    round's estimate requests are priced by one ``price_round`` call."""
+    server = RoutedHTTPServer(
+        addr, flag=flag, thread_name="repro-serve", batch=service.price_round
+    )
 
-    def estimate(request: Request) -> Response:
+    def estimate(request: Request):
         payload = request.json()
-        result = service.estimate_many(
+        result = yield from service.estimate_request(
             _sql_list(payload),
             model=payload.get("model"),
             request_id=request.request_id,
@@ -225,7 +226,7 @@ def build_server(
     server.add_route(
         "POST", "/feedback", _instrumented("feedback", feedback, service)
     )
-    server.add_route(
+    server.add_worker_route(
         "POST", "/admin/promote", _instrumented("promote", promote, service)
     )
     server.add_route("POST", "/admin/shutdown", shutdown)

@@ -12,10 +12,11 @@ One :class:`EstimationService` owns everything a request needs:
   estimator failure degrades a response instead of erroring it (a
   request is priced once: estimators are deterministic, so nothing is
   retried);
-- the :class:`~repro.serve.batching.MicroBatcher` every estimate
-  request goes through, coalescing concurrent requests into one
-  ``estimate_batch`` call (its bounded queue is the admission
-  control behind 429).
+- **rounds** of estimate requests, each priced by
+  :meth:`EstimationService.price_round` with one ``estimate_batch`` call
+  per model: the HTTP loop's wake-ups, or an in-process
+  :meth:`estimate_many` as a round of one; jobs beyond ``max_queue`` in
+  a round are refused (the 429).
 
 Sub-plan-space requests go through
 :func:`repro.core.injection.price_sub_plans`, i.e. the same batched
@@ -23,10 +24,13 @@ injection path the benchmark uses, so a serving deployment prices a
 planner's whole sub-plan space in one call.
 
 Requests trace through :mod:`repro.obs.trace`: whatever tracer the
-calling thread installed (the HTTP layer installs one per request)
-receives the ``parse`` and ``queue_wait`` spans here and every span
-the shared code records on the way, such as ``inference`` from
-``price_sub_plans``.
+caller installed (the HTTP layer installs one per request) receives the
+``parse`` and ``queue_wait`` spans here and every span the shared code
+records on the way, such as ``inference`` from ``price_sub_plans``.
+Each priced group gets a trace of its own: a ``batch`` span linking the
+``queue_wait`` span of every member (each of which names the batch back),
+``batch_assembly`` (how long its oldest member waited in the round) and
+``inference``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.injection import clamped_batch, price_sub_plans
 from repro.engine.database import Database
@@ -47,11 +51,10 @@ from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog
 from repro.resilience.fallback import PostgresDefaultFallback
 from repro.resilience.policy import Deadline
-from repro.serve.batching import AdmissionError, MicroBatcher
 from repro.serve.drift import DriftMonitor
 from repro.serve.registry import ModelRegistry
 from repro.serve.slo import SLOMonitor
-from repro.serve.tracing import AccessLog, TraceLink, TraceSink
+from repro.serve.tracing import AccessLog, TraceSink
 
 #: How many recently served requests keep their estimates around so a
 #: later ``POST /feedback`` can resolve a ``request_id`` to the exact
@@ -60,6 +63,10 @@ _RECENT_REQUEST_CAP = 4096
 
 #: Distinct SQL texts the parse cache keeps (least recently used go first).
 PARSE_CACHE_SIZE = 2048
+
+#: Queries one ``estimate_batch`` call takes before a group of a round is
+#: split (a job is never split, so a call may exceed it by one job).
+MAX_BATCH_QUERIES = 1024
 
 
 class ServiceError(RuntimeError):
@@ -70,19 +77,44 @@ class BadRequestError(ServiceError):
     """Malformed request content (unparseable SQL, wrong field types)."""
 
 
+class AdmissionError(ServiceError):
+    """The round already holds ``max_queue`` estimate jobs (the HTTP 429)."""
+
+
+class ServiceClosedError(ServiceError):
+    """The service is shutting down; the request was not priced (HTTP 503)."""
+
+
+@dataclass(eq=False, slots=True)
+class EstimateJob:
+    """One estimate request's queries in a round: :meth:`price_round` fills
+    ``values`` and ``version`` (or ``error``), and, for a traced request,
+    the ``batch`` span id beside its ``queue_wait`` span id."""
+
+    model: str
+    queries: list[Query]
+    deadline: Deadline
+    queued: float = field(default_factory=time.perf_counter)
+    span_id: str | None = None
+    batch_span_id: str | None = None
+    values: list[float] | None = None
+    version: int | None = None
+    error: Exception | None = None
+
+
 @dataclass
 class ServeObservability:
     """The serving path's observability bundle (all parts optional).
 
     One instance is wired through :class:`EstimationService` into the
-    app layer and the micro-batcher: the trace sink collects per-request
-    and per-batch spans, the access log records one line per served
-    request, the SLO monitor turns outcomes into burn rates, the drift
-    monitor folds est-vs-actual feedback into windowed q-errors, and the
-    event log receives the structured events (``serve.drift``, sub-plan
-    fallbacks) of the service's own threads: it is installed with
-    :func:`repro.obs.events.use_event_log` on each request's handler
-    thread and on the self-execution thread, never process-wide.
+    app layer: the trace sink collects per-request and per-batch spans,
+    the access log records one line per served request, the SLO monitor
+    turns outcomes into burn rates, the drift monitor folds est-vs-actual
+    feedback into windowed q-errors, and the event log receives the
+    structured events (``serve.drift``, sub-plan fallbacks) of the
+    service: it is installed with :func:`repro.obs.events.use_event_log`
+    in each request's context and on the self-execution thread, never
+    process-wide.
     """
 
     trace_sink: TraceSink | None = None
@@ -107,7 +139,6 @@ class EstimationService:
         trainer=None,
         fallback=None,
         request_timeout_seconds: float | None = None,
-        batch_window_seconds: float = 0.001,
         max_queue: int = 256,
         run_id: str = "",
         obs: ServeObservability | None = None,
@@ -122,17 +153,16 @@ class EstimationService:
             fallback if fallback is not None else PostgresDefaultFallback(database)
         )
         self._request_timeout = request_timeout_seconds
+        self.max_queue = max_queue
         self._parse_cache: OrderedDict[str, Query] = OrderedDict()
         self._parse_lock = threading.Lock()
         self._promote_lock = threading.Lock()
         self._started_monotonic = time.monotonic()
         self.shutdown_requested = threading.Event()
-        self.batcher = MicroBatcher(
-            self._run_batch,
-            max_queue=max_queue,
-            window_seconds=batch_window_seconds,
-            trace_sink=self.obs.trace_sink,
-        )
+        # One round is priced at a time, whoever asks.
+        self._round_lock = threading.Lock()
+        self._pricing = 0  # estimate jobs of the round being priced
+        self._closed = False
         # Recently served requests, for /feedback request_id resolution.
         self._recent: OrderedDict[str, dict] = OrderedDict()
         self._recent_lock = threading.Lock()
@@ -153,13 +183,14 @@ class EstimationService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "EstimationService":
-        self.batcher.start()
         if self._self_exec_thread is not None:
             self._self_exec_thread.start()
         return self
 
     def close(self) -> None:
-        self.batcher.close()
+        """Refuse later rounds (:class:`ServiceClosedError`); close the rest."""
+        with self._round_lock:
+            self._closed = True
         if self._self_exec_thread is not None and self._self_exec_thread.is_alive():
             try:
                 self._self_exec_queue.put_nowait(None)  # wake + stop
@@ -192,84 +223,142 @@ class EstimationService:
                 self._parse_cache.popitem(last=False)
         return query
 
-    def _run_batch(
-        self, model: str | None, queries: list[Query]
-    ) -> tuple[list[float], int]:
-        """Batch execution hook: one batcher round of one model.
+    def price_round(self, jobs: list[EstimateJob]) -> None:
+        """Price one round, one ``estimate_batch`` per model (and chunk);
+        every job ends with ``values`` or ``error``, never a raise: jobs
+        beyond ``max_queue`` get :class:`AdmissionError`, a job past its
+        deadline ``TimeoutError``, a failed call's jobs its error, and all
+        of them :class:`ServiceClosedError` once the service is closed."""
+        with self._round_lock:
+            if self._closed:
+                for job in jobs:
+                    job.error = ServiceClosedError("estimation service is shut down")
+                return
+            for job in jobs[self.max_queue :]:
+                job.error = AdmissionError(f"round full ({self.max_queue} estimate jobs)")
+                obs_metrics.registry().counter("serve.admission_rejected").inc()
+            admitted = jobs[: self.max_queue]
+            groups: dict[str, list[EstimateJob]] = {}
+            for job in admitted:
+                if job.deadline.expired:
+                    job.error = TimeoutError("request deadline passed before pricing")
+                else:
+                    groups.setdefault(job.model, []).append(job)
+            self._pricing = len(admitted)
+            for model, group in groups.items():
+                start = size = 0
+                for end, job in enumerate(group, 1):
+                    size += len(job.queries)
+                    if size >= MAX_BATCH_QUERIES or end == len(group):
+                        self._price_chunk(model, group[start:end])  # never raises
+                        start, size = end, 0
+            self._pricing = 0
 
-        Resolves the model at call time — so promotions apply to queued
-        requests — and clamps estimates to >= 1 row like the injection
-        pass.  Raises whatever the estimator raises; per-request
-        fallback handling lives in :meth:`estimate_many`.
-        """
-        active = self.registry.get(model)
-        started = time.perf_counter()
-        with obs_trace.span(
-            "inference",
-            estimator=active.estimator_name,
-            queries=len(queries),
-            version=active.version,
-        ):
-            values = active.estimator.estimate_batch(queries)
-        elapsed = time.perf_counter() - started
-        estimates = clamped_batch(active.estimator_name, values, queries)
-        registry = obs_metrics.registry()
-        registry.histogram(
-            f"serve.inference_seconds.{active.estimator_name}"
-        ).observe(elapsed)
-        return estimates, active.version
+    def _price_chunk(self, model: str, jobs: list[EstimateJob]) -> None:
+        """One ``estimate_batch`` call for ``jobs``, by the version of
+        ``model`` active now — so a promotion applies to queued requests —
+        with estimates clamped to >= 1 row like the injection pass."""
+        queries = [query for job in jobs for query in job.queries]
+        links = [job.span_id for job in jobs if job.span_id is not None]
+        sink = self.obs.trace_sink
+        tracer = obs_trace.Tracer() if links and sink is not None else None
+        try:
+            # The batch tracer, not a caller's, receives the inference span.
+            with obs_trace.use_tracer(tracer), obs_trace.span(
+                "batch", model=model, jobs=len(jobs), batch_size=len(queries), links=links
+            ) as batch:
+                if tracer is not None:
+                    tracer.record("batch_assembly", time.perf_counter() - jobs[0].queued)
+                active = self.registry.get(model)
+                started = time.perf_counter()
+                with obs_trace.span(
+                    "inference",
+                    estimator=active.estimator_name,
+                    queries=len(queries),
+                    version=active.version,
+                ):
+                    values = active.estimator.estimate_batch(queries)
+                elapsed = time.perf_counter() - started
+                values = clamped_batch(active.estimator_name, values, queries)
+                batch.set(version=active.version)
+        except Exception as error:  # handed to every job of the chunk
+            for job in jobs:
+                job.error = error
+        else:
+            registry = obs_metrics.registry()
+            registry.histogram(f"serve.inference_seconds.{active.estimator_name}").observe(elapsed)
+            registry.histogram("serve.batch_size").observe(float(len(queries)))
+            registry.counter("serve.batches").inc()
+            offset = 0
+            for job in jobs:
+                job.values = values[offset : offset + len(job.queries)]
+                job.version = active.version
+                job.batch_span_id = batch.span_id
+                offset += len(job.queries)
+        finally:
+            if tracer is not None:
+                sink.write_spans(tracer.spans)
 
     # -- endpoints ---------------------------------------------------------
 
-    def estimate_many(
-        self, sqls: list, model: str | None = None, request_id: str = ""
-    ) -> dict:
-        """Price ``sqls`` (the /estimate and /estimate_batch core).
+    def estimate_request(self, sqls: list, model: str | None = None, request_id: str = ""):
+        """The /estimate and /estimate_batch core, as a member of a round.
 
-        The queries may share an ``estimate_batch`` call with other
-        clients' requests (a request nothing contends with is priced at
-        once on this thread).  Any failure but admission control
-        degrades to the PostgreSQL-default fallback (flagged in the
-        response) instead of erroring — the serving analogue of campaign
-        failure isolation.
+        A generator: it parses ``sqls`` and yields one
+        :class:`EstimateJob`, which :meth:`price_round` prices beside the
+        round's other jobs; resumed, it returns the response dict.  Any
+        failure but admission control and shutdown degrades to the
+        PostgreSQL-default fallback (flagged in the response) instead of
+        erroring — the serving analogue of campaign failure isolation.
         """
         if not isinstance(sqls, list) or not sqls:
             raise BadRequestError("'sql' must be a non-empty string or list")
         with obs_trace.span("parse", queries=len(sqls)):
             queries = [self.parse(sql) for sql in sqls]
         model_name = self.registry.get(model).name  # 404 before queueing
-        deadline = Deadline.after(self._request_timeout)
-        fallback_used = False
-        try:
-            values, version = self._submit(model_name, queries, deadline)
-        except AdmissionError:
-            raise
-        except Exception as error:
+        job = EstimateJob(model_name, queries, Deadline.after(self._request_timeout))
+        # queue_wait covers the round around this job and names the
+        # batch span (and version) that served it.
+        with obs_trace.span("queue_wait", queries=len(queries)) as wait:
+            job.span_id = wait.span_id
+            yield job
+            if job.batch_span_id is not None:
+                wait.set(batch_span_id=job.batch_span_id, version=job.version)
+        if isinstance(job.error, (AdmissionError, ServiceClosedError)):
+            raise job.error
+        if job.error is not None:
             # Graceful degradation: stat-free fallback estimates, the
             # request is answered (and flagged) rather than failed.
-            values = [
+            job.values = [
                 max(1.0, float(self._fallback.estimate(query)))
                 for query in queries
             ]
-            version = self.registry.get(model_name).version
-            fallback_used = True
+            job.version = self.registry.get(model_name).version
             obs_metrics.registry().counter("serve.fallback_requests").inc()
-            error_text = f"{type(error).__name__}: {error}"
         result = {
             "model": model_name,
-            "version": version,
-            "estimates": values,
-            "fallback": fallback_used,
+            "version": job.version,
+            "estimates": job.values,
+            "fallback": job.error is not None,
         }
-        if fallback_used:
-            result["error"] = error_text
+        if job.error is not None:
+            result["error"] = f"{type(job.error).__name__}: {job.error}"
         if request_id:
             result["request_id"] = request_id
         if self.obs.drift is not None:
             self._note_served(
-                request_id, model_name, version, sqls, queries, values
+                request_id, model_name, job.version, sqls, queries, job.values
             )
         return result
+
+    def estimate_many(self, sqls: list, model: str | None = None, request_id: str = "") -> dict:
+        """Price ``sqls`` now, on the calling thread, as a round of one."""
+        request = self.estimate_request(sqls, model, request_id)
+        self.price_round([next(request)])
+        try:
+            request.send(None)
+        except StopIteration as answered:
+            return answered.value
 
     def _note_served(
         self,
@@ -313,23 +402,6 @@ class EstimationService:
                     obs_metrics.registry().counter(
                         "serve.self_execution_dropped"
                     ).inc()
-
-    def _submit(
-        self, model_name: str, queries: list[Query], deadline: Deadline
-    ) -> tuple[list[float], int]:
-        timeout = deadline.tightest(30.0)
-        tracer = obs_trace.active_tracer()
-        if tracer is None:
-            return self.batcher.submit(model_name, queries, timeout)
-        # The queue_wait span covers enqueue->resolve; the link the
-        # round's leader fills lets this trace name the batch span (and
-        # registry version) that actually served it.
-        with tracer.span("queue_wait", queries=len(queries)) as wait_span:
-            link = TraceLink(tracer.trace_id, wait_span.span_id)
-            outcome = self.batcher.submit(model_name, queries, timeout, link=link)
-            if link.batch_span_id is not None:
-                wait_span.set(batch_span_id=link.batch_span_id, version=link.version)
-        return outcome
 
     def sub_plans(
         self, sql: str, model: str | None = None, request_id: str = ""
@@ -542,7 +614,7 @@ class EstimationService:
             "status": "ok",
             "run_id": self.run_id,
             "uptime_seconds": round(self.uptime_seconds(), 3),
-            "queue_depth": self.batcher.depth,
+            "queue_depth": self._pricing,  # over HTTP 0: answered between rounds
             "models": {
                 name: self.registry.get(name).version
                 for name in self.registry.names()

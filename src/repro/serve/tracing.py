@@ -1,18 +1,15 @@
-"""Where serving traces and access records go: sinks and batch links.
+"""Where serving traces and access records go.
 
 Request tracing itself is :mod:`repro.obs.trace`: every HTTP request
 gets its own :class:`~repro.obs.trace.Tracer` whose trace id *is* the
 request id (minted or adopted from ``X-Request-ID``), installed with
-:func:`~repro.obs.trace.use_tracer` on the handler thread for the
-duration of the request, so what the request runs on that thread —
-parse, ``queue_wait``, ``/subplans`` inference — records into it and into no
-other request's trace.  Spans cross the micro-batcher's queue boundary
-by **links**:
-the request's ``queue_wait`` span hands a :class:`TraceLink` to the
-batcher, and the executing round's ``batch`` span records every member
-link (and hands its own span id back), so one drained batch is
-navigable from each of the client requests it coalesced — and vice
-versa.
+:func:`~repro.obs.trace.use_tracer` in the request's own context, so
+what the request runs — parse, ``queue_wait``, ``/subplans`` inference
+— records into it and into no other request's trace.  A round's
+``batch`` span lists the ``queue_wait`` span of every member in its
+``links``, and each ``queue_wait`` names its batch back
+(:mod:`repro.serve.service`), so one batch is navigable from each of
+the requests it priced — and vice versa.
 
 Durability follows the event-log rules: spans are appended to one
 JSONL file (:class:`TraceSink`, one whole-trace write + flush per
@@ -40,24 +37,6 @@ from pathlib import Path
 
 from repro.obs.jsonl import open_append
 from repro.obs.trace import Span
-
-
-class TraceLink:
-    """Mutable cross-thread handle tying a request span to its batch.
-
-    The submitting handler thread fills ``trace_id``/``span_id`` (its
-    ``queue_wait`` span); the round's leader fills ``batch_span_id``
-    and ``version`` when it resolves the job, so both sides can record
-    the other's identity without sharing a tracer.
-    """
-
-    __slots__ = ("trace_id", "span_id", "batch_span_id", "version")
-
-    def __init__(self, trace_id: str, span_id: str):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.batch_span_id: str | None = None
-        self.version: int | None = None
 
 
 class _JsonlWriter:

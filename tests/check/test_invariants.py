@@ -26,7 +26,7 @@ from repro.engine.executor import Executor
 from repro.engine.jointree import JoinTree
 from repro.estimators.postgres import PostgresEstimator
 from repro.obs.trace import Tracer
-from repro.serve.batching import MicroBatcher
+from repro.serve.service import EstimationService
 
 
 class TestHealthyCases:
@@ -199,33 +199,28 @@ class TestDetection:
             assert any("alone" in detail for detail in details)
 
     def test_serve_detects_swapped_slices(self, monkeypatch):
-        # A batcher that hands two coalesced jobs each other's slice: the
-        # estimates are all genuine, only their owners are wrong.
+        # A round that hands two coalesced jobs each other's slice: the
+        # estimates are all genuine, only their owners are wrong.  Only
+        # HTTP rounds hold several jobs (an in-process call is a round of
+        # one), so this is caught over HTTP.
         case = next(
             case
             for case in (build_case(2, index) for index in range(40))
             if len(case.queries) >= 2
         )
+        price_chunk = EstimationService._price_chunk
 
-        def swapped(self, jobs, assembly_seconds=0.0):
-            if not jobs:
-                return
+        def swapped(self, model, jobs):
             time.sleep(0.001)  # other clients queue up behind this round
-            queries = [query for job in jobs for query in job.queries]
-            values, version = self._run_batch(jobs[0].model, queries)
-            slices, offset = [], 0
-            for job in jobs:
-                slices.append(values[offset : offset + len(job.queries)])
-                offset += len(job.queries)
-            if len(slices) >= 2:
-                slices[0], slices[1] = slices[1], slices[0]
-            for job, piece in zip(jobs, slices):
-                job.resolve(piece, version)
+            price_chunk(self, model, jobs)
+            if len(jobs) >= 2 and jobs[0].values != jobs[1].values:
+                jobs[0].values, jobs[1].values = jobs[1].values, jobs[0].values
 
-        monkeypatch.setattr(MicroBatcher, "_execute", swapped)
+        monkeypatch.setattr(EstimationService, "_price_chunk", swapped)
         discrepancies = check_serve(case)
         assert discrepancies
         assert discrepancies[0].invariant == "serve"
+        assert "http" in discrepancies[0].detail
 
     def test_serve_detects_a_tracer_shared_by_all_clients(self, monkeypatch):
         # What a process-global tracer amounts to: every client's calls

@@ -2,7 +2,9 @@
 
 import json
 import math
+import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -366,20 +368,26 @@ def test_metrics_server_bind_failure_leaks_no_thread():
         holder.close()
 
 
-def test_server_swallows_client_aborts_but_reports_others(capsys):
-    server = MetricsServer("127.0.0.1:0").start()
+def test_server_swallows_client_aborts_but_reports_others(capfd):
+    server = MetricsServer("127.0.0.1:0")
+
+    def broken(request):
+        raise RuntimeError("genuinely broken")
+
+    server.add_route("GET", "/broken", broken)
+    server.start()
     try:
-        raw = server._http._server
-        try:
-            raise BrokenPipeError("client went away")
-        except BrokenPipeError:
-            raw.handle_error(None, ("127.0.0.1", 1234))
-        assert capsys.readouterr().err == ""  # benign abort: silent
-        try:
-            raise RuntimeError("genuinely broken")
-        except RuntimeError:
-            raw.handle_error(None, ("127.0.0.1", 1234))
-        assert "RuntimeError" in capsys.readouterr().err  # still surfaced
+        host, port = server.address
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.sendall(b"GET /metrics HTTP/1.1\r\n\r\n")
+        # Reset, not FIN: the reply's send meets a vanished client.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        with pytest.raises(urllib.error.HTTPError) as failure:
+            urllib.request.urlopen(f"http://{host}:{port}/broken", timeout=5)
+        assert failure.value.code == 500  # still surfaced, to the client
+        assert "RuntimeError: genuinely broken" in failure.value.read().decode()
+        assert capfd.readouterr().err == ""  # benign abort: silent
     finally:
         server.close()
 

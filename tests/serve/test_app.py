@@ -34,7 +34,6 @@ def serving(tiny_db):
         tiny_db,
         registry=registry,
         trainer=trainer,
-        batch_window_seconds=0.0,
         run_id="test-run-42",
     ).start()
     server = build_server(service, "127.0.0.1:0")
@@ -201,36 +200,62 @@ class _StuckEstimator:
 
 class TestAdmissionOverHTTP:
     def test_full_queue_returns_429(self, tiny_db):
+        # The round cap: with the model stuck, two requests queue in the
+        # kernel, are read in one wake-up, and one of them is refused.
         estimator = _StuckEstimator(PostgresEstimator().fit(tiny_db))
         registry = ModelRegistry()
         registry.promote(estimator)
         service = EstimationService(tiny_db, registry=registry, max_queue=1).start()
         server = build_server(service, "127.0.0.1:0")
         server.start()
-        statuses = []
-
-        def client():
-            statuses.append(_post_json(server.address, "/estimate", {"sql": SINGLE})[0])
-
-        # One request holds the round in the stuck model, a second fills
-        # the one-slot queue, so a third is turned away.
-        threads = [threading.Thread(target=client) for _ in range(2)]
+        connections = [
+            http.client.HTTPConnection(*server.address, timeout=10.0) for _ in range(3)
+        ]
+        body = json.dumps({"sql": SINGLE})
         try:
-            threads[0].start()
+            for connection in connections:  # accepted before the model blocks
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+            connections[0].request("POST", "/estimate", body=body)
             assert estimator.entered.wait(timeout=10.0)
-            threads[1].start()
-            deadline = time.monotonic() + 10.0
-            while service.batcher.depth < 1 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert service.batcher.depth == 1
-            status, body = _post_json(server.address, "/estimate", {"sql": SINGLE})
-            assert status == 429
-            assert "queue full" in body["error"]
+            for connection in connections[1:]:
+                connection.request("POST", "/estimate", body=body)
+            time.sleep(0.2)
+            estimator.release.set()
+            replies = [connection.getresponse() for connection in connections]
+            outcomes = [(reply.status, json.loads(reply.read())) for reply in replies]
         finally:
             estimator.release.set()
-            for thread in threads:
-                thread.join(timeout=10.0)
+            for connection in connections:
+                connection.close()
             server.close()
             service.close()
-        assert not any(thread.is_alive() for thread in threads)
-        assert statuses == [200, 200]
+        assert outcomes[0][0] == 200
+        assert sorted(status for status, _ in outcomes[1:]) == [200, 429]
+        (refused,) = [body for status, body in outcomes if status == 429]
+        assert "round full" in refused["error"] and refused["request_id"]
+
+
+class TestStatusMapping:
+    def test_shutdown_deadline_and_bugs_map_to_503_504_500(self, tiny_db):
+        registry = ModelRegistry()
+        registry.promote(PostgresEstimator().fit(tiny_db))
+        failures = {"slow": TimeoutError("training overran"), "bug": RuntimeError("oops")}
+
+        def trainer(name):
+            raise failures[name]
+
+        service = EstimationService(tiny_db, registry=registry, trainer=trainer).start()
+        server = build_server(service, "127.0.0.1:0").start()
+        try:
+            status, body = _post_json(server.address, "/admin/promote", {"estimator": "slow"})
+            assert (status, body["error"]) == (504, "training overran")
+            status, body = _post_json(server.address, "/admin/promote", {"estimator": "bug"})
+            assert status == 500 and body["error"] == "RuntimeError: oops"
+            service.close()  # the server still answers; the service refuses
+            status, body = _post_json(server.address, "/estimate", {"sql": SINGLE})
+            assert status == 503 and "shut down" in body["error"]
+            status, _ = _post_json(server.address, "/subplans", {"sql": JOIN})
+            assert status == 200
+        finally:
+            assert server.close() is True

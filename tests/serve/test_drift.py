@@ -153,7 +153,6 @@ def drift_serving(tiny_db, tmp_path_factory):
     service = EstimationService(
         tiny_db,
         registry=registry,
-        batch_window_seconds=0.0,
         run_id="drift-test",
         obs=obs,
     ).start()
@@ -268,9 +267,7 @@ class TestFeedbackRoute:
     def test_feedback_disabled_is_400(self, tiny_db):
         registry = ModelRegistry()
         registry.promote(PostgresEstimator().fit(tiny_db))
-        service = EstimationService(
-            tiny_db, registry=registry, batch_window_seconds=0.0
-        ).start()
+        service = EstimationService(tiny_db, registry=registry).start()
         server = build_server(service, "127.0.0.1:0")
         server.start()
         try:
@@ -328,9 +325,7 @@ class TestServiceEventLog:
             drift=DriftMonitor(DriftConfig(window=8, min_count=4, threshold=4.0)),
             events=obs_events.EventLog(service_path),
         )
-        service = EstimationService(
-            tiny_db, registry=registry, batch_window_seconds=0.0, obs=obs
-        ).start()
+        service = EstimationService(tiny_db, registry=registry, obs=obs).start()
         server = build_server(service, "127.0.0.1:0")
         server.start()
         try:
@@ -369,7 +364,6 @@ class TestSelfExecution:
         service = EstimationService(
             tiny_db,
             registry=registry,
-            batch_window_seconds=0.0,
             obs=ServeObservability(drift=monitor),
             self_execute_every=1,  # sample every query
         ).start()

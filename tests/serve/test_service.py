@@ -56,9 +56,7 @@ def fitted(tiny_db):
 def service(tiny_db, fitted):
     registry = ModelRegistry()
     registry.promote(fitted, source="trained:PostgreSQL")
-    svc = EstimationService(
-        tiny_db, registry=registry, batch_window_seconds=0.0
-    ).start()
+    svc = EstimationService(tiny_db, registry=registry).start()
     yield svc
     svc.close()
 
@@ -111,9 +109,7 @@ class TestFallback:
     def _served_by(tiny_db, estimator):
         registry = ModelRegistry()
         registry.promote(estimator)
-        svc = EstimationService(
-            tiny_db, registry=registry, batch_window_seconds=0.0
-        ).start()
+        svc = EstimationService(tiny_db, registry=registry).start()
         try:
             result = svc.estimate_many([SINGLE, JOIN])
         finally:

@@ -57,7 +57,6 @@ def serving(tiny_db, obs_dir):
         tiny_db,
         registry=registry,
         trainer=trainer,
-        batch_window_seconds=0.0,
         run_id="trace-test",
         obs=obs,
     ).start()

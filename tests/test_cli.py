@@ -33,7 +33,6 @@ class TestParser:
         assert args.database == "stats"
         assert args.estimator == "LW-XGB"
         assert args.serve_addr == "127.0.0.1:9570"
-        assert args.batch_window_ms == pytest.approx(1.0)
         assert args.max_queue == 256
         assert args.request_timeout is None
         assert args.max_seconds is None
@@ -44,14 +43,12 @@ class TestParser:
                 "--database", "imdb",
                 "--estimator", "PostgreSQL",
                 "--serve-addr", "0.0.0.0:8080",
-                "--batch-window-ms", "2.5",
                 "--max-queue", "64",
                 "--request-timeout", "1.5",
                 "--max-seconds", "30",
             ]
         )
         assert args.database == "imdb"
-        assert args.batch_window_ms == pytest.approx(2.5)
         assert args.request_timeout == pytest.approx(1.5)
         assert args.max_seconds == pytest.approx(30.0)
 
